@@ -1,13 +1,11 @@
 """Static protocol analyzer based on the two bounds of witness functions."""
 
 from .context import AuthChallenge, VerificationContext, load_context, parse_context
-from .deduction import derives, saturate
 from .errors import (
     AnalysisError,
     AtomAbsent,
     ChallengeAtomAbsent,
     ChallengeNotReceived,
-    DepthExceeded,
     NoSource,
     NotAKey,
     ParseError,

@@ -62,14 +62,14 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise AnalysisError("the context declares no authentication challenge")
         report = analyze(narration, ctx, Variant(args.function), args.check)
         rendered = render(report, args.format)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
     except (AnalysisError, OSError, ValueError) as exc:
         print(f"wfcheck: error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
+    if not args.out:
         sys.stdout.write(rendered)
     return EXIT_PASS if report.overall_passed else EXIT_NO_DECISION
 

@@ -43,7 +43,3 @@ class ChallengeNotReceived(AnalysisError):
 
 class ChallengeAtomAbsent(AnalysisError):
     """The challenge atom does not occur in the verifier's received message."""
-
-
-class DepthExceeded(AnalysisError):
-    """Requested closure depth is above the configured maximum."""

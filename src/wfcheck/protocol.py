@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Iterable
 
 from .context import VerificationContext
-from .errors import ParseError, UndeclaredAtom
+from .errors import ParseError, UndeclaredAtom, UnknownAtom
 from .lattice import PrincipalId
 from .terms import (
     Atom,
@@ -166,7 +166,7 @@ def parse_narration(text: str, ctx: VerificationContext) -> Narration:
     def resolve(atom_text: str, tok) -> Atom:
         try:
             return ctx.resolve_atom(atom_text)
-        except Exception:
+        except UnknownAtom:
             raise UndeclaredAtom(
                 f"atom {atom_text!r} is not declared in the context", tok.line, tok.column
             ) from None
@@ -391,7 +391,3 @@ def encryption_patterns(msgs: Iterable[Message]) -> EncryptionPatternSet:
         seen.add(key)
         kept.append(m)
     return EncryptionPatternSet(tuple(kept))
-
-
-def build_patterns(narration: Narration, ctx: VerificationContext) -> EncryptionPatternSet:
-    return encryption_patterns(generated_messages(extract_roles(narration, ctx)))

@@ -11,8 +11,9 @@ numbers do not support. Identical inputs render byte-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
+from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 from .context import VerificationContext
 from .lattice import SecurityLevel
@@ -218,80 +219,39 @@ def render_text(report: AnalysisReport) -> str:
 # ---------------------------------------------------------------------------
 # JSON rendering
 
-def _check_to_json(c: StepCheck):
-    return {
-        "role": c.role,
-        "step": c.step,
-        "target": c.target,
-        "target_is_variable": c.target_is_variable,
-        "received_bound": level_to_json(c.received_bound),
-        "declared": level_to_json(c.declared),
-        "lower_bound": level_to_json(c.lower_bound),
-        "sources": list(c.sources),
-        "from_patterns": c.from_patterns,
-        "passed": c.passed,
-    }
+def _to_json(value):
+    """JSON data of a report value: records become objects in field order."""
+    if isinstance(value, (str, int, type(None))):
+        return value
+    if isinstance(value, SecurityLevel):
+        return level_to_json(value)
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
 
 
-def _check_from_json(data) -> StepCheck:
-    return StepCheck(
-        role=data["role"],
-        step=data["step"],
-        target=data["target"],
-        target_is_variable=data["target_is_variable"],
-        received_bound=level_from_json(data["received_bound"]),
-        declared=level_from_json(data["declared"]),
-        lower_bound=level_from_json(data["lower_bound"]),
-        sources=tuple(data["sources"]),
-        from_patterns=data["from_patterns"],
-        passed=data["passed"],
-    )
-
-
-def _auth_to_json(a: AuthCheck):
-    return {
-        "verifier": a.verifier,
-        "claimant": a.claimant,
-        "challenge": a.challenge,
-        "step": a.step,
-        "message": a.message,
-        "level": level_to_json(a.level),
-        "claimant_present": a.claimant_present,
-        "above_bottom": a.above_bottom,
-        "passed": a.passed,
-    }
-
-
-def _auth_from_json(data) -> AuthCheck:
-    return AuthCheck(
-        verifier=data["verifier"],
-        claimant=data["claimant"],
-        challenge=data["challenge"],
-        step=data["step"],
-        message=data["message"],
-        level=level_from_json(data["level"]),
-        claimant_present=data["claimant_present"],
-        above_bottom=data["above_bottom"],
-        passed=data["passed"],
-    )
+@cache
+def _decoder(tp) -> Callable:
+    """The function turning JSON data back into a value of the declared type ``tp``."""
+    if tp is SecurityLevel:
+        return level_from_json
+    if get_origin(tp) is tuple:
+        item = _decoder(get_args(tp)[0])
+        return lambda data: tuple(map(item, data))
+    if get_origin(tp) is Union:
+        inner = _decoder(get_args(tp)[0])  # Optional[X] is Union[X, None]
+        return lambda data: None if data is None else inner(data)
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        decoders = [(f.name, _decoder(hints[f.name])) for f in fields(tp)]
+        return lambda data: tp(**{name: dec(data[name]) for name, dec in decoders})
+    return lambda data: data
 
 
 def render_json(report: AnalysisReport) -> str:
     _check_consistency(report)
-    doc = {
-        "version": report.version,
-        "protocol": report.protocol,
-        "variant": report.variant,
-        "context_digest": report.context_digest,
-        "principals": list(report.principals),
-        "roles": [{"label": r.label, "steps": list(r.steps)} for r in report.roles],
-        "patterns": list(report.patterns),
-        "checks": [_check_to_json(c) for c in report.checks],
-        "auth": _auth_to_json(report.auth) if report.auth is not None else None,
-        "secrecy_passed": report.secrecy_passed,
-        "auth_passed": report.auth_passed,
-        "overall": "pass" if report.overall_passed else "no-decision",
-    }
+    doc = _to_json(report)
+    doc["overall"] = "pass" if report.overall_passed else "no-decision"
     return json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=False) + "\n"
 
 
@@ -299,19 +259,7 @@ def report_from_json(text: str) -> AnalysisReport:
     doc = json.loads(text)
     if doc.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report version {doc.get('version')!r}")
-    return AnalysisReport(
-        version=doc["version"],
-        protocol=doc["protocol"],
-        variant=doc["variant"],
-        context_digest=doc["context_digest"],
-        principals=tuple(doc["principals"]),
-        roles=tuple(RoleRecord(r["label"], tuple(r["steps"])) for r in doc["roles"]),
-        patterns=tuple(doc["patterns"]),
-        checks=tuple(_check_from_json(c) for c in doc["checks"]),
-        auth=_auth_from_json(doc["auth"]) if doc["auth"] is not None else None,
-        secrecy_passed=doc["secrecy_passed"],
-        auth_passed=doc["auth_passed"],
-    )
+    return _decoder(AnalysisReport)(doc)
 
 
 def render(report: AnalysisReport, fmt: str = "text") -> str:

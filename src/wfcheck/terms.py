@@ -136,77 +136,54 @@ def enc(body: Message, key: Message) -> Enc:
     return Enc(body, key)
 
 
+def leaves(m: Message) -> list[Message]:
+    """The atoms, variables and ε of ``m``, left to right, body before key."""
+    out: list[Message] = []
+    stack = [m]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Concat):
+            stack.extend(reversed(t.parts))
+        elif isinstance(t, Enc):
+            stack.append(t.key)
+            stack.append(t.body)
+        else:
+            out.append(t)
+    return out
+
+
+def map_leaves(m: Message, fn: Callable[[Message], Message]) -> Message:
+    """Rebuild ``m`` with every atom and variable replaced by ``fn`` of it.
+
+    Leaves are visited in ``leaves`` order; concatenations are rebuilt with
+    ``concat``, so flattening and absorption of ε are kept.
+    """
+    if isinstance(m, (Atom, Variable)):
+        return fn(m)
+    if isinstance(m, Concat):
+        return concat([map_leaves(p, fn) for p in m.parts])
+    if isinstance(m, Enc):
+        return Enc(map_leaves(m.body, fn), map_leaves(m.key, fn))
+    return m
+
+
 def atoms_of(m: Message) -> frozenset[Atom]:
     """All atoms occurring anywhere in ``m``, including key positions."""
-    out: set[Atom] = set()
-
-    def walk(t: Message):
-        if isinstance(t, Atom):
-            out.add(t)
-        elif isinstance(t, Concat):
-            for p in t.parts:
-                walk(p)
-        elif isinstance(t, Enc):
-            walk(t.body)
-            walk(t.key)
-
-    walk(m)
-    return frozenset(out)
+    return frozenset([t for t in leaves(m) if isinstance(t, Atom)])
 
 
 def vars_of(m: Message) -> frozenset[Variable]:
     """All variables occurring in ``m``."""
-    out: set[Variable] = set()
-
-    def walk(t: Message):
-        if isinstance(t, Variable):
-            out.add(t)
-        elif isinstance(t, Concat):
-            for p in t.parts:
-                walk(p)
-        elif isinstance(t, Enc):
-            walk(t.body)
-            walk(t.key)
-
-    walk(m)
-    return frozenset(out)
+    return frozenset([t for t in leaves(m) if isinstance(t, Variable)])
 
 
 def ordered_atoms(m: Message) -> tuple[Atom, ...]:
     """Atoms in first-occurrence order (used for deterministic reports)."""
-    seen: list[Atom] = []
-
-    def walk(t: Message):
-        if isinstance(t, Atom):
-            if t not in seen:
-                seen.append(t)
-        elif isinstance(t, Concat):
-            for p in t.parts:
-                walk(p)
-        elif isinstance(t, Enc):
-            walk(t.body)
-            walk(t.key)
-
-    walk(m)
-    return tuple(seen)
+    return tuple(dict.fromkeys([t for t in leaves(m) if isinstance(t, Atom)]))
 
 
 def ordered_vars(m: Message) -> tuple[Variable, ...]:
-    seen: list[Variable] = []
-
-    def walk(t: Message):
-        if isinstance(t, Variable):
-            if t not in seen:
-                seen.append(t)
-        elif isinstance(t, Concat):
-            for p in t.parts:
-                walk(p)
-        elif isinstance(t, Enc):
-            walk(t.body)
-            walk(t.key)
-
-    walk(m)
-    return tuple(seen)
+    return tuple(dict.fromkeys([t for t in leaves(m) if isinstance(t, Variable)]))
 
 
 def is_param(a: Message) -> bool:
@@ -214,26 +191,24 @@ def is_param(a: Message) -> bool:
     return isinstance(a, Atom) and a.copy is not None
 
 
+def _erase_copy(t: Message) -> Message:
+    return replace(t, copy=None) if t.copy is not None else t
+
+
 def erase_copies(m: Message) -> Message:
     """Drop every rename index, recovering the source shape of a pattern."""
-    if isinstance(m, (Atom, Variable)):
-        return replace(m, copy=None) if m.copy is not None else m
-    if isinstance(m, Concat):
-        return concat(erase_copies(p) for p in m.parts)
-    if isinstance(m, Enc):
-        return Enc(erase_copies(m.body), erase_copies(m.key))
-    return m
+    return map_leaves(m, _erase_copy)
+
+
+def _strip_session(t: Message) -> Message:
+    if isinstance(t, (Nonce, SymKey)) and t.session is not None:
+        return replace(t, session=None)
+    return t
 
 
 def strip_sessions(m: Message) -> Message:
     """Drop session tags (used to compare role payloads against narrations)."""
-    if isinstance(m, (Nonce, SymKey)):
-        return replace(m, session=None) if m.session is not None else m
-    if isinstance(m, Concat):
-        return concat(strip_sessions(p) for p in m.parts)
-    if isinstance(m, Enc):
-        return Enc(strip_sessions(m.body), strip_sessions(m.key))
-    return m
+    return map_leaves(m, _strip_session)
 
 
 def rename_apart(m: Message, tag: int) -> Message:
@@ -242,13 +217,7 @@ def rename_apart(m: Message, tag: int) -> Message:
     Callers are responsible for issuing distinct tags; terms renamed with
     different tags share no variables or parameters.
     """
-    if isinstance(m, (Atom, Variable)):
-        return replace(m, copy=tag)
-    if isinstance(m, Concat):
-        return concat(rename_apart(p, tag) for p in m.parts)
-    if isinstance(m, Enc):
-        return Enc(rename_apart(m.body, tag), rename_apart(m.key, tag))
-    return m
+    return map_leaves(m, lambda t: replace(t, copy=tag))
 
 
 def canonical_form(m: Message) -> str:
@@ -260,20 +229,14 @@ def canonical_form(m: Message) -> str:
     """
     mapping: dict[Variable, Variable] = {}
 
-    def walk(t: Message) -> Message:
-        if isinstance(t, Variable):
-            if t not in mapping:
-                mapping[t] = Variable("V", len(mapping))
-            return mapping[t]
-        if isinstance(t, Atom):
-            return replace(t, copy=None) if t.copy is not None else t
-        if isinstance(t, Concat):
-            return concat(walk(p) for p in t.parts)
-        if isinstance(t, Enc):
-            return Enc(walk(t.body), walk(t.key))
-        return t
+    def canon(t: Message) -> Message:
+        if not isinstance(t, Variable):
+            return _erase_copy(t)
+        if t not in mapping:
+            mapping[t] = Variable("V", len(mapping))
+        return mapping[t]
 
-    return format_message(walk(m))
+    return format_message(map_leaves(m, canon))
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +249,9 @@ def apply(sigma: Substitution, m: Message) -> Message:
     """Homomorphic replacement of variables and parameters; flattening kept."""
     if not sigma:
         return m
-    if isinstance(m, (Variable, Atom)):
+    if isinstance(m, (Variable, Atom)):  # the common case inside unify
         return sigma.get(m, m)
-    if isinstance(m, Concat):
-        return concat(apply(sigma, p) for p in m.parts)
-    if isinstance(m, Enc):
-        return Enc(apply(sigma, m.body), apply(sigma, m.key))
-    return m
-
-
-def _kind_matches(param: Atom, other: Atom) -> bool:
-    return type(param) is type(other)
+    return map_leaves(m, lambda t: sigma.get(t, t))
 
 
 def unify(left: Message, right: Message) -> Optional[dict]:
@@ -328,9 +283,9 @@ def unify(left: Message, right: Message) -> Optional[dict]:
                 return None
             bind(var, term)
         elif isinstance(s, Atom) and isinstance(t, Atom):
-            if is_param(s) and _kind_matches(s, t):
+            if is_param(s) and type(s) is type(t):
                 bind(s, t)
-            elif is_param(t) and _kind_matches(t, s):
+            elif is_param(t) and type(t) is type(s):
                 bind(t, s)
             else:
                 return None

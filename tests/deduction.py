@@ -13,11 +13,15 @@ from __future__ import annotations
 from itertools import product
 from typing import FrozenSet, Iterable
 
-from .context import VerificationContext
-from .errors import DepthExceeded
-from .terms import Concat, Enc, Message, SymKey, concat, format_message, vars_of
+from wfcheck import AnalysisError, VerificationContext
+from wfcheck.terms import Concat, Enc, Message, SymKey, concat, format_message, vars_of
 
 MAX_DEPTH = 3
+
+
+class DepthExceeded(AnalysisError):
+    """Requested closure depth is above the configured maximum."""
+
 
 KnowledgeSet = FrozenSet[Message]
 

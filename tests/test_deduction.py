@@ -2,7 +2,9 @@
 
 import pytest
 
-from wfcheck import DepthExceeded, Enc, Identity, Nonce, SymKey, concat, derives, parse_context, saturate
+from wfcheck import Enc, Identity, Nonce, SymKey, concat, parse_context
+
+from deduction import DepthExceeded, derives, saturate
 
 
 A, B = Identity("A"), Identity("B")

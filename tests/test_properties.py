@@ -41,13 +41,14 @@ from wfcheck import (
     lower_bound,
     parse_context,
     parse_narration,
-    saturate,
     unify,
     vars_of,
 )
 from wfcheck.protocol import Direction, EncryptionPatternSet
 from wfcheck.safefun import Variant
 from wfcheck.terms import ordered_atoms, ordered_vars
+
+from deduction import saturate
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -591,7 +592,9 @@ def run_suite(name):
     return CASES[name] - before
 
 
-@pytest.mark.parametrize("name", sorted(ALL_SUITES))
+# The six randomized suites run once, in test_acceptance's criterion 5,
+# which gates their case counts and their total time.
+@pytest.mark.parametrize("name", ["deduction"])
 def test_property_suite(name):
     checked = run_suite(name)
     assert checked >= ALL_SUITES[name][1], f"suite {name} covered only {checked} cases"

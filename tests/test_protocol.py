@@ -41,8 +41,9 @@ def test_parse_rejects_empty_input(woolam_mod):
 
 def test_parse_rejects_undeclared_atom(woolam_mod):
     _, ctx = woolam_mod
-    with pytest.raises(UndeclaredAtom):
+    with pytest.raises(UndeclaredAtom) as err:
         parse_narration("protocol P\n1. A -> B : {A}kxy\n", ctx)
+    assert (err.value.line, err.value.column) == (2, 16)
 
 
 def test_parse_rejects_non_consecutive_steps(woolam_mod):

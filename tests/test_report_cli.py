@@ -114,10 +114,42 @@ def test_out_file_writes_the_report(tmp_path, capsys):
     assert doc["overall"] == "pass"
 
 
-def test_json_round_trip(woolam_mod):
+def test_out_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(
+        ["--protocol", MOD[0], "--context", MOD[1], "--out", str(target)], capsys
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("wfcheck: error:")
+    assert not target.exists()
+
+
+def test_json_round_trip(woolam_mod, woolam_orig):
     narr, ctx = woolam_mod
     report = analyze(narr, ctx, Variant.MAX, "all")
     assert report_from_json(render(report, "json")) == report
+    narr, ctx = woolam_orig
+    report = analyze(narr, ctx, Variant.EK, "secrecy")
+    assert report.auth is None
+    assert report_from_json(render(report, "json")) == report
+
+
+def test_json_keys_follow_schema_v1_order(woolam_mod):
+    narr, ctx = woolam_mod
+    doc = json.loads(render(analyze(narr, ctx, Variant.MAX, "all"), "json"))
+    assert list(doc) == [
+        "version", "protocol", "variant", "context_digest", "principals", "roles",
+        "patterns", "checks", "auth", "secrecy_passed", "auth_passed", "overall",
+    ]
+    assert list(doc["roles"][0]) == ["label", "steps"]
+    assert list(doc["checks"][0]) == [
+        "role", "step", "target", "target_is_variable", "received_bound", "declared",
+        "lower_bound", "sources", "from_patterns", "passed",
+    ]
+    assert list(doc["auth"]) == [
+        "verifier", "claimant", "challenge", "step", "message", "level",
+        "claimant_present", "above_bottom", "passed",
+    ]
 
 
 def test_every_text_level_appears_in_json(woolam_mod):

@@ -49,6 +49,22 @@ def test_vars_of():
     assert vars_of(Enc(concat([U, Enc(concat([A, V]), KBS)]), KBS)) == {U, V}
 
 
+def test_leaves_run_left_to_right_with_body_before_key():
+    from wfcheck.terms import leaves
+
+    m = concat([Enc(concat([B, Enc(X, KAB_I)]), KAS), A, Enc(EMPTY, KBS)])
+    assert leaves(m) == [B, X, KAB_I, KAS, A, EMPTY, KBS]
+
+
+def test_map_leaves_reflattens_and_absorbs_empty():
+    from wfcheck.terms import map_leaves
+
+    m = concat([A, X, Enc(concat([Y, B]), KAS)])
+    out = map_leaves(m, lambda t: {X: concat([B, S]), Y: EMPTY}.get(t, t))
+    assert out == concat([A, B, S, Enc(B, KAS)])
+    assert isinstance(out, Concat) and len(out.parts) == 4
+
+
 def test_concat_stays_flat():
     m = concat([A, concat([B, S])])
     assert isinstance(m, Concat) and m.parts == (A, B, S)
