@@ -26,6 +26,7 @@ from wfcheck import (
     lower_bound,
 )
 from wfcheck.safefun import Variant
+from wfcheck.witness import sources_for_target
 
 corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 ctx = load_context(corpus / "woolam_modified.ctx")
@@ -43,22 +44,23 @@ sent = initiator.steps[2].payload
 print(f"received {format_message(received)}  ->  F'({format_message(kab_i)}) =",
       f_prime(MAX, kab_i, received, ctx))
 print(f"sent     {format_message(sent)}")
-for src in candidate_sources(sent, patterns):
+sent_sources = candidate_sources(sent, patterns)
+for src in sent_sources:
     print("   candidate source:", src.describe())
-print("   lower bound =", lower_bound(MAX, kab_i, sent, patterns, ctx))
+print("   lower bound =", lower_bound(MAX, kab_i, sent, sent_sources, ctx))
 print("   declared    =", ctx.level_of(kab_i))
 print()
 
 print("== the server's unknowns ==")
 recv, send = server.steps[0].payload, server.steps[1].payload
+send_sources = candidate_sources(send, patterns)
 for var in (Variable("U"), Variable("V")):
     name = format_message(var)
     print(f"target {name}:")
     print("   upper bound on", format_message(recv), "=", f_prime(MAX, var, recv, ctx))
     print("   sources of", format_message(send), "carrying it:")
-    for src in candidate_sources(send, patterns):
-        image = src.mgu.get(var, var)
-        carried = isinstance(image, Variable)
-        marker = "  " if carried else "  (pinned, skipped)"
+    carried = [src for src, _ in sources_for_target(var, send_sources)]
+    for src in send_sources:
+        marker = "  " if src in carried else "  (pinned, skipped)"
         print("     ", src.describe(), marker)
-    print("   lower bound =", lower_bound(MAX, var, send, patterns, ctx))
+    print("   lower bound =", lower_bound(MAX, var, send, send_sources, ctx))

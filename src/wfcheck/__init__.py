@@ -67,7 +67,6 @@ from .witness import (
     CandidateSource,
     StepCheck,
     analyze_narration,
-    bound_ordering_check,
     candidate_sources,
     challenge_check,
     check_authentication,

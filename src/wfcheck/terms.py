@@ -340,6 +340,11 @@ def format_substitution(sigma: Substitution) -> str:
 # ---------------------------------------------------------------------------
 # Tokenizer and parser (shared with the narration DSL)
 
+#: Deepest ``{...}key`` nesting the parser accepts. The analysis recurses
+#: over terms (unification compares nested dataclasses), so a bound keeps
+#: every accepted payload far from the interpreter's recursion limit.
+MAX_NESTING = 64
+
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<comment>#[^\n]*)"
@@ -426,14 +431,24 @@ def split_atom_name(text: str) -> tuple[str, Optional[int], Optional[str]]:
 AtomResolver = Callable[[str, Token], Atom]
 
 
-def parse_message_tokens(stream: TokenStream, resolve: AtomResolver) -> Message:
-    """Parse ``term ('.' term)*`` where term is an atom, variable or {msg}key."""
+def parse_message_tokens(
+    stream: TokenStream, resolve: AtomResolver, depth: int = 0
+) -> Message:
+    """Parse ``term ('.' term)*`` where term is an atom, variable or {msg}key.
+
+    ``depth`` counts the encryptions around the message; one nested deeper
+    than ``MAX_NESTING`` is a ``ParseError`` at its opening brace.
+    """
     from .errors import ParseError
 
     def parse_term() -> Message:
         tok = stream.next()
         if tok.kind == "{":
-            body = parse_message_tokens(stream, resolve)
+            if depth == MAX_NESTING:
+                raise ParseError(
+                    f"encryption nested deeper than {MAX_NESTING} levels", tok.line, tok.column
+                )
+            body = parse_message_tokens(stream, resolve, depth + 1)
             stream.expect("}")
             key_tok = stream.expect("name")
             return Enc(body, resolve(key_tok.text, key_tok))

@@ -107,20 +107,32 @@ def candidate_sources(
     return out
 
 
+def sources_for_target(
+    target: Target, sources: Sequence[CandidateSource]
+) -> list[tuple[CandidateSource, Message]]:
+    """The sources that carry the target, each with the term standing for it.
+
+    A unifier that pins a variable target to a concrete term does not carry
+    it as an unknown, so that source is dropped; one renaming it to another
+    variable carries it as that variable.
+    """
+    if not isinstance(target, Variable):
+        return [(source, target) for source in sources]
+    pairs = ((source, source.mgu.get(target, target)) for source in sources)
+    return [(source, stand_in) for source, stand_in in pairs if isinstance(stand_in, Variable)]
+
+
 def lower_bound(
     variant: Variant,
     target: Target,
     r_plus: Message,
-    patterns: EncryptionPatternSet,
+    sources: Sequence[CandidateSource],
     ctx: VerificationContext,
 ) -> SecurityLevel:
-    """Meet of the derivative evaluations over all candidate sources.
+    """Meet of the derivative evaluations over the sources carrying the target.
 
-    Unencrypted sends have no pattern sources; the target is evaluated on
-    the sent message directly. For a variable target, a source whose
-    unifier pins the variable to a concrete term does not carry it as an
-    unknown and is skipped; a source renaming it to another variable is
-    evaluated on that variable.
+    ``sources`` are the candidate sources of ``r_plus``. Unencrypted sends
+    have none; the target is evaluated on the sent message directly.
     """
     if not occurs_anywhere(target, r_plus):
         raise AtomAbsent(
@@ -128,36 +140,14 @@ def lower_bound(
         )
     if not isinstance(r_plus, Enc):
         return f_prime(variant, target, r_plus, ctx)
-    sources = candidate_sources(r_plus, patterns)
     if not sources:
         raise NoSource(
             f"encrypted send {format_message(r_plus)} unifies with no generated pattern"
         )
-    levels: list[SecurityLevel] = []
-    for source in sources:
-        eval_target = target
-        if isinstance(target, Variable) and target in source.mgu:
-            image = source.mgu[target]
-            if not isinstance(image, Variable):
-                continue
-            eval_target = image
-        levels.append(f_prime(variant, eval_target, source.instantiated(), ctx))
-    return ctx.lattice.meet_all(levels)
-
-
-def sources_for_target(
-    target: Target, r_plus: Message, patterns: EncryptionPatternSet
-) -> list[CandidateSource]:
-    """The candidate sources that actually carry the target (report detail)."""
-    if not isinstance(r_plus, Enc):
-        return []
-    kept = []
-    for source in candidate_sources(r_plus, patterns):
-        if isinstance(target, Variable) and target in source.mgu \
-                and not isinstance(source.mgu[target], Variable):
-            continue
-        kept.append(source)
-    return kept
+    return ctx.lattice.meet_all(
+        f_prime(variant, stand_in, source.instantiated(), ctx)
+        for source, stand_in in sources_for_target(target, sources)
+    )
 
 
 def check_step(
@@ -173,6 +163,7 @@ def check_step(
         raise ValueError(f"step {step.step_id} of {role.label} is not a send")
     received = role.received_before(position)
     r_plus = step.payload
+    sources = candidate_sources(r_plus, patterns) if isinstance(r_plus, Enc) else []
     checks: list[StepCheck] = []
     targets: list[Target] = list(ordered_atoms(r_plus)) + list(ordered_vars(r_plus))
     for target in targets:
@@ -180,7 +171,7 @@ def check_step(
             f_prime(variant, target, m, ctx) for m in received
         )
         declared = ctx.lattice.canon(ctx.level_of(target))
-        lower = lower_bound(variant, target, r_plus, patterns, ctx)
+        lower = lower_bound(variant, target, r_plus, sources, ctx)
         required = ctx.lattice.meet(declared, received_bound)
         checks.append(
             StepCheck(
@@ -192,7 +183,7 @@ def check_step(
                 declared=declared,
                 lower_bound=lower,
                 sources=tuple(
-                    s.describe() for s in sources_for_target(target, r_plus, patterns)
+                    s.describe() for s, _ in sources_for_target(target, sources)
                 ),
                 from_patterns=isinstance(r_plus, Enc),
                 passed=ctx.lattice.leq(required, lower),
@@ -282,19 +273,6 @@ def check_authentication(
     secrecy_ok, checks = check_secrecy(roles, patterns, ctx, variant)
     auth = challenge_check(roles, ctx, variant, challenge)
     return secrecy_ok and auth.passed, auth, secrecy_ok, checks
-
-
-def bound_ordering_check(
-    variant: Variant,
-    target: Target,
-    r_plus: Message,
-    patterns: EncryptionPatternSet,
-    ctx: VerificationContext,
-) -> bool:
-    """The upper bound dominates the lower bound on every sent message."""
-    lower = lower_bound(variant, target, r_plus, patterns, ctx)
-    upper = f_prime(variant, target, r_plus, ctx)
-    return ctx.lattice.leq(lower, upper)
 
 
 def analyze_narration(narration: Narration, ctx: VerificationContext):

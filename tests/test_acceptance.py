@@ -17,6 +17,7 @@ from wfcheck import (
     Variable,
     analyze,
     analyze_narration,
+    candidate_sources,
     canonical_form,
     check_authentication,
     check_secrecy,
@@ -56,15 +57,17 @@ def test_criterion_1_modified_woolam_golden_run(woolam_mod):
     # initiator: top on the receive, the shared-key neighborhood on the send
     assert f_prime(MAX, kab_i, x, ctx).is_top
     sent_key = roles[1].final.payload
-    assert lower_bound(MAX, kab_i, sent_key, patterns, ctx) == ABS
+    key_sources = candidate_sources(sent_key, patterns)
+    assert lower_bound(MAX, kab_i, sent_key, key_sources, ctx) == ABS
 
     # server: both unknowns evaluate to the full honest set on both bounds
     server_recv = roles[5].steps[0].payload
     server_sent = roles[5].final.payload
+    server_sources = candidate_sources(server_sent, patterns)
     assert f_prime(MAX, u, server_recv, ctx) == ABS
-    assert lower_bound(MAX, u, server_sent, patterns, ctx) == ABS
+    assert lower_bound(MAX, u, server_sent, server_sources, ctx) == ABS
     assert f_prime(MAX, v, server_recv, ctx) == ABS
-    assert lower_bound(MAX, v, server_sent, patterns, ctx) == ABS
+    assert lower_bound(MAX, v, server_sent, server_sources, ctx) == ABS
 
     # every role respects the secrecy criterion
     secrecy_ok, checks = check_secrecy(roles, patterns, ctx, MAX)

@@ -30,7 +30,7 @@ from wfcheck import (
     analyze_narration,
     apply,
     atoms_of,
-    bound_ordering_check,
+    candidate_sources,
     concat,
     derive_vars,
     eval_f,
@@ -48,6 +48,7 @@ from wfcheck.protocol import Direction, EncryptionPatternSet
 from wfcheck.safefun import Variant
 from wfcheck.terms import ordered_atoms, ordered_vars
 
+from bounds import bound_ordering_check
 from deduction import saturate
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -478,11 +479,11 @@ def corpus_bound_dominance():
 def law_pinning_a_pattern_variable_never_raises_the_lower_bound(case):
     ctx, narr = case
     roles, patterns = analyze_narration(narr, ctx)
-    pin = Identity("D") if "D" not in ctx.principals else Identity("C")
+    pin = Identity("I")  # the universe always includes the intruder
     for role, r_plus, target in _send_targets(roles):
         if not isinstance(r_plus, Enc):
             continue
-        base = lower_bound(Variant.MAX, target, r_plus, patterns, ctx)
+        base = lower_bound(Variant.MAX, target, r_plus, candidate_sources(r_plus, patterns), ctx)
         for idx, pattern in enumerate(patterns):
             pattern_vars = sorted(vars_of(pattern), key=format_message)
             if not pattern_vars:
@@ -497,7 +498,9 @@ def law_pinning_a_pattern_variable_never_raises_the_lower_bound(case):
             replaced = EncryptionPatternSet(
                 tuple(pinned if i == idx else p for i, p in enumerate(patterns))
             )
-            tightened = lower_bound(Variant.MAX, target, r_plus, replaced, ctx)
+            tightened = lower_bound(
+                Variant.MAX, target, r_plus, candidate_sources(r_plus, replaced), ctx
+            )
             assert ctx.lattice.leq(tightened, base)
             CASES["bounds"] += 1
 

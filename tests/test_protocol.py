@@ -10,15 +10,19 @@ from wfcheck import (
     SymKey,
     UndeclaredAtom,
     Variable,
+    analyze,
     apply,
     canonical_form,
     encryption_patterns,
     extract_roles,
     format_message,
     generated_messages,
+    parse_context,
     parse_narration,
+    render,
     strip_sessions,
 )
+from wfcheck.terms import MAX_NESTING
 
 
 def role_map(roles):
@@ -44,6 +48,27 @@ def test_parse_rejects_undeclared_atom(woolam_mod):
     with pytest.raises(UndeclaredAtom) as err:
         parse_narration("protocol P\n1. A -> B : {A}kxy\n", ctx)
     assert (err.value.line, err.value.column) == (2, 16)
+
+
+def nested_narration(depth):
+    return "protocol Deep\n1. A -> B : " + "{" * depth + "A" + "}kab" * depth + "\n"
+
+
+def test_nesting_up_to_the_limit_is_analyzed():
+    ctx = parse_context("principals A, B, I\nkey kab shared(A,B)\n")
+    report = analyze(parse_narration(nested_narration(MAX_NESTING), ctx), ctx)
+    assert report.overall_passed
+    assert render(report, "text") and render(report, "json")
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1200])
+def test_nesting_beyond_the_limit_is_a_parse_error(depth):
+    ctx = parse_context("principals A, B, I\nkey kab shared(A,B)\n")
+    with pytest.raises(ParseError) as err:
+        parse_narration(nested_narration(depth), ctx)
+    # reported at the first brace past the limit
+    assert (err.value.line, err.value.column) == (2, 13 + MAX_NESTING)
+    assert f"deeper than {MAX_NESTING}" in str(err.value)
 
 
 def test_parse_rejects_non_consecutive_steps(woolam_mod):

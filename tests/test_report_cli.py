@@ -1,8 +1,11 @@
 """Report rendering, JSON round-trip, CLI behavior and exit codes."""
 
 import json
+import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from wfcheck import analyze, render, report_from_json
 from wfcheck.cli import main
@@ -122,6 +125,30 @@ def test_out_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
     assert code == 3 and out == ""
     assert err.startswith("wfcheck: error:")
     assert not target.exists()
+
+
+def test_deep_nesting_is_an_input_error(tmp_path, capsys):
+    ctx_file = tmp_path / "deep.ctx"
+    ctx_file.write_text("principals A, B, I\nkey kab shared(A,B)\n")
+    proto = tmp_path / "deep.proto"
+    proto.write_text("protocol Deep\n1. A -> B : " + "{" * 1200 + "A" + "}kab" * 1200 + "\n")
+    code, out, err = run_cli(["--protocol", str(proto), "--context", str(ctx_file)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("wfcheck: error: line 2, column ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("function", ["max", "ek", "n"])
+@pytest.mark.parametrize("stem", ["woolam_modified", "woolam_original"])
+def test_cli_matches_the_golden_reports(stem, function, capsys):
+    args = ["--protocol", str(CORPUS / f"{stem}.proto"), "--context", str(CORPUS / f"{stem}.ctx")]
+    args += ["--function", function, "--check", "all"]
+    golden = CORPUS / "expected" / f"{stem}.{function}"
+    golden_json = pathlib.Path(f"{golden}.json").read_text(encoding="utf-8")
+    code = {"pass": 0, "no-decision": 2}[json.loads(golden_json)["overall"]]
+    assert run_cli([*args, "--format", "json"], capsys) == (code, golden_json, "")
+    golden_text = pathlib.Path(f"{golden}.txt").read_text(encoding="utf-8")
+    assert run_cli([*args, "--format", "text"], capsys) == (code, golden_text, "")
 
 
 def test_json_round_trip(woolam_mod, woolam_orig):

@@ -17,7 +17,6 @@ from wfcheck import (
     Variable,
     analyze_narration,
     apply,
-    bound_ordering_check,
     candidate_sources,
     challenge_check,
     check_authentication,
@@ -30,6 +29,9 @@ from wfcheck import (
 )
 from wfcheck.context import AuthChallenge
 from wfcheck.safefun import Variant
+from wfcheck.witness import sources_for_target
+
+from bounds import bound_ordering_check
 
 A, B, S = Identity("A"), Identity("B"), Identity("S")
 KAS, KBS = SymKey("kas"), SymKey("kbs")
@@ -81,7 +83,7 @@ def test_unrelated_encryption_has_no_source(mod):
     stranger = Enc(A, SymKey("kxy"))
     assert candidate_sources(stranger, patterns) == []
     with pytest.raises(NoSource):
-        lower_bound(Variant.MAX, A, stranger, patterns, ctx)
+        lower_bound(Variant.MAX, A, stranger, [], ctx)
 
 
 # -- the lower bound ---------------------------------------------------------
@@ -89,36 +91,52 @@ def test_unrelated_encryption_has_no_source(mod):
 def test_lower_bound_of_the_session_key(mod):
     ctx, roles, patterns = mod
     r_plus = roles[1].final.payload
-    assert lower_bound(Variant.MAX, KAB_I, r_plus, patterns, ctx) == ABS
+    sources = candidate_sources(r_plus, patterns)
+    assert lower_bound(Variant.MAX, KAB_I, r_plus, sources, ctx) == ABS
 
 
 def test_lower_bounds_at_the_server(mod):
     ctx, roles, patterns = mod
     r_plus = roles[5].final.payload
-    assert lower_bound(Variant.MAX, U, r_plus, patterns, ctx) == ABS
-    assert lower_bound(Variant.MAX, V, r_plus, patterns, ctx) == ABS
+    sources = candidate_sources(r_plus, patterns)
+    assert lower_bound(Variant.MAX, U, r_plus, sources, ctx) == ABS
+    assert lower_bound(Variant.MAX, V, r_plus, sources, ctx) == ABS
 
 
 def test_lower_bound_of_unencrypted_send_is_direct(mod):
     ctx, roles, patterns = mod
-    assert lower_bound(Variant.MAX, NB_I, NB_I, patterns, ctx) == BOTTOM
+    assert lower_bound(Variant.MAX, NB_I, NB_I, [], ctx) == BOTTOM
 
 
 def test_lower_bound_requires_an_occurrence(mod):
     ctx, roles, patterns = mod
+    r_plus = roles[1].final.payload
     with pytest.raises(AtomAbsent):
-        lower_bound(Variant.MAX, KBS, roles[1].final.payload, patterns, ctx)
+        lower_bound(Variant.MAX, KBS, r_plus, candidate_sources(r_plus, patterns), ctx)
 
 
 def test_variable_sources_exclude_pinning_unifiers(mod):
     # the pattern that pins the sent variable to a nonce parameter does not
     # carry it as an unknown: only the server's own pattern remains
-    from wfcheck.witness import sources_for_target
+    ctx, roles, patterns = mod
+    sources = candidate_sources(roles[5].final.payload, patterns)
+    assert [s.index for s, _ in sources_for_target(U, sources)] == [4]
+    assert [s.index for s, _ in sources_for_target(V, sources)] == [2, 4]
+    # unify binds the pattern side, so a carried variable stands for itself
+    assert [t for _, t in sources_for_target(V, sources)] == [V, V]
+    assert [t for _, t in sources_for_target(A, sources)] == [A, A]
+
+
+def test_one_unification_scan_per_send(mod, monkeypatch):
+    import wfcheck.witness as witness
 
     ctx, roles, patterns = mod
-    r_plus = roles[5].final.payload
-    assert [s.index for s in sources_for_target(U, r_plus, patterns)] == [4]
-    assert [s.index for s in sources_for_target(V, r_plus, patterns)] == [2, 4]
+    calls = []
+    real_unify = witness.unify
+    monkeypatch.setattr(witness, "unify", lambda *terms: calls.append(terms) or real_unify(*terms))
+    checks = check_step(roles[5], 1, ctx, Variant.MAX, patterns)  # {U.{A.V}kbs}kbs
+    assert len(checks) == 4
+    assert len(calls) == len(patterns)
 
 
 # -- step checks and the secrecy decision -------------------------------------
@@ -250,5 +268,7 @@ def test_unrelated_pattern_leaves_bounds_unchanged(mod):
         from wfcheck.terms import ordered_atoms, ordered_vars
 
         for target in ordered_atoms(r_plus) + ordered_vars(r_plus):
-            assert lower_bound(Variant.MAX, target, r_plus, patterns, ctx) == \
-                lower_bound(Variant.MAX, target, r_plus, padded, ctx)
+            assert lower_bound(Variant.MAX, target, r_plus,
+                               candidate_sources(r_plus, patterns), ctx) == \
+                lower_bound(Variant.MAX, target, r_plus,
+                            candidate_sources(r_plus, padded), ctx)
