@@ -1,11 +1,11 @@
 """The two bounds, computed step by step for the modified Woo-Lam.
 
 On a receive we ask: which identities are *confirmed* around the atom?
-That is the upper bound: evaluate the atom in the derived message (all
-unverified variables removed). On a send we ask: which identities *could*
-anyone have smuggled into this shape through a variable? That is the
-lower bound: unify the sent message with every generated encryption
-pattern, instantiate, evaluate, and take the meet.
+That is the upper bound: evaluate the atom in the received message (its
+unverified variables never count as identities). On a send we ask: which
+identities *could* anyone have smuggled into this shape through a
+variable? That is the lower bound: unify the sent message with every
+generated encryption pattern, instantiate, evaluate, and take the meet.
 
 A protocol is accepted when, for every atom of every send, the lower
 bound dominates the declared level met with the received upper bound:
@@ -46,7 +46,7 @@ print(f"received {format_message(received)}  ->  F'({format_message(kab_i)}) =",
 print(f"sent     {format_message(sent)}")
 sent_sources = candidate_sources(sent, patterns)
 for src in sent_sources:
-    print("   candidate source:", src.describe())
+    print("   candidate source:", src.description)
 print("   lower bound =", lower_bound(MAX, kab_i, sent, sent_sources, ctx))
 print("   declared    =", ctx.level_of(kab_i))
 print()
@@ -62,5 +62,5 @@ for var in (Variable("U"), Variable("V")):
     carried = [src for src, _ in sources_for_target(var, send_sources)]
     for src in send_sources:
         marker = "  " if src in carried else "  (pinned, skipped)"
-        print("     ", src.describe(), marker)
+        print("     ", src.description, marker)
     print("   lower bound =", lower_bound(MAX, var, send, send_sources, ctx))

@@ -30,9 +30,6 @@ from .report import AnalysisReport, analyze, render, render_json, render_text, r
 from .safefun import (
     Selection,
     Variant,
-    derive,
-    derive_vars,
-    eval_f,
     f_prime,
     protective_key,
     psi,
@@ -52,7 +49,6 @@ from .terms import (
     atoms_of,
     canonical_form,
     concat,
-    enc,
     erase_copies,
     format_message,
     format_substitution,

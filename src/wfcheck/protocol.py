@@ -22,9 +22,9 @@ to that send), plus the full projection when it ends with a receive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .context import VerificationContext
 from .errors import ParseError, UndeclaredAtom, UnknownAtom
@@ -60,6 +60,8 @@ class NarrationStep:
     sender: PrincipalId
     receiver: PrincipalId
     payload: Message
+    #: where the step starts in the narration text, for diagnostics only
+    line: Optional[int] = field(default=None, compare=False)
 
     def __str__(self):
         return f"{self.index}. {self.sender} -> {self.receiver} : {format_message(self.payload)}"
@@ -196,6 +198,7 @@ def parse_narration(text: str, ctx: VerificationContext) -> Narration:
                 sender=PrincipalId(sender_tok.text),
                 receiver=PrincipalId(receiver_tok.text),
                 payload=payload,
+                line=num_tok.line,
             )
         )
 
@@ -324,27 +327,26 @@ def extract_roles(narration: Narration, ctx: VerificationContext) -> tuple[Gener
         steps: list[RoleStep] = []
         for nstep in narration.steps:
             if nstep.sender == owner:
-                payload = view.abstract_send(nstep.payload)
-                steps.append(
-                    RoleStep(
-                        step_id=f"{SESSION_TAG}.{nstep.index}",
-                        narration_index=nstep.index,
-                        direction=Direction.SEND,
-                        partner=nstep.receiver,
-                        payload=payload,
-                    )
-                )
+                direction, partner, abstract = Direction.SEND, nstep.receiver, view.abstract_send
             elif nstep.receiver == owner:
-                payload = view.abstract_receive(nstep.payload)
-                steps.append(
-                    RoleStep(
-                        step_id=f"{SESSION_TAG}.{nstep.index}",
-                        narration_index=nstep.index,
-                        direction=Direction.RECEIVE,
-                        partner=nstep.sender,
-                        payload=payload,
-                    )
+                direction, partner, abstract = (
+                    Direction.RECEIVE, nstep.sender, view.abstract_receive
                 )
+            else:
+                continue
+            try:
+                payload = abstract(nstep.payload)
+            except ParseError as exc:
+                raise ParseError(str(exc), nstep.line) from None
+            steps.append(
+                RoleStep(
+                    step_id=f"{SESSION_TAG}.{nstep.index}",
+                    narration_index=nstep.index,
+                    direction=direction,
+                    partner=partner,
+                    payload=payload,
+                )
+            )
         prefixes = [k + 1 for k, s in enumerate(steps) if s.direction is Direction.SEND]
         if steps and (not prefixes or prefixes[-1] != len(steps)):
             prefixes.append(len(steps))

@@ -13,22 +13,23 @@ identities alone. Occurrences without any protective key evaluate to
 bottom (the target is effectively exposed); a target that never occurs in
 body position evaluates to top. Multiple occurrences combine by meet.
 
-Derivation removes variables so that the evaluation never depends on what
-an unknown component might contain; the derivative evaluation keeps only
-the variable under evaluation, when the target is one.
+The paper evaluates a target in the message with its variables removed
+(the derivative), so that nothing rests on what an unknown component might
+contain. A selection here holds only identities and a decryption key, never
+a variable, so removing variables would change no level: ``f_prime`` is
+``psi`` after ``select`` on the message as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Union
+from typing import Optional
 
 from .context import VerificationContext
 from .errors import AtomAbsent
 from .lattice import BOTTOM, TOP, PrincipalId, SecurityLevel
 from .terms import (
-    EMPTY,
     Atom,
     Concat,
     Enc,
@@ -38,7 +39,6 @@ from .terms import (
     Target,
     Variable,
     atoms_of,
-    concat,
     erase_copies,
     format_message,
     vars_of,
@@ -69,32 +69,6 @@ class Selection:
         if self.supremum:
             return "<supremum>"
         return "{" + ", ".join(sorted(format_message(a) for a in self.atoms)) + "}"
-
-
-# ---------------------------------------------------------------------------
-# Derivation
-
-def derive_vars(m: Message, remove: frozenset[Variable]) -> Message:
-    """Remove the given variables homomorphically; vanished parts collapse."""
-    if m is EMPTY:
-        return EMPTY
-    if isinstance(m, Variable):
-        return EMPTY if m in remove else m
-    if isinstance(m, Atom):
-        return m
-    if isinstance(m, Concat):
-        return concat(derive_vars(p, remove) for p in m.parts)
-    if isinstance(m, Enc):
-        return Enc(derive_vars(m.body, remove), m.key)
-    raise TypeError(f"not a message: {m!r}")
-
-
-def derive(m: Message, keep: Optional[Variable] = None) -> Message:
-    """Remove every variable except ``keep``; the whole message may vanish."""
-    remove = vars_of(m)
-    if keep is not None:
-        remove = remove - {keep}
-    return derive_vars(m, remove)
 
 
 # ---------------------------------------------------------------------------
@@ -207,44 +181,15 @@ def psi(selection: Selection, ctx: VerificationContext) -> SecurityLevel:
 
 
 # ---------------------------------------------------------------------------
-# The evaluation functions
-
-MessageOrSet = Union[Message, Iterable[Message]]
-
-
-def eval_f(
-    variant: Variant, target: Target, m: MessageOrSet, ctx: VerificationContext
-) -> SecurityLevel:
-    """Level of a target in a message, or the meet over a set of messages."""
-    if isinstance(m, Message):
-        if m is EMPTY:
-            return TOP
-        return psi(select(variant, target, m, ctx), ctx)
-    return ctx.lattice.meet_all(eval_f(variant, target, single, ctx) for single in m)
-
+# The evaluation function
 
 def f_prime(
-    variant: Variant,
-    target: Target,
-    m: MessageOrSet,
-    ctx: VerificationContext,
-    via: Optional[Mapping] = None,
+    variant: Variant, target: Target, m: Message, ctx: VerificationContext
 ) -> SecurityLevel:
-    """Derivative evaluation: derive the message first, keeping only the
-    target when the target is itself a variable. Absent targets score top.
+    """Level of a target (atom or variable) in a message: ``psi(select(...))``.
 
-    ``via`` names the run that produced the target: when the target is an
-    atom that does not survive derivation but fills some variable of ``m``
-    under ``via``, that variable is evaluated in its place, making the
-    result independent of the run.
+    No derivation is applied first: a selection never holds a variable, so
+    removing the variables of ``m`` would not change the level. An absent
+    target, and so the empty message, scores top.
     """
-    if isinstance(m, Message):
-        if isinstance(target, Variable):
-            return eval_f(variant, target, derive(m, keep=target), ctx)
-        derived = derive(m)
-        if via is not None and target not in atoms_of(derived):
-            for x in sorted(vars_of(m), key=format_message):
-                if via.get(x) == target:
-                    return eval_f(variant, x, derive(m, keep=x), ctx)
-        return eval_f(variant, target, derived, ctx)
-    return ctx.lattice.meet_all(f_prime(variant, target, single, ctx, via=via) for single in m)
+    return psi(select(variant, target, m, ctx), ctx)

@@ -132,10 +132,6 @@ def concat(parts: Iterable[Message]) -> Message:
     return Concat(tuple(flat))
 
 
-def enc(body: Message, key: Message) -> Enc:
-    return Enc(body, key)
-
-
 def leaves(m: Message) -> list[Message]:
     """The atoms, variables and ε of ``m``, left to right, body before key."""
     out: list[Message] = []
@@ -390,10 +386,10 @@ def tokenize(text: str) -> list[Token]:
 
 
 class TokenStream:
-    def __init__(self, tokens: list[Token], text_end_line: int = 1):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.end_line = tokens[-1].line if tokens else text_end_line
+        self.end_line = tokens[-1].line if tokens else 1
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None

@@ -21,6 +21,7 @@ received message, strictly above the public level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .context import AuthChallenge, VerificationContext
@@ -59,10 +60,13 @@ class CandidateSource:
     pattern: Message
     mgu: Substitution
 
-    def instantiated(self) -> Message:
+    # computed once per source, not once per target that the source carries
+    @cached_property
+    def instance(self) -> Message:
         return apply(self.mgu, self.pattern)
 
-    def describe(self) -> str:
+    @cached_property
+    def description(self) -> str:
         return f"{format_message(self.pattern)} via {format_substitution(self.mgu)}"
 
 
@@ -145,7 +149,7 @@ def lower_bound(
             f"encrypted send {format_message(r_plus)} unifies with no generated pattern"
         )
     return ctx.lattice.meet_all(
-        f_prime(variant, stand_in, source.instantiated(), ctx)
+        f_prime(variant, stand_in, source.instance, ctx)
         for source, stand_in in sources_for_target(target, sources)
     )
 
@@ -182,9 +186,7 @@ def check_step(
                 received_bound=received_bound,
                 declared=declared,
                 lower_bound=lower,
-                sources=tuple(
-                    s.describe() for s, _ in sources_for_target(target, sources)
-                ),
+                sources=tuple(s.description for s, _ in sources_for_target(target, sources)),
                 from_patterns=isinstance(r_plus, Enc),
                 passed=ctx.lattice.leq(required, lower),
             )

@@ -22,7 +22,6 @@ from wfcheck import (
     check_authentication,
     check_secrecy,
     encryption_patterns,
-    eval_f,
     extract_roles,
     f_prime,
     format_message,
@@ -142,7 +141,7 @@ def test_criterion_3_guideline_selection_example():
     m = Enc(concat([Identity("C"), Enc(concat([alpha, Identity("D")]), SymKey("kas"))]), SymKey("kab"))
     sel = select(MAX, alpha, m, ctx)
     assert sel.atoms == {Identity("C"), Identity("D"), SymKey("kab")}
-    level = eval_f(MAX, alpha, m, ctx)
+    level = f_prime(MAX, alpha, m, ctx)
     assert level == SecurityLevel.of("A", "B", "C", "D")
     assert psi(sel, ctx) == level
     _passed(3, "guideline selection example {A,B,C,D}")

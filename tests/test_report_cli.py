@@ -138,6 +138,33 @@ def test_deep_nesting_is_an_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+ROLE_ERROR_CTX = (
+    "principals A, B, S, I\n"
+    "key kas shared(A,S)\nkey kbs shared(B,S)\n"
+    "key kab fresh(A) level {A,B,S}\nnonce Na fresh(A) level {A,B}\n"
+)
+
+
+@pytest.mark.parametrize("steps, message", [
+    ("1. A -> B : {Na}kas\n2. S -> B : {Na}kbs\n", "line 3: S sends 'Na' without ever learning it"),
+    (
+        "1. A -> B : {kab}kas\n# B learns kab only as an unknown\n"
+        "2. A -> B : kab\n3. B -> A : {B}kab\n",
+        "line 5: B cannot encrypt under a key it does not possess",
+    ),
+    ("1. A -> B : A\n2. B -> A : ε\n", "line 3: cannot abstract message component 'ε'"),
+], ids=["unlearned-send", "key-not-possessed", "empty-payload"])
+def test_role_extraction_errors_name_the_step_line(steps, message, tmp_path, capsys):
+    ctx_file = tmp_path / "roles.ctx"
+    ctx_file.write_text(ROLE_ERROR_CTX)
+    proto = tmp_path / "roles.proto"
+    proto.write_text("protocol P\n" + steps, encoding="utf-8")
+    code, out, err = run_cli(["--protocol", str(proto), "--context", str(ctx_file)], capsys)
+    assert code == 3 and out == ""
+    assert err == f"wfcheck: error: {message}\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("function", ["max", "ek", "n"])
 @pytest.mark.parametrize("stem", ["woolam_modified", "woolam_original"])
 def test_cli_matches_the_golden_reports(stem, function, capsys):
