@@ -15,6 +15,7 @@ nothing gets less secret by traveling through the protocol.
 import pathlib
 
 from wfcheck import (
+    Evaluation,
     SymKey,
     Variable,
     analyze_narration,
@@ -34,6 +35,7 @@ narr = load_narration(corpus / "woolam_modified.proto", ctx)
 roles, patterns = analyze_narration(narr, ctx)
 
 MAX = Variant.MAX
+evaluation = Evaluation(MAX, ctx)  # one memo for the whole walkthrough
 kab_i = SymKey("kab", session="i")
 initiator = roles[1]   # the initiator's full role
 server = roles[5]      # the server's role
@@ -47,7 +49,7 @@ print(f"sent     {format_message(sent)}")
 sent_sources = candidate_sources(sent, patterns)
 for src in sent_sources:
     print("   candidate source:", src.description)
-print("   lower bound =", lower_bound(MAX, kab_i, sent, sent_sources, ctx))
+print("   lower bound =", lower_bound(evaluation, kab_i, sent, sent_sources))
 print("   declared    =", ctx.level_of(kab_i))
 print()
 
@@ -63,4 +65,4 @@ for var in (Variable("U"), Variable("V")):
     for src in send_sources:
         marker = "  " if src in carried else "  (pinned, skipped)"
         print("     ", src.description, marker)
-    print("   lower bound =", lower_bound(MAX, var, send, send_sources, ctx))
+    print("   lower bound =", lower_bound(evaluation, var, send, send_sources))

@@ -28,6 +28,7 @@ from .protocol import (
 )
 from .report import AnalysisReport, analyze, render, render_json, render_text, report_from_json
 from .safefun import (
+    Evaluation,
     Selection,
     Variant,
     f_prime,

@@ -143,8 +143,9 @@ class Lattice:
         return SecurityLevel(a.authorized & b.authorized)
 
     def meet_all(self, levels: Iterable[SecurityLevel]) -> SecurityLevel:
+        """Meet of all levels, each distinct level met once (meet is idempotent)."""
         acc = TOP
-        for lv in levels:
+        for lv in dict.fromkeys(levels):
             acc = self.meet(acc, lv)
         return acc
 

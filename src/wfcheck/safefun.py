@@ -18,6 +18,11 @@ The paper evaluates a target in the message with its variables removed
 contain. A selection here holds only identities and a decryption key, never
 a variable, so removing variables would change no level: ``f_prime`` is
 ``psi`` after ``select`` on the message as it is.
+
+One walk of a message (``occurrences``) yields the occurrence chains of
+all its leaves at once. An :class:`Evaluation` keeps that walk and the
+levels computed from it per distinct message, so an analysis that asks
+about many targets, sources and receives walks each message once.
 """
 
 from __future__ import annotations
@@ -37,11 +42,10 @@ from .terms import (
     Message,
     SymKey,
     Target,
-    Variable,
     atoms_of,
     erase_copies,
     format_message,
-    vars_of,
+    leaves,
 )
 
 
@@ -74,32 +78,33 @@ class Selection:
 # ---------------------------------------------------------------------------
 # Occurrences and protective keys
 
-def _body_occurrences(target: Target, m: Message) -> list[tuple[Enc, ...]]:
-    """Enclosing-encryption chains for each occurrence outside key positions.
+#: Each atom and variable of a message, with the enclosing-encryption chain
+#: of each of its occurrences outside key positions, left to right.
+Occurrences = dict[Target, list[tuple[Enc, ...]]]
+
+
+def occurrences(m: Message) -> Occurrences:
+    """One walk of ``m``: every leaf with its body-occurrence chains.
 
     An atom serving only as an encryption key is not exposed by the
-    message, so key positions do not count as occurrences.
+    message, so a key position adds its leaves with no chain: a target is
+    in the map exactly when it occurs anywhere in ``m``.
     """
-    out: list[tuple[Enc, ...]] = []
+    out: Occurrences = {}
 
     def walk(t: Message, chain: tuple[Enc, ...]):
-        if t == target:
-            out.append(chain)
-            return
         if isinstance(t, Concat):
             for p in t.parts:
                 walk(p, chain)
         elif isinstance(t, Enc):
             walk(t.body, chain + (t,))
+            for leaf in leaves(t.key):
+                out.setdefault(leaf, [])
+        else:
+            out.setdefault(t, []).append(chain)
 
     walk(m, ())
     return out
-
-
-def occurs_anywhere(target: Target, m: Message) -> bool:
-    if isinstance(target, Variable):
-        return target in vars_of(m)
-    return target in atoms_of(m)
 
 
 def _protective_enc(
@@ -124,10 +129,11 @@ def protective_key(
     Returns an empty tuple when every occurrence is unprotected; raises
     AtomAbsent when the target does not occur in the message at all.
     """
-    if not occurs_anywhere(target, m):
+    occs = occurrences(m)
+    if target not in occs:
         raise AtomAbsent(f"{format_message(target)} does not occur in {format_message(m)}")
     found: list[tuple[Atom, Message]] = []
-    for chain in _body_occurrences(target, m):
+    for chain in occs[target]:
         node = _protective_enc(target, chain, ctx)
         if node is not None:
             found.append((node.key, node))
@@ -141,14 +147,13 @@ def _identities_in(m: Message) -> frozenset[Identity]:
     return frozenset(a for a in atoms_of(m) if isinstance(a, Identity))
 
 
-def select(
-    variant: Variant, target: Target, m: Message, ctx: VerificationContext
+def _select(
+    variant: Variant, target: Target, chains: list[tuple[Enc, ...]], ctx: VerificationContext
 ) -> Selection:
-    occs = _body_occurrences(target, m)
-    if not occs:
+    if not chains:
         return Selection(supremum=True)
     chosen: set[Atom] = set()
-    for chain in occs:
+    for chain in chains:
         node = _protective_enc(target, chain, ctx)
         if node is None:
             return Selection(infimum=True)
@@ -157,6 +162,12 @@ def select(
         if variant in (Variant.MAX, Variant.EK):
             chosen.add(ctx.reverse_key(node.key))
     return Selection(atoms=frozenset(chosen))
+
+
+def select(
+    variant: Variant, target: Target, m: Message, ctx: VerificationContext
+) -> Selection:
+    return _select(variant, target, occurrences(m).get(target, []), ctx)
 
 
 def psi(selection: Selection, ctx: VerificationContext) -> SecurityLevel:
@@ -183,6 +194,39 @@ def psi(selection: Selection, ctx: VerificationContext) -> SecurityLevel:
 # ---------------------------------------------------------------------------
 # The evaluation function
 
+class Evaluation:
+    """``f_prime`` under one variant and context, memoized per message value.
+
+    Each distinct message is walked once (its ``occurrences``), and the
+    level of a target in it is computed the first time a caller asks for
+    it, never for a leaf nobody asks about. One analysis owns one
+    evaluation, so the memo holds only that analysis's messages.
+    """
+
+    def __init__(self, variant: Variant, ctx: VerificationContext):
+        self.variant = variant
+        self.ctx = ctx
+        self._memo: dict[Message, tuple[Occurrences, dict[Target, SecurityLevel]]] = {}
+
+    def _entry(self, m: Message) -> tuple[Occurrences, dict[Target, SecurityLevel]]:
+        entry = self._memo.get(m)
+        if entry is None:
+            entry = self._memo[m] = (occurrences(m), {})
+        return entry
+
+    def occurs(self, target: Target, m: Message) -> bool:
+        """Whether the target occurs anywhere in ``m``, key positions included."""
+        return target in self._entry(m)[0]
+
+    def level(self, target: Target, m: Message) -> SecurityLevel:
+        occs, levels = self._entry(m)
+        level = levels.get(target)
+        if level is None:
+            selection = _select(self.variant, target, occs.get(target, []), self.ctx)
+            level = levels[target] = psi(selection, self.ctx)
+        return level
+
+
 def f_prime(
     variant: Variant, target: Target, m: Message, ctx: VerificationContext
 ) -> SecurityLevel:
@@ -190,6 +234,7 @@ def f_prime(
 
     No derivation is applied first: a selection never holds a variable, so
     removing the variables of ``m`` would not change the level. An absent
-    target, and so the empty message, scores top.
+    target, and so the empty message, scores top. A one-off
+    :class:`Evaluation`; an analysis keeps one evaluation for all its calls.
     """
-    return psi(select(variant, target, m, ctx), ctx)
+    return Evaluation(variant, ctx).level(target, m)

@@ -257,32 +257,47 @@ def unify(left: Message, right: Message) -> Optional[dict]:
     to atoms of the same kind only. When both sides are variables or both
     are parameters, the left one is bound, so unifying a renamed pattern
     against a sent role message orients bindings pattern-to-message.
+
+    Bindings are stored as found and may mention leaves bound later; a
+    popped pair is resolved only at its top (``head``), and every value is
+    resolved once, on return.
     """
     sol: dict = {}
     stack: list[tuple[Message, Message]] = [(left, right)]
 
-    def bind(key, value) -> None:
-        one = {key: value}
-        for k in list(sol):
-            sol[k] = apply(one, sol[k])
-        sol[key] = value
+    def head(t: Message) -> Message:
+        # follow bound leaves; re-flatten a concatenation with bound parts,
+        # as applying the solution would
+        while isinstance(t, (Atom, Variable)) and t in sol:
+            t = sol[t]
+        if isinstance(t, Concat):
+            for p in t.parts:
+                if isinstance(p, (Atom, Variable)) and p in sol:
+                    return concat([head(q) for q in t.parts])
+        return t
+
+    def resolve(t: Message) -> Message:
+        if isinstance(t, (Atom, Variable)):
+            return resolve(sol[t]) if t in sol else t
+        return map_leaves(t, resolve)
 
     while stack:
         s, t = stack.pop()
-        s = apply(sol, s)
-        t = apply(sol, t)
+        if sol:
+            s = head(s)
+            t = head(t)
         if s == t:
             continue
         if isinstance(s, Variable) or isinstance(t, Variable):
             var, term = (s, t) if isinstance(s, Variable) else (t, s)
-            if var in vars_of(term):
+            if not isinstance(term, (Atom, Variable)) and var in vars_of(resolve(term)):
                 return None
-            bind(var, term)
+            sol[var] = term
         elif isinstance(s, Atom) and isinstance(t, Atom):
             if is_param(s) and type(s) is type(t):
-                bind(s, t)
+                sol[s] = t
             elif is_param(t) and type(t) is type(s):
-                bind(t, s)
+                sol[t] = s
             else:
                 return None
         elif isinstance(s, Concat) and isinstance(t, Concat):
@@ -294,7 +309,7 @@ def unify(left: Message, right: Message) -> Optional[dict]:
             stack.append((s.body, t.body))
         else:
             return None
-    return sol
+    return {k: resolve(v) for k, v in sol.items()}
 
 
 # ---------------------------------------------------------------------------

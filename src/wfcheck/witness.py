@@ -36,7 +36,7 @@ from .protocol import (
     extract_roles,
     generated_messages,
 )
-from .safefun import Variant, f_prime, occurs_anywhere
+from .safefun import Evaluation, Variant, f_prime
 from .terms import (
     Enc,
     Message,
@@ -127,29 +127,28 @@ def sources_for_target(
 
 
 def lower_bound(
-    variant: Variant,
+    evaluation: Evaluation,
     target: Target,
     r_plus: Message,
     sources: Sequence[CandidateSource],
-    ctx: VerificationContext,
 ) -> SecurityLevel:
     """Meet of the derivative evaluations over the sources carrying the target.
 
     ``sources`` are the candidate sources of ``r_plus``. Unencrypted sends
     have none; the target is evaluated on the sent message directly.
     """
-    if not occurs_anywhere(target, r_plus):
+    if not evaluation.occurs(target, r_plus):
         raise AtomAbsent(
             f"{format_message(target)} does not occur in {format_message(r_plus)}"
         )
     if not isinstance(r_plus, Enc):
-        return f_prime(variant, target, r_plus, ctx)
+        return evaluation.level(target, r_plus)
     if not sources:
         raise NoSource(
             f"encrypted send {format_message(r_plus)} unifies with no generated pattern"
         )
-    return ctx.lattice.meet_all(
-        f_prime(variant, stand_in, source.instance, ctx)
+    return evaluation.ctx.lattice.meet_all(
+        evaluation.level(stand_in, source.instance)
         for source, stand_in in sources_for_target(target, sources)
     )
 
@@ -157,25 +156,23 @@ def lower_bound(
 def check_step(
     role: GeneralizedRole,
     position: int,
-    ctx: VerificationContext,
-    variant: Variant,
+    evaluation: Evaluation,
     patterns: EncryptionPatternSet,
 ) -> list[StepCheck]:
     """Bound comparisons for every atom and every variable of a send payload."""
     step = role.steps[position]
     if step.direction is not Direction.SEND:
         raise ValueError(f"step {step.step_id} of {role.label} is not a send")
+    ctx = evaluation.ctx
     received = role.received_before(position)
     r_plus = step.payload
     sources = candidate_sources(r_plus, patterns) if isinstance(r_plus, Enc) else []
     checks: list[StepCheck] = []
     targets: list[Target] = list(ordered_atoms(r_plus)) + list(ordered_vars(r_plus))
     for target in targets:
-        received_bound = ctx.lattice.meet_all(
-            f_prime(variant, target, m, ctx) for m in received
-        )
+        received_bound = ctx.lattice.meet_all(evaluation.level(target, m) for m in received)
         declared = ctx.lattice.canon(ctx.level_of(target))
-        lower = lower_bound(variant, target, r_plus, sources, ctx)
+        lower = lower_bound(evaluation, target, r_plus, sources)
         required = ctx.lattice.meet(declared, received_bound)
         checks.append(
             StepCheck(
@@ -203,12 +200,14 @@ def check_secrecy(
     """Every send step of every role must respect the bound ordering.
 
     Each send is checked once, as the final step of its prefix role, with
-    the receives accumulated before it.
+    the receives accumulated before it. One evaluation serves every check,
+    so a payload that several prefix roles receive is evaluated once.
     """
+    evaluation = Evaluation(variant, ctx)
     checks: list[StepCheck] = []
     for role in roles:
         if role.steps and role.final.direction is Direction.SEND:
-            checks.extend(check_step(role, len(role.steps) - 1, ctx, variant, patterns))
+            checks.extend(check_step(role, len(role.steps) - 1, evaluation, patterns))
     return all(c.passed for c in checks), checks
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from wfcheck import VerificationContext, candidate_sources, f_prime, lower_bound
+from wfcheck import Evaluation, VerificationContext, candidate_sources, lower_bound
 from wfcheck.protocol import EncryptionPatternSet
 from wfcheck.safefun import Variant
 from wfcheck.terms import Message, Target
@@ -16,6 +16,7 @@ def bound_ordering_check(
     ctx: VerificationContext,
 ) -> bool:
     """The upper bound dominates the lower bound on every sent message."""
-    lower = lower_bound(variant, target, r_plus, candidate_sources(r_plus, patterns), ctx)
-    upper = f_prime(variant, target, r_plus, ctx)
+    evaluation = Evaluation(variant, ctx)
+    lower = lower_bound(evaluation, target, r_plus, candidate_sources(r_plus, patterns))
+    upper = evaluation.level(target, r_plus)
     return ctx.lattice.leq(lower, upper)

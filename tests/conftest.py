@@ -1,4 +1,7 @@
+import functools
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -16,6 +19,18 @@ settings.load_profile("ci")
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = REPO_ROOT / "corpus"
+
+
+@functools.cache
+def perfbench_gen():
+    """The benchmark's seeded input generators, ``perfbench/gen.py``, read-only."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", REPO_ROOT / "perfbench" / "gen.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

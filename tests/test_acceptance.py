@@ -10,6 +10,7 @@ import time
 import pytest
 
 from wfcheck import (
+    Evaluation,
     Identity,
     Nonce,
     SecurityLevel,
@@ -53,20 +54,21 @@ def test_criterion_1_modified_woolam_golden_run(woolam_mod):
     nb_i = Nonce("Nb", owner="B", session="i")
     x, u, v = Variable("X"), Variable("U"), Variable("V")
 
+    evaluation = Evaluation(MAX, ctx)
     # initiator: top on the receive, the shared-key neighborhood on the send
     assert f_prime(MAX, kab_i, x, ctx).is_top
     sent_key = roles[1].final.payload
     key_sources = candidate_sources(sent_key, patterns)
-    assert lower_bound(MAX, kab_i, sent_key, key_sources, ctx) == ABS
+    assert lower_bound(evaluation, kab_i, sent_key, key_sources) == ABS
 
     # server: both unknowns evaluate to the full honest set on both bounds
     server_recv = roles[5].steps[0].payload
     server_sent = roles[5].final.payload
     server_sources = candidate_sources(server_sent, patterns)
     assert f_prime(MAX, u, server_recv, ctx) == ABS
-    assert lower_bound(MAX, u, server_sent, server_sources, ctx) == ABS
+    assert lower_bound(evaluation, u, server_sent, server_sources) == ABS
     assert f_prime(MAX, v, server_recv, ctx) == ABS
-    assert lower_bound(MAX, v, server_sent, server_sources, ctx) == ABS
+    assert lower_bound(evaluation, v, server_sent, server_sources) == ABS
 
     # every role respects the secrecy criterion
     secrecy_ok, checks = check_secrecy(roles, patterns, ctx, MAX)

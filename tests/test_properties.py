@@ -21,9 +21,11 @@ from wfcheck import (
     Atom,
     Concat,
     Enc,
+    Evaluation,
     Identity,
     Lattice,
     Nonce,
+    PrincipalId,
     SecurityLevel,
     SymKey,
     Variable,
@@ -31,6 +33,7 @@ from wfcheck import (
     apply,
     atoms_of,
     candidate_sources,
+    check_secrecy,
     concat,
     f_prime,
     format_message,
@@ -39,16 +42,20 @@ from wfcheck import (
     lower_bound,
     parse_context,
     parse_narration,
+    rename_apart,
+    select,
     unify,
     vars_of,
 )
 from wfcheck.protocol import Direction, EncryptionPatternSet
-from wfcheck.safefun import Variant
+from wfcheck.safefun import Variant, psi
 from wfcheck.terms import ordered_atoms, ordered_vars
 
 from bounds import bound_ordering_check
 from deduction import saturate
 from derivation import derive, derive_vars
+from evaluation import reference_select
+from unification import reference_unify
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -258,7 +265,26 @@ def law_wellformed_equalities(a, v, m1, m2):
     CASES["wellformed"] += 1
 
 
-WELLFORMED_SUITE = [law_wellformed_equalities]
+@given(msgs=st.lists(open_messages, min_size=1, max_size=2))
+@settings(max_examples=100)
+def law_memoized_evaluation_matches_the_per_target_walk(msgs):
+    # one evaluation per variant serves every message and target, twice:
+    # the second pass reads the memo
+    for v in Variant:
+        evaluation = Evaluation(v, PROP_CTX)
+        for _ in range(2):
+            for m in msgs:
+                for target in GROUND_ATOMS + VARS:
+                    expected = reference_select(v, target, m, PROP_CTX)
+                    assert select(v, target, m, PROP_CTX) == expected
+                    assert evaluation.level(target, m) == psi(expected, PROP_CTX)
+                    CASES["wellformed"] += 1
+
+
+WELLFORMED_SUITE = [
+    law_wellformed_equalities,
+    law_memoized_evaluation_matches_the_per_target_walk,
+]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +381,21 @@ def law_unify_general_on_corpus_patterns(data):
     CASES["unify"] += 1
 
 
+@given(m1=open_messages, m2=open_messages,
+       sub=st.dictionaries(st.sampled_from(VARS), open_messages, max_size=3))
+@settings(max_examples=150)
+def law_unify_matches_reference(m1, m2, sub):
+    # the lazily bound unifier equals the eagerly rewritten one, also when a
+    # variable binds a concatenation that re-flattens the terms around it
+    instance = apply(sub, m1)
+    renamed = rename_apart(m1, 1)
+    for left, right in ((m1, m2), (m2, m1), (m1, instance), (instance, m1), (renamed, m2)):
+        assert unify(left, right) == reference_unify(left, right)
+        CASES["unify"] += 1
+
+
 UNIFY_SUITE = [
+    law_unify_matches_reference,
     law_unify_sound_and_idempotent,
     law_unify_general_on_ground_instances,
     law_unify_general_on_corpus_patterns,
@@ -481,10 +521,11 @@ def law_pinning_a_pattern_variable_never_raises_the_lower_bound(case):
     ctx, narr = case
     roles, patterns = analyze_narration(narr, ctx)
     pin = Identity("I")  # the universe always includes the intruder
+    evaluation = Evaluation(Variant.MAX, ctx)
     for role, r_plus, target in _send_targets(roles):
         if not isinstance(r_plus, Enc):
             continue
-        base = lower_bound(Variant.MAX, target, r_plus, candidate_sources(r_plus, patterns), ctx)
+        base = lower_bound(evaluation, target, r_plus, candidate_sources(r_plus, patterns))
         for idx, pattern in enumerate(patterns):
             pattern_vars = sorted(vars_of(pattern), key=format_message)
             if not pattern_vars:
@@ -500,7 +541,7 @@ def law_pinning_a_pattern_variable_never_raises_the_lower_bound(case):
                 tuple(pinned if i == idx else p for i, p in enumerate(patterns))
             )
             tightened = lower_bound(
-                Variant.MAX, target, r_plus, candidate_sources(r_plus, replaced), ctx
+                evaluation, target, r_plus, candidate_sources(r_plus, replaced)
             )
             assert ctx.lattice.leq(tightened, base)
             CASES["bounds"] += 1
@@ -575,6 +616,36 @@ def law_saturation_closed_under_analysis(msgs):
 DEDUCTION_SUITE = [law_saturation_monotone, law_saturation_closed_under_analysis]
 
 
+# ---------------------------------------------------------------------------
+# Suite: verdict-level soundness against the intruder closure
+
+INTRUDER = PrincipalId("I")
+
+
+@given(case=protocol_cases())
+@settings(max_examples=60)
+def law_secrecy_pass_leaks_nothing_to_the_intruder(case):
+    # a protocol accepted for secrecy under some variant must not let the
+    # intruder, who sees one honest run and knows every atom it is entitled
+    # to, derive an atom whose declared level excludes it
+    ctx, narr = case
+    roles, patterns = analyze_narration(narr, ctx)
+    if not any(check_secrecy(roles, patterns, ctx, v)[0] for v in Variant):
+        return
+    declared = [ctx.resolve_atom(name) for name in (*ctx.keys, *ctx.nonces)]
+    entitled = [a for a in declared if INTRUDER in ctx.lattice.canon(ctx.level_of(a))]
+    view = [step.payload for step in narr.steps] + list(ctx.intruder_knowledge()) + entitled
+    leaked = sorted(
+        format_message(t) for t in saturate(view, 2, ctx)
+        if isinstance(t, Atom) and INTRUDER not in ctx.lattice.canon(ctx.level_of(t))
+    )
+    assert not leaked, f"{leaked} leak from: " + "; ".join(str(step) for step in narr.steps)
+    CASES["soundness"] += 1
+
+
+SOUNDNESS_SUITE = [law_secrecy_pass_leaks_nothing_to_the_intruder]
+
+
 #: suite name -> (properties, minimum number of checked cases)
 ALL_SUITES = {
     "lattice": (LATTICE_SUITE, 500),
@@ -584,6 +655,7 @@ ALL_SUITES = {
     "bounds": (BOUNDS_SUITE, 500),
     "invariance": (INVARIANCE_SUITE, 500),
     "deduction": (DEDUCTION_SUITE, 60),
+    "soundness": (SOUNDNESS_SUITE, 20),
 }
 
 
@@ -598,7 +670,7 @@ def run_suite(name):
 
 # The six randomized suites run once, in test_acceptance's criterion 5,
 # which gates their case counts and their total time.
-@pytest.mark.parametrize("name", ["deduction"])
+@pytest.mark.parametrize("name", ["deduction", "soundness"])
 def test_property_suite(name):
     checked = run_suite(name)
     assert checked >= ALL_SUITES[name][1], f"suite {name} covered only {checked} cases"

@@ -1,5 +1,7 @@
 """Candidate sources, the two bounds, and the secrecy/authentication decisions."""
 
+from collections import Counter
+
 import pytest
 
 from wfcheck import (
@@ -8,6 +10,7 @@ from wfcheck import (
     ChallengeAtomAbsent,
     ChallengeNotReceived,
     Enc,
+    Evaluation,
     Identity,
     NoSource,
     Nonce,
@@ -28,10 +31,12 @@ from wfcheck import (
     parse_narration,
 )
 from wfcheck.context import AuthChallenge
+from wfcheck.protocol import Direction
 from wfcheck.safefun import Variant
 from wfcheck.witness import sources_for_target
 
 from bounds import bound_ordering_check
+from conftest import perfbench_gen
 
 A, B, S = Identity("A"), Identity("B"), Identity("S")
 KAS, KBS = SymKey("kas"), SymKey("kbs")
@@ -83,7 +88,7 @@ def test_unrelated_encryption_has_no_source(mod):
     stranger = Enc(A, SymKey("kxy"))
     assert candidate_sources(stranger, patterns) == []
     with pytest.raises(NoSource):
-        lower_bound(Variant.MAX, A, stranger, [], ctx)
+        lower_bound(Evaluation(Variant.MAX, ctx), A, stranger, [])
 
 
 # -- the lower bound ---------------------------------------------------------
@@ -92,27 +97,27 @@ def test_lower_bound_of_the_session_key(mod):
     ctx, roles, patterns = mod
     r_plus = roles[1].final.payload
     sources = candidate_sources(r_plus, patterns)
-    assert lower_bound(Variant.MAX, KAB_I, r_plus, sources, ctx) == ABS
+    assert lower_bound(Evaluation(Variant.MAX, ctx), KAB_I, r_plus, sources) == ABS
 
 
 def test_lower_bounds_at_the_server(mod):
     ctx, roles, patterns = mod
     r_plus = roles[5].final.payload
     sources = candidate_sources(r_plus, patterns)
-    assert lower_bound(Variant.MAX, U, r_plus, sources, ctx) == ABS
-    assert lower_bound(Variant.MAX, V, r_plus, sources, ctx) == ABS
+    assert lower_bound(Evaluation(Variant.MAX, ctx), U, r_plus, sources) == ABS
+    assert lower_bound(Evaluation(Variant.MAX, ctx), V, r_plus, sources) == ABS
 
 
 def test_lower_bound_of_unencrypted_send_is_direct(mod):
     ctx, roles, patterns = mod
-    assert lower_bound(Variant.MAX, NB_I, NB_I, [], ctx) == BOTTOM
+    assert lower_bound(Evaluation(Variant.MAX, ctx), NB_I, NB_I, []) == BOTTOM
 
 
 def test_lower_bound_requires_an_occurrence(mod):
     ctx, roles, patterns = mod
     r_plus = roles[1].final.payload
     with pytest.raises(AtomAbsent):
-        lower_bound(Variant.MAX, KBS, r_plus, candidate_sources(r_plus, patterns), ctx)
+        lower_bound(Evaluation(Variant.MAX, ctx), KBS, r_plus, candidate_sources(r_plus, patterns))
 
 
 def test_variable_sources_exclude_pinning_unifiers(mod):
@@ -134,9 +139,41 @@ def test_one_unification_scan_per_send(mod, monkeypatch):
     calls = []
     real_unify = witness.unify
     monkeypatch.setattr(witness, "unify", lambda *terms: calls.append(terms) or real_unify(*terms))
-    checks = check_step(roles[5], 1, ctx, Variant.MAX, patterns)  # {U.{A.V}kbs}kbs
+    checks = check_step(roles[5], 1, Evaluation(Variant.MAX, ctx), patterns)  # {U.{A.V}kbs}kbs
     assert len(checks) == 4
     assert len(calls) == len(patterns)
+
+
+def test_each_distinct_message_is_walked_and_evaluated_once(monkeypatch):
+    import wfcheck.safefun as safefun
+
+    case = perfbench_gen().synth_chain(0, 64, sound=True)
+    ctx = parse_context(case.context)
+    roles, patterns = analyze_narration(parse_narration(case.protocol, ctx), ctx)
+    walks, asked, computed = Counter(), set(), []
+    real_walk, real_level, real_select = safefun.occurrences, Evaluation.level, safefun._select
+    monkeypatch.setattr(safefun, "occurrences", lambda m: walks.update([m]) or real_walk(m))
+    monkeypatch.setattr(
+        Evaluation, "level",
+        lambda self, target, m: asked.add((m, target)) or real_level(self, target, m),
+    )
+    monkeypatch.setattr(
+        safefun, "_select", lambda *args: computed.append(args[1]) or real_select(*args)
+    )
+    ok, checks = check_secrecy(roles, patterns, ctx, Variant.MAX)
+    assert ok and len(checks) == 234
+    received = {
+        m for role in roles if role.final.direction is Direction.SEND
+        for m in role.received_before(len(role.steps) - 1)
+    }
+    # one walk per distinct message, one level per distinct (message, target):
+    # a payload that several prefix roles receive is evaluated once; the
+    # per-target walk walked a message for each of 7,681 evaluations here
+    assert max(walks.values()) == 1
+    assert set(walks) == {m for m, _ in asked}
+    assert len(computed) == len(asked)
+    assert received <= set(walks)
+    assert (len(walks), len(computed)) == (183, 1332)
 
 
 # -- step checks and the secrecy decision -------------------------------------
@@ -144,7 +181,7 @@ def test_one_unification_scan_per_send(mod, monkeypatch):
 def test_step_check_for_the_session_key_passes(mod):
     ctx, roles, patterns = mod
     role = roles[1]
-    checks = {c.target: c for c in check_step(role, 2, ctx, Variant.MAX, patterns)}
+    checks = {c.target: c for c in check_step(role, 2, Evaluation(Variant.MAX, ctx), patterns)}
     c = checks["kab^i"]
     assert c.received_bound == TOP
     assert c.declared == ABS
@@ -154,14 +191,14 @@ def test_step_check_for_the_session_key_passes(mod):
 
 def test_step_check_targets_every_atom_and_variable(mod):
     ctx, roles, patterns = mod
-    checks = check_step(roles[3], 3, ctx, Variant.MAX, patterns)
+    checks = check_step(roles[3], 3, Evaluation(Variant.MAX, ctx), patterns)
     assert [c.target for c in checks] == ["A", "Nb^i", "kbs", "?Y"]
     assert all(c.passed for c in checks)
 
 
 def test_public_nonce_passes_trivially(mod):
     ctx, roles, patterns = mod
-    checks = {c.target: c for c in check_step(roles[2], 1, ctx, Variant.MAX, patterns)}
+    checks = {c.target: c for c in check_step(roles[2], 1, Evaluation(Variant.MAX, ctx), patterns)}
     c = checks["Nb^i"]
     assert c.declared == BOTTOM and c.passed
 
@@ -268,7 +305,7 @@ def test_unrelated_pattern_leaves_bounds_unchanged(mod):
         from wfcheck.terms import ordered_atoms, ordered_vars
 
         for target in ordered_atoms(r_plus) + ordered_vars(r_plus):
-            assert lower_bound(Variant.MAX, target, r_plus,
-                               candidate_sources(r_plus, patterns), ctx) == \
-                lower_bound(Variant.MAX, target, r_plus,
-                            candidate_sources(r_plus, padded), ctx)
+            assert lower_bound(Evaluation(Variant.MAX, ctx), target, r_plus,
+                               candidate_sources(r_plus, patterns)) == \
+                lower_bound(Evaluation(Variant.MAX, ctx), target, r_plus,
+                            candidate_sources(r_plus, padded))

@@ -1,0 +1,61 @@
+"""Unification with an eagerly rewritten solution, for tests only.
+
+This is the analyzer's former ``unify``: every new binding is applied to
+all earlier ones, so the solution is idempotent at every step. The
+package's ``unify`` binds lazily and resolves once at the end; the law
+``test_properties.law_unify_matches_reference`` checks that both return
+the same unifier, or both ``None``.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from wfcheck.terms import Atom, Concat, Enc, Message, Variable, apply, is_param, vars_of
+
+
+def reference_unify(left: Message, right: Message) -> Optional[dict]:
+    """Most general syntactic unifier of two terms, or None.
+
+    Variables bind to arbitrary terms (with occurs check); parameters bind
+    to atoms of the same kind only. When both sides are variables or both
+    are parameters, the left one is bound, so unifying a renamed pattern
+    against a sent role message orients bindings pattern-to-message.
+    """
+    sol: dict = {}
+    stack: list[tuple[Message, Message]] = [(left, right)]
+
+    def bind(key, value) -> None:
+        one = {key: value}
+        for k in list(sol):
+            sol[k] = apply(one, sol[k])
+        sol[key] = value
+
+    while stack:
+        s, t = stack.pop()
+        s = apply(sol, s)
+        t = apply(sol, t)
+        if s == t:
+            continue
+        if isinstance(s, Variable) or isinstance(t, Variable):
+            var, term = (s, t) if isinstance(s, Variable) else (t, s)
+            if var in vars_of(term):
+                return None
+            bind(var, term)
+        elif isinstance(s, Atom) and isinstance(t, Atom):
+            if is_param(s) and type(s) is type(t):
+                bind(s, t)
+            elif is_param(t) and type(t) is type(s):
+                bind(t, s)
+            else:
+                return None
+        elif isinstance(s, Concat) and isinstance(t, Concat):
+            if len(s.parts) != len(t.parts):
+                return None
+            stack.extend(zip(s.parts, t.parts))
+        elif isinstance(s, Enc) and isinstance(t, Enc):
+            stack.append((s.key, t.key))
+            stack.append((s.body, t.body))
+        else:
+            return None
+    return sol
