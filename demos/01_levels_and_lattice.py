@@ -12,7 +12,7 @@ lat = Lattice.over("A", "B", "S", "I")
 kas = SecurityLevel.of("A", "S")        # a key shared by A and the server
 kab = SecurityLevel.of("A", "B", "S")   # a session key distributed to three parties
 
-print("universe:", sorted(p.name for p in lat.universe))
+print("universe:", sorted(lat.universe))
 print()
 print(f"level of the long-term key : {kas}")
 print(f"level of the session key   : {kab}")

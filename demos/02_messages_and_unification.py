@@ -26,7 +26,7 @@ from wfcheck import (
 A, B = Identity("A"), Identity("B")
 kas = SymKey("kas")
 kab_i = SymKey("kab", session="i")
-nb_i = Nonce("Nb", owner="B", session="i")
+nb_i = Nonce("Nb", session="i")
 Y = Variable("Y")
 
 sent = Enc(concat([B, kab_i]), kas)

@@ -12,7 +12,7 @@ from .errors import (
     UndeclaredAtom,
     UnknownAtom,
 )
-from .lattice import BOTTOM, TOP, Lattice, PrincipalId, SecurityLevel
+from .lattice import BOTTOM, TOP, Lattice, SecurityLevel
 from .protocol import (
     Direction,
     EncryptionPatternSet,
@@ -32,9 +32,7 @@ from .safefun import (
     Selection,
     Variant,
     f_prime,
-    protective_key,
     psi,
-    select,
 )
 from .terms import (
     EMPTY,
@@ -50,12 +48,9 @@ from .terms import (
     atoms_of,
     canonical_form,
     concat,
-    erase_copies,
     format_message,
     format_substitution,
-    parse_message,
     rename_apart,
-    strip_sessions,
     unify,
     vars_of,
 )

@@ -23,22 +23,18 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import NotAKey, ParseError, UnknownAtom
-from .lattice import BOTTOM, Lattice, PrincipalId, SecurityLevel
+from .lattice import BOTTOM, Lattice, SecurityLevel
 from .terms import Atom, Identity, Nonce, SymKey, Variable
 
 
 @dataclass(frozen=True)
-class KeyDecl:
-    name: str
-    level: SecurityLevel
-    owners: frozenset[str]
-    fresh_by: Optional[str] = None
+class Decl:
+    """A declared key or nonce: its atom, its level, the principals holding
+    it (keys only) and the principal generating it per session, if any."""
 
-
-@dataclass(frozen=True)
-class NonceDecl:
-    name: str
+    atom: Atom
     level: SecurityLevel
+    owners: frozenset[str] = frozenset()
     fresh_by: Optional[str] = None
 
 
@@ -58,8 +54,7 @@ INTRUDER_NAME = "I"
 @dataclass(frozen=True)
 class VerificationContext:
     principals: tuple[str, ...]
-    keys: dict[str, KeyDecl]
-    nonces: dict[str, NonceDecl]
+    decls: dict[str, Decl]
     challenge: Optional[AuthChallenge] = None
     intruder_knows: tuple[str, ...] = ()
     digest: str = ""
@@ -79,10 +74,8 @@ class VerificationContext:
         """Map a declared base name to its atom; raises UnknownAtom otherwise."""
         if name in self.principals:
             return Identity(name)
-        if name in self.keys:
-            return SymKey(name)
-        if name in self.nonces:
-            return Nonce(name, owner=self.nonces[name].fresh_by or "")
+        if name in self.decls:
+            return self.decls[name].atom
         raise UnknownAtom(f"atom {name!r} is not declared in the context")
 
     def intruder_knowledge(self) -> tuple[Atom, ...]:
@@ -90,56 +83,41 @@ class VerificationContext:
         extra = tuple(self.resolve_atom(n) for n in self.intruder_knows)
         return identities + extra
 
-    # -- level assignment ---------------------------------------------------
+    # -- declarations ---------------------------------------------------------
 
-    def level_of(self, target: Union[Atom, Variable]) -> SecurityLevel:
-        """Declared level; identities and variables are public by default.
+    def _decl(self, a: Atom) -> Decl:
+        """The declaration of a key or nonce atom, of the same kind.
 
         Session tags and rename indices are ignored: every copy of a
         declared atom matches its declaration.
         """
-        if isinstance(target, Variable):
+        decl = self.decls.get(a.name) if isinstance(a, (SymKey, Nonce)) else None
+        if decl is None or type(decl.atom) is not type(a):
+            raise UnknownAtom(f"{a} is not a declared key or nonce")
+        return decl
+
+    def level_of(self, target: Union[Atom, Variable]) -> SecurityLevel:
+        """Declared level; identities and variables are public by default."""
+        if isinstance(target, (Variable, Identity)):
             return BOTTOM
-        if isinstance(target, Identity):
-            return BOTTOM
-        if isinstance(target, SymKey):
-            decl = self.keys.get(target.name)
-            if decl is None:
-                raise UnknownAtom(f"key {target.name!r} has no declared level")
-            return decl.level
-        if isinstance(target, Nonce):
-            decl = self.nonces.get(target.name)
-            if decl is None:
-                raise UnknownAtom(f"nonce {target.name!r} has no declared level")
-            return decl.level
-        raise UnknownAtom(f"no level rule for {target!r}")
+        return self._decl(target).level
 
     def reverse_key(self, k: Atom) -> Atom:
         """The decryption key for ``k``; symmetric keys are self-inverse."""
         if not isinstance(k, SymKey):
             raise NotAKey(f"{k} is not a key atom")
-        if k.name not in self.keys:
-            raise UnknownAtom(f"key {k.name!r} is not declared")
+        self._decl(k)
         return k
 
-    def knows_key(self, agent: Union[PrincipalId, str], k: Atom) -> bool:
+    def knows_key(self, agent: str, k: Atom) -> bool:
         if not isinstance(k, SymKey):
             raise NotAKey(f"{k} is not a key atom")
-        decl = self.keys.get(k.name)
-        if decl is None:
-            raise UnknownAtom(f"key {k.name!r} is not declared")
-        name = agent.name if isinstance(agent, PrincipalId) else agent
-        return name in decl.owners
+        return agent in self._decl(k).owners
 
     def fresh_owner(self, a: Atom) -> Optional[str]:
         """The generating principal for session-fresh atoms, else None."""
-        if isinstance(a, SymKey):
-            decl = self.keys.get(a.name)
-            return decl.fresh_by if decl else None
-        if isinstance(a, Nonce):
-            decl = self.nonces.get(a.name)
-            return decl.fresh_by if decl else None
-        return None
+        decl = self.decls.get(a.name)
+        return decl.fresh_by if decl is not None and type(decl.atom) is type(a) else None
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +157,7 @@ def _parse_level(text: str, principals: tuple[str, ...], lineno: int) -> Securit
 
 def parse_context(text: str) -> VerificationContext:
     principals: tuple[str, ...] = ()
-    keys: dict[str, KeyDecl] = {}
-    nonces: dict[str, NonceDecl] = {}
+    decls: dict[str, Decl] = {}
     challenge: Optional[AuthChallenge] = None
     intruder_knows: tuple[str, ...] = ()
 
@@ -210,32 +187,31 @@ def parse_context(text: str) -> VerificationContext:
             if match is None:
                 raise ParseError(f"malformed key declaration: {line!r}", lineno)
             name = match.group("name")
-            if name in keys or name in nonces or name in principals:
+            if name in decls or name in principals:
                 raise ParseError(f"duplicate declaration of {name!r}", lineno)
             if match.group("o1"):
                 o1 = check_principal(match.group("o1"), lineno)
                 o2 = check_principal(match.group("o2"), lineno)
-                keys[name] = KeyDecl(name, SecurityLevel.of(o1, o2), frozenset({o1, o2}))
+                decls[name] = Decl(SymKey(name), SecurityLevel.of(o1, o2), frozenset({o1, o2}))
             else:
                 gen = check_principal(match.group("gen"), lineno)
                 level = _parse_level(match.group("level"), principals, lineno)
                 # a fresh key is possessed by the parties authorized to learn it
-                owners = frozenset(principals) if level.is_bottom \
-                    else frozenset(p.name for p in level.members())
-                keys[name] = KeyDecl(name, level, owners, fresh_by=gen)
+                owners = frozenset(principals) if level.is_bottom else level.authorized
+                decls[name] = Decl(SymKey(name), level, owners, fresh_by=gen)
             continue
         if line.startswith("nonce"):
             match = _NONCE_RE.match(line)
             if match is None:
                 raise ParseError(f"malformed nonce declaration: {line!r}", lineno)
             name = match.group("name")
-            if name in keys or name in nonces or name in principals:
+            if name in decls or name in principals:
                 raise ParseError(f"duplicate declaration of {name!r}", lineno)
             gen = match.group("gen")
             if gen is not None:
                 gen = check_principal(gen, lineno)
             level = _parse_level(match.group("level"), principals, lineno)
-            nonces[name] = NonceDecl(name, level, fresh_by=gen)
+            decls[name] = Decl(Nonce(name), level, fresh_by=gen)
             continue
         if line.startswith("challenge"):
             match = _CHALLENGE_RE.match(line)
@@ -258,17 +234,16 @@ def parse_context(text: str) -> VerificationContext:
 
     if not principals:
         raise ParseError("context declares no principals")
-    if challenge is not None and challenge.challenge not in nonces and challenge.challenge not in keys:
+    if challenge is not None and challenge.challenge not in decls:
         raise ParseError(f"challenge atom {challenge.challenge!r} is not declared")
     for name in intruder_knows:
-        if name not in keys and name not in nonces and name not in principals:
+        if name not in decls and name not in principals:
             raise ParseError(f"intruder knowledge names undeclared atom {name!r}")
 
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return VerificationContext(
         principals=principals,
-        keys=keys,
-        nonces=nonces,
+        decls=decls,
         challenge=challenge,
         intruder_knows=intruder_knows,
         digest=digest,

@@ -17,27 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 
-@dataclass(frozen=True, order=True)
-class PrincipalId:
-    """A named protocol participant. The intruder is a principal like any other."""
-
-    name: str
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("principal name must be nonempty")
-
-    def __str__(self):
-        return self.name
-
-
-def _as_principals(members: Iterable) -> frozenset[PrincipalId]:
-    out = set()
-    for m in members:
-        out.add(m if isinstance(m, PrincipalId) else PrincipalId(str(m)))
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class SecurityLevel:
     """An element of the lattice: a principal set, or the symbolic bottom.
@@ -47,7 +26,7 @@ class SecurityLevel:
     canonicalizes on every operation.
     """
 
-    authorized: Optional[frozenset[PrincipalId]]
+    authorized: Optional[frozenset[str]]
 
     @classmethod
     def bottom(cls) -> "SecurityLevel":
@@ -58,8 +37,8 @@ class SecurityLevel:
         return cls(frozenset())
 
     @classmethod
-    def of(cls, *members) -> "SecurityLevel":
-        return cls(_as_principals(members))
+    def of(cls, *members: str) -> "SecurityLevel":
+        return cls(frozenset(members))
 
     @property
     def is_bottom(self) -> bool:
@@ -69,26 +48,23 @@ class SecurityLevel:
     def is_top(self) -> bool:
         return self.authorized is not None and not self.authorized
 
-    def members(self) -> tuple[PrincipalId, ...]:
+    def members(self) -> tuple[str, ...]:
         if self.authorized is None:
             raise ValueError("bottom has no explicit member list")
         return tuple(sorted(self.authorized))
 
-    def __iter__(self) -> Iterator[PrincipalId]:
+    def __iter__(self) -> Iterator[str]:
         return iter(self.members())
 
-    def __contains__(self, item) -> bool:
-        p = item if isinstance(item, PrincipalId) else PrincipalId(str(item))
-        if self.authorized is None:
-            return True
-        return p in self.authorized
+    def __contains__(self, name: str) -> bool:
+        return self.authorized is None or name in self.authorized
 
     def __str__(self):
         if self.is_bottom:
             return "bot"
         if self.is_top:
             return "top"
-        return "{" + ",".join(p.name for p in self.members()) + "}"
+        return "{" + ",".join(self.members()) + "}"
 
 
 BOTTOM = SecurityLevel.bottom()
@@ -99,11 +75,11 @@ TOP = SecurityLevel.top()
 class Lattice:
     """Order, meet and join over levels drawn from a fixed principal universe."""
 
-    universe: frozenset[PrincipalId]
+    universe: frozenset[str]
 
     @classmethod
-    def over(cls, *names) -> "Lattice":
-        return cls(_as_principals(names))
+    def over(cls, *names: str) -> "Lattice":
+        return cls(frozenset(names))
 
     def canon(self, level: SecurityLevel) -> SecurityLevel:
         """Normalize: a set covering the universe collapses to bottom."""
@@ -111,7 +87,7 @@ class Lattice:
             return BOTTOM
         stray = level.authorized - self.universe
         if stray:
-            names = ", ".join(sorted(p.name for p in stray))
+            names = ", ".join(sorted(stray))
             raise ValueError(f"level names principals outside the universe: {names}")
         if level.authorized >= self.universe:
             return BOTTOM

@@ -28,7 +28,6 @@ from typing import Iterable, Optional
 
 from .context import VerificationContext
 from .errors import ParseError, UndeclaredAtom, UnknownAtom
-from .lattice import PrincipalId
 from .terms import (
     Atom,
     Concat,
@@ -45,6 +44,7 @@ from .terms import (
     parse_message_tokens,
     rename_apart,
     tokenize,
+    vars_of,
 )
 
 SESSION_TAG = "i"
@@ -57,8 +57,8 @@ _VARIABLE_NAMES = ("X", "Y", "Z", "U", "V", "W", "P", "Q", "R", "T")
 @dataclass(frozen=True)
 class NarrationStep:
     index: int
-    sender: PrincipalId
-    receiver: PrincipalId
+    sender: str
+    receiver: str
     payload: Message
     #: where the step starts in the narration text, for diagnostics only
     line: Optional[int] = field(default=None, compare=False)
@@ -72,8 +72,8 @@ class Narration:
     name: str
     steps: tuple[NarrationStep, ...]
 
-    def participants(self) -> tuple[PrincipalId, ...]:
-        seen: list[PrincipalId] = []
+    def participants(self) -> tuple[str, ...]:
+        seen: list[str] = []
         for step in self.steps:
             for p in (step.sender, step.receiver):
                 if p not in seen:
@@ -91,10 +91,10 @@ class RoleStep:
     step_id: str
     narration_index: int
     direction: Direction
-    partner: PrincipalId
+    partner: str
     payload: Message
 
-    def describe(self, owner: PrincipalId) -> str:
+    def describe(self, owner: str) -> str:
         if self.direction is Direction.SEND:
             return f"{self.step_id}  {owner} -> I({self.partner}) : {format_message(self.payload)}"
         return f"{self.step_id}  I({self.partner}) -> {owner} : {format_message(self.payload)}"
@@ -104,7 +104,7 @@ class RoleStep:
 class GeneralizedRole:
     """A participant's abstracted view of a protocol prefix."""
 
-    owner: PrincipalId
+    owner: str
     index: int
     steps: tuple[RoleStep, ...]
 
@@ -133,8 +133,6 @@ class EncryptionPatternSet:
     patterns: tuple[Message, ...]
 
     def __post_init__(self):
-        from .terms import vars_of
-
         seen_vars: set = set()
         for p in self.patterns:
             if not isinstance(p, Enc):
@@ -195,8 +193,8 @@ def parse_narration(text: str, ctx: VerificationContext) -> Narration:
         steps.append(
             NarrationStep(
                 index=index,
-                sender=PrincipalId(sender_tok.text),
-                receiver=PrincipalId(receiver_tok.text),
+                sender=sender_tok.text,
+                receiver=receiver_tok.text,
                 payload=payload,
                 line=num_tok.line,
             )
@@ -245,7 +243,7 @@ class _VariablePool:
 class _OwnerView:
     """Abstraction state while walking one participant's projection."""
 
-    def __init__(self, owner: PrincipalId, ctx: VerificationContext, pool: _VariablePool):
+    def __init__(self, owner: str, ctx: VerificationContext, pool: _VariablePool):
         self.owner = owner
         self.ctx = ctx
         self.pool = pool
@@ -253,7 +251,7 @@ class _OwnerView:
         self.generated: set[str] = set()
 
     def _own_fresh(self, a: Atom) -> bool:
-        return self.ctx.fresh_owner(a) == self.owner.name
+        return self.ctx.fresh_owner(a) == self.owner
 
     def _tag(self, a: Atom) -> Atom:
         return replace(a, session=SESSION_TAG)
@@ -266,7 +264,7 @@ class _OwnerView:
         fresh_by = self.ctx.fresh_owner(key)
         if fresh_by is None:
             return True
-        return fresh_by == self.owner.name and key.name in self.generated
+        return fresh_by == self.owner and key.name in self.generated
 
     def abstract_receive(self, m: Message) -> Message:
         if m in self.memo:
@@ -363,8 +361,8 @@ def generated_messages(roles: Iterable[GeneralizedRole]) -> list[Message]:
     renamed apart with its own tag; duplicates survive with multiplicity.
     """
     roles = list(roles)
-    longest: dict[PrincipalId, GeneralizedRole] = {}
-    order: list[PrincipalId] = []
+    longest: dict[str, GeneralizedRole] = {}
+    order: list[str] = []
     for role in roles:
         if role.owner not in longest:
             order.append(role.owner)

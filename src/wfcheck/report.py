@@ -16,7 +16,7 @@ from functools import cache
 from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 from .context import VerificationContext
-from .lattice import SecurityLevel
+from .lattice import Lattice, SecurityLevel
 from .protocol import Narration
 from .safefun import Variant
 from .terms import format_message
@@ -102,7 +102,7 @@ def level_to_json(level: SecurityLevel):
         return {"kind": "bottom"}
     if level.is_top:
         return {"kind": "top"}
-    return {"kind": "set", "members": [p.name for p in level.members()]}
+    return {"kind": "set", "members": list(level.members())}
 
 
 def level_from_json(data) -> SecurityLevel:
@@ -118,7 +118,7 @@ def level_text(level: SecurityLevel) -> str:
         return "⊥"
     if level.is_top:
         return "⊤"
-    return "{" + ",".join(p.name for p in level.members()) + "}"
+    return "{" + ",".join(level.members()) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +272,6 @@ def render(report: AnalysisReport, fmt: str = "text") -> str:
 
 def _check_consistency(report: AnalysisReport) -> None:
     """Verdicts must be re-derivable from the recorded levels."""
-    from .lattice import Lattice
-
     lattice = Lattice.over(*report.principals)
     for c in report.checks:
         required = lattice.meet(c.declared, c.received_bound)

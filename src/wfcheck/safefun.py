@@ -32,8 +32,7 @@ from enum import Enum
 from typing import Optional
 
 from .context import VerificationContext
-from .errors import AtomAbsent
-from .lattice import BOTTOM, TOP, PrincipalId, SecurityLevel
+from .lattice import BOTTOM, TOP, SecurityLevel
 from .terms import (
     Atom,
     Concat,
@@ -43,7 +42,6 @@ from .terms import (
     SymKey,
     Target,
     atoms_of,
-    erase_copies,
     format_message,
     leaves,
 )
@@ -121,25 +119,6 @@ def _protective_enc(
     return None
 
 
-def protective_key(
-    target: Target, m: Message, ctx: VerificationContext
-) -> tuple[tuple[Atom, Message], ...]:
-    """Per protected occurrence, the external protective key and its section.
-
-    Returns an empty tuple when every occurrence is unprotected; raises
-    AtomAbsent when the target does not occur in the message at all.
-    """
-    occs = occurrences(m)
-    if target not in occs:
-        raise AtomAbsent(f"{format_message(target)} does not occur in {format_message(m)}")
-    found: list[tuple[Atom, Message]] = []
-    for chain in occs[target]:
-        node = _protective_enc(target, chain, ctx)
-        if node is not None:
-            found.append((node.key, node))
-    return tuple(found)
-
-
 # ---------------------------------------------------------------------------
 # Selections and the homomorphism
 
@@ -164,12 +143,6 @@ def _select(
     return Selection(atoms=frozenset(chosen))
 
 
-def select(
-    variant: Variant, target: Target, m: Message, ctx: VerificationContext
-) -> Selection:
-    return _select(variant, target, occurrences(m).get(target, []), ctx)
-
-
 def psi(selection: Selection, ctx: VerificationContext) -> SecurityLevel:
     """Map a selection to a level: identities stand for themselves, a
     selected decryption key for the parties authorized to know it."""
@@ -177,10 +150,10 @@ def psi(selection: Selection, ctx: VerificationContext) -> SecurityLevel:
         return TOP
     if selection.infimum:
         return BOTTOM
-    members: set[PrincipalId] = set()
+    members: set[str] = set()
     for a in selection.atoms:
         if isinstance(a, Identity):
-            members.add(PrincipalId(erase_copies(a).name))
+            members.add(a.name)
         elif isinstance(a, SymKey):
             level = ctx.lattice.canon(ctx.level_of(a))
             if level.is_bottom:

@@ -18,6 +18,8 @@ import re
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional, Union
 
+from .errors import ParseError
+
 
 class Message:
     """Base class for every term node."""
@@ -43,7 +45,6 @@ class Identity(Atom):
 @dataclass(frozen=True)
 class Nonce(Atom):
     name: str
-    owner: str
     session: Optional[str] = None
     copy: Optional[int] = None
 
@@ -189,22 +190,6 @@ def is_param(a: Message) -> bool:
 
 def _erase_copy(t: Message) -> Message:
     return replace(t, copy=None) if t.copy is not None else t
-
-
-def erase_copies(m: Message) -> Message:
-    """Drop every rename index, recovering the source shape of a pattern."""
-    return map_leaves(m, _erase_copy)
-
-
-def _strip_session(t: Message) -> Message:
-    if isinstance(t, (Nonce, SymKey)) and t.session is not None:
-        return replace(t, session=None)
-    return t
-
-
-def strip_sessions(m: Message) -> Message:
-    """Drop session tags (used to compare role payloads against narrations)."""
-    return map_leaves(m, _strip_session)
 
 
 def rename_apart(m: Message, tag: int) -> Message:
@@ -376,8 +361,6 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
-    from .errors import ParseError
-
     tokens: list[Token] = []
     line, col = 1, 1
     pos = 0
@@ -410,8 +393,6 @@ class TokenStream:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def next(self) -> Token:
-        from .errors import ParseError
-
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input", self.end_line)
@@ -419,8 +400,6 @@ class TokenStream:
         return tok
 
     def expect(self, kind: str) -> Token:
-        from .errors import ParseError
-
         tok = self.next()
         if tok.kind != kind:
             raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.column)
@@ -450,7 +429,6 @@ def parse_message_tokens(
     ``depth`` counts the encryptions around the message; one nested deeper
     than ``MAX_NESTING`` is a ``ParseError`` at its opening brace.
     """
-    from .errors import ParseError
 
     def parse_term() -> Message:
         tok = stream.next()
@@ -485,14 +463,3 @@ def parse_message_tokens(
             break
     return concat(parts)
 
-
-def parse_message(text: str, resolve: AtomResolver) -> Message:
-    """Parse a standalone message; ``resolve`` maps identifier text to atoms."""
-    from .errors import ParseError
-
-    stream = TokenStream(tokenize(text))
-    msg = parse_message_tokens(stream, resolve)
-    trailing = stream.peek()
-    if trailing is not None:
-        raise ParseError(f"trailing input {trailing.text!r}", trailing.line, trailing.column)
-    return msg

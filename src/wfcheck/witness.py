@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .context import AuthChallenge, VerificationContext
 from .errors import AtomAbsent, ChallengeAtomAbsent, ChallengeNotReceived, NoSource
-from .lattice import PrincipalId, SecurityLevel
+from .lattice import SecurityLevel
 from .protocol import (
     Direction,
     EncryptionPatternSet,
@@ -218,7 +218,7 @@ def challenge_check(
     challenge: AuthChallenge,
 ) -> AuthCheck:
     """The witness clause: the claimant must appear in the challenge's level."""
-    verifier_roles = [r for r in roles if r.owner == PrincipalId(challenge.verifier)]
+    verifier_roles = [r for r in roles if r.owner == challenge.verifier]
     if not verifier_roles:
         raise ChallengeNotReceived(
             f"verifier {challenge.verifier} plays no role in the protocol"
@@ -241,8 +241,7 @@ def challenge_check(
             f"{format_message(step.payload)}"
         )
     level = f_prime(variant, target, step.payload, ctx)
-    claimant = PrincipalId(challenge.claimant)
-    present = claimant in ctx.lattice.canon(level)
+    present = challenge.claimant in ctx.lattice.canon(level)
     above = ctx.lattice.above_bottom(level)
     return AuthCheck(
         verifier=challenge.verifier,

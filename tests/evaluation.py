@@ -5,15 +5,54 @@ message: every call walks the whole message looking for that one target.
 ``test_properties.law_memoized_evaluation_matches_the_per_target_walk``
 checks that a shared :class:`wfcheck.Evaluation` gives the same selections
 and levels.
+
+``select`` and ``protective_key`` expose the analyzer's own selection and
+protective-key search on one message, so tests can inspect them directly.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from wfcheck import VerificationContext
+from wfcheck import AtomAbsent, VerificationContext, safefun
 from wfcheck.safefun import Selection, Variant
-from wfcheck.terms import Atom, Concat, Enc, Identity, Message, SymKey, Target, atoms_of
+from wfcheck.terms import (
+    Atom,
+    Concat,
+    Enc,
+    Identity,
+    Message,
+    SymKey,
+    Target,
+    atoms_of,
+    format_message,
+)
+
+
+def select(
+    variant: Variant, target: Target, m: Message, ctx: VerificationContext
+) -> Selection:
+    """The analyzer's selection around ``target`` in ``m``."""
+    return safefun._select(variant, target, safefun.occurrences(m).get(target, []), ctx)
+
+
+def protective_key(
+    target: Target, m: Message, ctx: VerificationContext
+) -> tuple[tuple[Atom, Message], ...]:
+    """Per protected occurrence, the external protective key and its section.
+
+    Returns an empty tuple when every occurrence is unprotected; raises
+    AtomAbsent when the target does not occur in the message at all.
+    """
+    occs = safefun.occurrences(m)
+    if target not in occs:
+        raise AtomAbsent(f"{format_message(target)} does not occur in {format_message(m)}")
+    found: list[tuple[Atom, Message]] = []
+    for chain in occs[target]:
+        node = safefun._protective_enc(target, chain, ctx)
+        if node is not None:
+            found.append((node.key, node))
+    return tuple(found)
 
 
 def body_occurrences(target: Target, m: Message) -> list[tuple[Enc, ...]]:

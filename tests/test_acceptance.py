@@ -32,10 +32,11 @@ from wfcheck import (
     render,
 )
 from wfcheck.cli import main
-from wfcheck.safefun import Variant, psi, select
+from wfcheck.safefun import Variant, psi
 from wfcheck.terms import Enc, concat
 
 from conftest import CORPUS
+from evaluation import select
 
 ABS = SecurityLevel.of("A", "B", "S")
 MAX = Variant.MAX
@@ -51,7 +52,7 @@ def test_criterion_1_modified_woolam_golden_run(woolam_mod):
     roles, patterns = analyze_narration(narr, ctx)
 
     kab_i = SymKey("kab", session="i")
-    nb_i = Nonce("Nb", owner="B", session="i")
+    nb_i = Nonce("Nb", session="i")
     x, u, v = Variable("X"), Variable("U"), Variable("V")
 
     evaluation = Evaluation(MAX, ctx)
@@ -154,7 +155,7 @@ def test_criterion_4_original_woolam_differential(woolam_orig, capsys):
     roles, patterns = analyze_narration(narr, ctx)
     overall, auth, secrecy_ok, _ = check_authentication(roles, patterns, ctx, MAX)
     assert not overall
-    nb_i = Nonce("Nb", owner="B", session="i")
+    nb_i = Nonce("Nb", session="i")
     final_receive = roles[4].final.payload
     assert format_message(final_receive) == "{Nb^i}kbs"
     assert f_prime(MAX, nb_i, final_receive, ctx) == SecurityLevel.of("B", "S")

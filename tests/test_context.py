@@ -35,7 +35,7 @@ def test_level_of_shared_key(ctx):
 
 
 def test_level_of_public_nonce(ctx):
-    assert ctx.level_of(Nonce("Nb", owner="B", session="i")) == BOTTOM
+    assert ctx.level_of(Nonce("Nb", session="i")) == BOTTOM
 
 
 def test_level_of_identity_defaults_to_bottom(ctx):
@@ -64,7 +64,7 @@ def test_reverse_key_is_involutive(ctx):
 
 def test_reverse_key_rejects_non_keys(ctx):
     with pytest.raises(NotAKey):
-        ctx.reverse_key(Nonce("Nb", owner="B"))
+        ctx.reverse_key(Nonce("Nb"))
 
 
 def test_knows_key(ctx):
@@ -84,7 +84,7 @@ def test_intruder_knowledge_defaults_to_identities(ctx):
 
 def test_intruder_knows_directive():
     ctx = parse_context(WOOLAM_CTX + "intruder knows Nb\n")
-    assert Nonce("Nb", owner="B") in ctx.intruder_knowledge()
+    assert Nonce("Nb") in ctx.intruder_knowledge()
 
 
 def test_universe_must_include_intruder():
@@ -111,7 +111,7 @@ def test_comments_and_blank_lines_are_ignored(ctx):
     with_comments = "# preamble\n\n" + WOOLAM_CTX.replace(
         "key kbs", "# mid comment\nkey kbs"
     )
-    assert parse_context(with_comments).keys.keys() == ctx.keys.keys()
+    assert parse_context(with_comments).decls.keys() == ctx.decls.keys()
 
 
 def test_digest_is_stable():

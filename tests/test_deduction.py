@@ -9,7 +9,7 @@ from deduction import DepthExceeded, derives, saturate
 
 A, B = Identity("A"), Identity("B")
 K = SymKey("kas")
-NB = Nonce("Nb", owner="B")
+NB = Nonce("Nb")
 
 
 @pytest.fixture(scope="module")

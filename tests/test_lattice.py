@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from wfcheck import BOTTOM, TOP, Lattice, PrincipalId, SecurityLevel
+from wfcheck import BOTTOM, TOP, Lattice, SecurityLevel
 
 LAT = Lattice.over("A", "B", "S", "I")
 
@@ -14,7 +14,7 @@ def brute_force_glb(lat, a, b):
     candidates = [SecurityLevel.bottom()] + [
         SecurityLevel.of(*combo)
         for n in range(len(lat.universe) + 1)
-        for combo in itertools.combinations(sorted(p.name for p in lat.universe), n)
+        for combo in itertools.combinations(sorted(lat.universe), n)
     ]
     below_both = [c for c in candidates if lat.leq(c, a) and lat.leq(c, b)]
     best = below_both[0]
@@ -29,7 +29,7 @@ def brute_force_lub(lat, a, b):
     candidates = [SecurityLevel.bottom()] + [
         SecurityLevel.of(*combo)
         for n in range(len(lat.universe) + 1)
-        for combo in itertools.combinations(sorted(p.name for p in lat.universe), n)
+        for combo in itertools.combinations(sorted(lat.universe), n)
     ]
     above_both = [c for c in candidates if lat.leq(a, c) and lat.leq(b, c)]
     best = above_both[0]
@@ -112,7 +112,7 @@ def test_levels_reject_stray_principals():
 
 def test_membership_and_display():
     lv = SecurityLevel.of("B", "A")
-    assert PrincipalId("A") in lv
+    assert "A" in lv
     assert "C" not in lv
     assert str(lv) == "{A,B}"
     assert str(BOTTOM) == "bot" and str(TOP) == "top"

@@ -25,7 +25,6 @@ from wfcheck import (
     Identity,
     Lattice,
     Nonce,
-    PrincipalId,
     SecurityLevel,
     SymKey,
     Variable,
@@ -43,7 +42,6 @@ from wfcheck import (
     parse_context,
     parse_narration,
     rename_apart,
-    select,
     unify,
     vars_of,
 )
@@ -54,7 +52,7 @@ from wfcheck.terms import ordered_atoms, ordered_vars
 from bounds import bound_ordering_check
 from deduction import saturate
 from derivation import derive, derive_vars
-from evaluation import reference_select
+from evaluation import reference_select, select
 from unification import reference_unify
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -86,7 +84,7 @@ PROP_CTX = parse_context(
 
 GROUND_ATOMS = (
     Identity("A"), Identity("B"), Identity("S"),
-    Nonce("Nb", owner="B"), Nonce("Ns", owner="S"), Nonce("Nx", owner="A"),
+    Nonce("Nb"), Nonce("Ns"), Nonce("Nx"),
     SymKey("kas"), SymKey("kbs"), SymKey("kab"),
 )
 KEYS = (SymKey("kas"), SymKey("kbs"), SymKey("kab"))
@@ -460,7 +458,7 @@ def protocol_cases(draw):
         if kind == "identity":
             return Identity(draw(st.sampled_from(participants)))
         if kind == "nonce":
-            return Nonce(f"N{sender.lower()}", owner=sender)
+            return Nonce(f"N{sender.lower()}")
         if kind == "echo":
             return draw(st.sampled_from(accessible[sender]))
         if kind == "concat":
@@ -619,7 +617,7 @@ DEDUCTION_SUITE = [law_saturation_monotone, law_saturation_closed_under_analysis
 # ---------------------------------------------------------------------------
 # Suite: verdict-level soundness against the intruder closure
 
-INTRUDER = PrincipalId("I")
+INTRUDER = "I"
 
 
 @given(case=protocol_cases())
@@ -632,7 +630,7 @@ def law_secrecy_pass_leaks_nothing_to_the_intruder(case):
     roles, patterns = analyze_narration(narr, ctx)
     if not any(check_secrecy(roles, patterns, ctx, v)[0] for v in Variant):
         return
-    declared = [ctx.resolve_atom(name) for name in (*ctx.keys, *ctx.nonces)]
+    declared = [ctx.resolve_atom(name) for name in ctx.decls]
     entitled = [a for a in declared if INTRUDER in ctx.lattice.canon(ctx.level_of(a))]
     view = [step.payload for step in narr.steps] + list(ctx.intruder_knowledge()) + entitled
     leaked = sorted(

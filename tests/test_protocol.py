@@ -20,9 +20,10 @@ from wfcheck import (
     parse_context,
     parse_narration,
     render,
-    strip_sessions,
 )
 from wfcheck.terms import MAX_NESTING
+
+from messages import strip_sessions
 
 
 def role_map(roles):
@@ -33,7 +34,7 @@ def test_parse_narration_steps(woolam_mod):
     narr, _ = woolam_mod
     assert narr.name == "WooLamMod"
     assert [s.index for s in narr.steps] == [1, 2, 3, 4, 5]
-    assert (narr.steps[2].sender.name, narr.steps[2].receiver.name) == ("A", "B")
+    assert (narr.steps[2].sender, narr.steps[2].receiver) == ("A", "B")
     assert format_message(narr.steps[3].payload) == "{A.Nb.{B.kab}kas}kbs"
 
 
@@ -126,7 +127,7 @@ def test_role_contents_match_the_expected_abstractions(woolam_mod):
     assert roles.keys() == EXPECTED_ROLE_STEPS.keys()
     for label, expected in EXPECTED_ROLE_STEPS.items():
         got = [
-            (s.step_id, s.direction, s.partner.name, format_message(s.payload))
+            (s.step_id, s.direction, s.partner, format_message(s.payload))
             for s in roles[label].steps
         ]
         assert got == expected, label
@@ -148,7 +149,7 @@ def test_reconcretization_recovers_the_narration(woolam_mod):
     """Substituting the unknowns back reproduces the original payloads."""
     narr, ctx = woolam_mod
     roles = role_map(extract_roles(narr, ctx))
-    nb = Nonce("Nb", owner="B")
+    nb = Nonce("Nb")
     kab, kas = SymKey("kab"), SymKey("kas")
     from wfcheck import Enc, concat
 

@@ -165,6 +165,30 @@ def test_role_extraction_errors_name_the_step_line(steps, message, tmp_path, cap
     assert "Traceback" not in err
 
 
+# The intruder replays message 1 to A as message 2; A decrypts it and sends
+# Na in the clear. Insecure in the typed Dolev-Yao model, so no variant may
+# pass it for secrecy.
+REFLECT_PROTO = "protocol Reflect\n1. A -> B : {Na}kab\n2. B -> A : {Nb}kab\n3. A -> B : Nb\n"
+REFLECT_CTX = (
+    "principals A, B, I\nkey kab shared(A,B)\n"
+    "nonce Na fresh(A) level {A,B}\nnonce Nb fresh(B) level public\n"
+)
+
+
+@pytest.mark.xfail(strict=True, reason="variables get declared level ⊥ (ROADMAP item 1)")
+@pytest.mark.parametrize("function", ["max", "ek", "n"])
+def test_reflection_attack_is_not_passed_for_secrecy(function, tmp_path, capsys):
+    proto = tmp_path / "reflect.proto"
+    proto.write_text(REFLECT_PROTO)
+    ctx_file = tmp_path / "reflect.ctx"
+    ctx_file.write_text(REFLECT_CTX)
+    code, _, _ = run_cli(
+        ["--protocol", str(proto), "--context", str(ctx_file),
+         "--function", function, "--check", "secrecy"], capsys
+    )
+    assert code == 2
+
+
 @pytest.mark.parametrize("function", ["max", "ek", "n"])
 @pytest.mark.parametrize("stem", ["woolam_modified", "woolam_original"])
 def test_cli_matches_the_golden_reports(stem, function, capsys):

@@ -17,18 +17,17 @@ from wfcheck import (
     f_prime,
     format_message,
     parse_context,
-    protective_key,
     psi,
-    select,
 )
 from wfcheck.safefun import Selection, Variant
 
 from derivation import derive, derive_vars
+from evaluation import protective_key, select
 
 A, B, C, D, S = (Identity(n) for n in "ABCDS")
 KAS, KBS, KAB = SymKey("kas"), SymKey("kbs"), SymKey("kab")
 KAB_I = SymKey("kab", session="i")
-NB_I = Nonce("Nb", owner="B", session="i")
+NB_I = Nonce("Nb", session="i")
 X, Y, Z, U, V = (Variable(n) for n in "XYZUV")
 
 
@@ -100,7 +99,7 @@ def test_protective_key_for_the_session_key(ctx):
 
 
 def test_protective_key_outermost_wins(guideline_ctx):
-    alpha = Nonce("alpha", owner="")
+    alpha = Nonce("alpha")
     m = Enc(concat([C, Enc(concat([alpha, D]), KAS)]), KAB)
     found = protective_key(alpha, m, guideline_ctx)
     assert [key for key, _ in found] == [KAB]
@@ -118,7 +117,7 @@ def test_protective_key_absent_atom_raises(ctx):
 def test_inner_key_protects_when_outer_key_is_too_weak(guideline_ctx):
     # beta is readable by {A,S} only: kab={A,B} is no protection for it,
     # the scan continues inward and anchors at kas
-    beta = Nonce("beta", owner="")
+    beta = Nonce("beta")
     m = Enc(Enc(beta, KAS), KAB)
     found = protective_key(beta, m, guideline_ctx)
     assert [key for key, _ in found] == [KAS]
@@ -127,7 +126,7 @@ def test_inner_key_protects_when_outer_key_is_too_weak(guideline_ctx):
 # -- selections and psi ------------------------------------------------------
 
 def test_selection_of_the_guideline_example(guideline_ctx):
-    alpha = Nonce("alpha", owner="")
+    alpha = Nonce("alpha")
     m = Enc(concat([C, Enc(concat([alpha, D]), KAS)]), KAB)
     sel = select(Variant.MAX, alpha, m, guideline_ctx)
     assert sel.atoms == {C, D, KAB}
@@ -147,7 +146,7 @@ def test_selection_absent_target_is_supremum(ctx):
 
 
 def test_selection_variants(guideline_ctx):
-    alpha = Nonce("alpha", owner="")
+    alpha = Nonce("alpha")
     m = Enc(concat([C, Enc(concat([alpha, D]), KAS)]), KAB)
     assert select(Variant.EK, alpha, m, guideline_ctx).atoms == {KAB}
     assert select(Variant.N, alpha, m, guideline_ctx).atoms == {C, D}

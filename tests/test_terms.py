@@ -14,19 +14,18 @@ from wfcheck import (
     atoms_of,
     canonical_form,
     concat,
-    erase_copies,
     format_message,
-    parse_message,
     rename_apart,
-    strip_sessions,
     unify,
     vars_of,
 )
 
+from messages import erase_copies, parse_message, strip_sessions
+
 A, B, S = Identity("A"), Identity("B"), Identity("S")
 KAS, KBS = SymKey("kas"), SymKey("kbs")
 KAB_I = SymKey("kab", session="i")
-NB_I = Nonce("Nb", owner="B", session="i")
+NB_I = Nonce("Nb", session="i")
 X, Y, U, V = Variable("X"), Variable("Y"), Variable("U"), Variable("V")
 
 
@@ -108,7 +107,7 @@ def test_unify_two_renamed_server_patterns():
     u2, a7, v2 = Variable("U", copy=2), Identity("A", copy=7), Variable("V", copy=2)
     k5 = SymKey("kbs", copy=5)
     left = Enc(concat([u2, Enc(concat([a7, v2]), k5)]), k5)
-    nb4 = Nonce("Nb", owner="B", session="i", copy=4)
+    nb4 = Nonce("Nb", session="i", copy=4)
     a5, z1 = Identity("A", copy=5), Variable("Z", copy=1)
     k3 = SymKey("kbs", copy=3)
     right = Enc(concat([nb4, Enc(concat([a5, z1]), k3)]), k3)
@@ -130,7 +129,7 @@ def test_unify_occurs_check():
 
 
 def test_unify_kind_restriction_on_parameters():
-    nonce_param = Nonce("Nb", owner="B", session="i", copy=3)
+    nonce_param = Nonce("Nb", session="i", copy=3)
     assert unify(nonce_param, B) is None          # nonce parameter vs identity
     assert unify(nonce_param, NB_I) == {nonce_param: NB_I}
     key_param = SymKey("kas", copy=2)
@@ -139,7 +138,7 @@ def test_unify_kind_restriction_on_parameters():
 
 
 def test_unify_concrete_sessions_do_not_cross():
-    nb_j = Nonce("Nb", owner="B", session="j")
+    nb_j = Nonce("Nb", session="j")
     assert unify(NB_I, nb_j) is None
 
 
@@ -179,7 +178,7 @@ def _resolver():
     atoms = {
         "A": A, "B": B, "S": S,
         "kas": KAS, "kbs": KBS, "kab": SymKey("kab"),
-        "Nb": Nonce("Nb", owner="B"),
+        "Nb": Nonce("Nb"),
     }
 
     def resolve(text, tok):

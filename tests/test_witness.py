@@ -41,7 +41,7 @@ from conftest import perfbench_gen
 A, B, S = Identity("A"), Identity("B"), Identity("S")
 KAS, KBS = SymKey("kas"), SymKey("kbs")
 KAB_I = SymKey("kab", session="i")
-NB_I = Nonce("Nb", owner="B", session="i")
+NB_I = Nonce("Nb", session="i")
 U, V, Y = Variable("U"), Variable("V"), Variable("Y")
 ABS = SecurityLevel.of("A", "B", "S")
 
