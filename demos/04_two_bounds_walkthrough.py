@@ -49,7 +49,7 @@ print(f"sent     {format_message(sent)}")
 sent_sources = candidate_sources(sent, patterns)
 for src in sent_sources:
     print("   candidate source:", src.description)
-print("   lower bound =", lower_bound(evaluation, kab_i, sent, sent_sources))
+print("   lower bound =", lower_bound(evaluation, kab_i, sent, sent_sources)[0])
 print("   declared    =", ctx.level_of(kab_i))
 print()
 
@@ -65,4 +65,4 @@ for var in (Variable("U"), Variable("V")):
     for src in send_sources:
         marker = "  " if src in carried else "  (pinned, skipped)"
         print("     ", src.description, marker)
-    print("   lower bound =", lower_bound(evaluation, var, send, send_sources))
+    print("   lower bound =", lower_bound(evaluation, var, send, send_sources)[0])

@@ -159,7 +159,9 @@ def parse_context(text: str) -> VerificationContext:
     principals: tuple[str, ...] = ()
     decls: dict[str, Decl] = {}
     challenge: Optional[AuthChallenge] = None
-    intruder_knows: tuple[str, ...] = ()
+    challenge_line: Optional[int] = None
+    # each name the intruder knows, with the line that says so
+    intruder_knows: list[tuple[str, int]] = []
 
     def check_principal(name: str, lineno: int) -> str:
         if name not in principals:
@@ -225,27 +227,34 @@ def parse_context(text: str) -> VerificationContext:
                 step=int(match.group("step")),
                 challenge=match.group("challenge"),
             )
+            challenge_line = lineno
             continue
         if line.startswith("intruder knows"):
             names = _NAME_LIST_RE.findall(line[len("intruder knows"):])
-            intruder_knows = intruder_knows + tuple(names)
+            intruder_knows.extend((name, lineno) for name in names)
             continue
         raise ParseError(f"unrecognized declaration: {line!r}", lineno)
 
     if not principals:
         raise ParseError("context declares no principals")
     if challenge is not None and challenge.challenge not in decls:
-        raise ParseError(f"challenge atom {challenge.challenge!r} is not declared")
-    for name in intruder_knows:
-        if name not in decls and name not in principals:
-            raise ParseError(f"intruder knowledge names undeclared atom {name!r}")
+        raise ParseError(f"challenge atom {challenge.challenge!r} is not declared", challenge_line)
+    for name, lineno in intruder_knows:
+        if name in principals:
+            continue
+        if name not in decls:
+            raise ParseError(f"intruder knowledge names undeclared atom {name!r}", lineno)
+        # secrecy verdicts hold for an intruder that starts with public atoms only
+        level = decls[name].level
+        if INTRUDER_NAME not in level:
+            raise ParseError(f"intruder knows {name!r}, but its level {level} excludes I", lineno)
 
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return VerificationContext(
         principals=principals,
         decls=decls,
         challenge=challenge,
-        intruder_knows=intruder_knows,
+        intruder_knows=tuple(name for name, _ in intruder_knows),
         digest=digest,
     )
 

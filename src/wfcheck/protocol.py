@@ -11,10 +11,11 @@ A narration is the familiar numbered message list:
 Role extraction projects the narration onto each participant, routes every
 exchange through the intruder-controlled network, session-tags the values
 the participant generates freshly, and replaces the components it cannot
-verify in received messages by variables. An encrypted component whose key
-the participant cannot reverse becomes a single variable; inside
-decryptable components only the atoms it can recognize survive. Forwarded
-opaque components reuse the variable introduced when they arrived.
+verify in received messages by variables. One rule, ``_OwnerView._held``,
+decides possession: the participant holds the values it generated in this
+session and the long-term keys it shares. A received atom it does not hold,
+or an encryption it cannot open with a held key, becomes one variable.
+Forwarded opaque components reuse the variable introduced when they arrived.
 
 One role is emitted per send of the participant (the projection prefix up
 to that send), plus the full projection when it ends with a receive.
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Optional
+from itertools import count
+from typing import Iterable, Iterator, Optional
 
 from .context import VerificationContext
 from .errors import ParseError, UndeclaredAtom, UnknownAtom
@@ -189,7 +191,6 @@ def parse_narration(text: str, ctx: VerificationContext) -> Narration:
             if not ctx.is_principal(tok.text):
                 raise UndeclaredAtom(f"undeclared principal {tok.text!r}", tok.line, tok.column)
         payload = parse_message_tokens(stream, resolve)
-        _require_atomic_keys(payload, ctx, num_tok.line)
         steps.append(
             NarrationStep(
                 index=index,
@@ -203,20 +204,6 @@ def parse_narration(text: str, ctx: VerificationContext) -> Narration:
     return Narration(name=name_tok.text, steps=tuple(steps))
 
 
-def _require_atomic_keys(m: Message, ctx: VerificationContext, lineno: int) -> None:
-    """Only atomic symmetric keys may encrypt; anything else is rejected."""
-    if isinstance(m, Concat):
-        for p in m.parts:
-            _require_atomic_keys(p, ctx, lineno)
-    elif isinstance(m, Enc):
-        if not isinstance(m.key, SymKey):
-            raise ParseError(
-                f"encryption key {format_message(m.key)!r} is not a declared symmetric key",
-                lineno,
-            )
-        _require_atomic_keys(m.body, ctx, lineno)
-
-
 def load_narration(path, ctx: VerificationContext) -> Narration:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_narration(fh.read(), ctx)
@@ -225,85 +212,58 @@ def load_narration(path, ctx: VerificationContext) -> Narration:
 # ---------------------------------------------------------------------------
 # Role extraction
 
-class _VariablePool:
-    def __init__(self):
-        self.count = 0
-
-    def fresh(self) -> Variable:
-        if self.count < len(_VARIABLE_NAMES):
-            name = _VARIABLE_NAMES[self.count]
-            var = Variable(name)
-        else:
-            name = _VARIABLE_NAMES[self.count % len(_VARIABLE_NAMES)]
-            var = Variable(name, copy=self.count // len(_VARIABLE_NAMES))
-        self.count += 1
-        return var
+def _variables() -> Iterator[Variable]:
+    """Fresh variables in ``_VARIABLE_NAMES`` order, then their indexed copies."""
+    for n in count():
+        copy, i = divmod(n, len(_VARIABLE_NAMES))
+        yield Variable(_VARIABLE_NAMES[i], copy or None)
 
 
 class _OwnerView:
     """Abstraction state while walking one participant's projection."""
 
-    def __init__(self, owner: str, ctx: VerificationContext, pool: _VariablePool):
+    def __init__(self, owner: str, ctx: VerificationContext, pool: Iterator[Variable]):
         self.owner = owner
         self.ctx = ctx
         self.pool = pool
         self.memo: dict[Message, Variable] = {}
         self.generated: set[str] = set()
 
-    def _own_fresh(self, a: Atom) -> bool:
-        return self.ctx.fresh_owner(a) == self.owner
+    def _held(self, a: Atom) -> Optional[Atom]:
+        """The owner's own copy of ``a``, or None when it does not hold it.
 
-    def _tag(self, a: Atom) -> Atom:
-        return replace(a, session=SESSION_TAG)
-
-    def _can_reverse(self, key: SymKey) -> bool:
-        # possession, not mere authorization: a long-term key the owner
-        # shares, or a fresh key the owner has generated in this session
-        if not self.ctx.knows_key(self.owner, key):
-            return False
-        fresh_by = self.ctx.fresh_owner(key)
+        The owner holds a value it has generated in this session (the
+        session-tagged copy) and a long-term key it shares (the key itself).
+        """
+        fresh_by = self.ctx.fresh_owner(a)
         if fresh_by is None:
-            return True
-        return fresh_by == self.owner and key.name in self.generated
+            return a if isinstance(a, SymKey) and self.ctx.knows_key(self.owner, a) else None
+        if fresh_by == self.owner and a.name in self.generated:
+            return replace(a, session=SESSION_TAG)
+        return None
 
     def abstract_receive(self, m: Message) -> Message:
         if m in self.memo:
             return self.memo[m]
         if isinstance(m, Identity):
             return m
-        if isinstance(m, (Nonce, SymKey)):
-            if self._own_fresh(m) and m.name in self.generated:
-                return self._tag(m)
-            if isinstance(m, SymKey) and self.ctx.fresh_owner(m) is None \
-                    and self.ctx.knows_key(self.owner, m):
-                return m
-            return self.memo.setdefault(m, self.pool.fresh())
         if isinstance(m, Concat):
             return concat(self.abstract_receive(p) for p in m.parts)
-        if isinstance(m, Enc):
-            if isinstance(m.key, SymKey) and self._can_reverse(m.key):
-                return Enc(self.abstract_receive(m.body), self._key_atom(m.key))
-            return self.memo.setdefault(m, self.pool.fresh())
-        raise ParseError(f"cannot abstract message component {format_message(m)!r}")
-
-    def _key_atom(self, key: SymKey) -> SymKey:
-        return self._tag(key) if self._own_fresh(key) else key
+        if isinstance(m, (Nonce, SymKey)):
+            held = self._held(m)
+        elif isinstance(m, Enc):
+            # possession, not mere authorization, opens an encryption
+            key = self._held(m.key) if self.ctx.knows_key(self.owner, m.key) else None
+            held = None if key is None else Enc(self.abstract_receive(m.body), key)
+        else:
+            raise ParseError(f"cannot abstract message component {format_message(m)!r}")
+        return self.memo.setdefault(m, next(self.pool)) if held is None else held
 
     def abstract_send(self, m: Message) -> Message:
         if m in self.memo:
             return self.memo[m]
         if isinstance(m, Identity):
             return m
-        if isinstance(m, (Nonce, SymKey)):
-            if self._own_fresh(m):
-                self.generated.add(m.name)
-                return self._tag(m)
-            if isinstance(m, SymKey) and self.ctx.fresh_owner(m) is None \
-                    and self.ctx.knows_key(self.owner, m):
-                return m
-            raise ParseError(
-                f"{self.owner} sends {format_message(m)!r} without ever learning it"
-            )
         if isinstance(m, Concat):
             return concat(self.abstract_send(p) for p in m.parts)
         if isinstance(m, Enc):
@@ -313,12 +273,21 @@ class _OwnerView:
                     f"{self.owner} cannot encrypt under a key it does not possess"
                 )
             return Enc(self.abstract_send(m.body), key)
+        if isinstance(m, (Nonce, SymKey)):
+            if self.ctx.fresh_owner(m) == self.owner:
+                self.generated.add(m.name)
+            held = self._held(m)
+            if held is not None:
+                return held
+            raise ParseError(
+                f"{self.owner} sends {format_message(m)!r} without ever learning it"
+            )
         raise ParseError(f"cannot abstract message component {format_message(m)!r}")
 
 
 def extract_roles(narration: Narration, ctx: VerificationContext) -> tuple[GeneralizedRole, ...]:
     """All generalized roles, grouped by owner in order of first appearance."""
-    pool = _VariablePool()
+    pool = _variables()
     roles: list[GeneralizedRole] = []
     for owner in narration.participants():
         view = _OwnerView(owner, ctx, pool)
@@ -360,34 +329,19 @@ def generated_messages(roles: Iterable[GeneralizedRole]) -> list[Message]:
     contributes the payloads of its longest role only. Every payload is
     renamed apart with its own tag; duplicates survive with multiplicity.
     """
-    roles = list(roles)
     longest: dict[str, GeneralizedRole] = {}
-    order: list[str] = []
     for role in roles:
-        if role.owner not in longest:
-            order.append(role.owner)
+        kept = longest.get(role.owner)
+        if kept is None or len(role.steps) > len(kept.steps):
             longest[role.owner] = role
-        elif len(role.steps) > len(longest[role.owner].steps):
-            longest[role.owner] = role
-    out: list[Message] = []
-    tag = 0
-    for owner in order:
-        for step in longest[owner].steps:
-            tag += 1
-            out.append(rename_apart(step.payload, tag))
-    return out
+    payloads = [step.payload for role in longest.values() for step in role.steps]
+    return [rename_apart(payload, tag) for tag, payload in enumerate(payloads, start=1)]
 
 
 def encryption_patterns(msgs: Iterable[Message]) -> EncryptionPatternSet:
     """Encryption-rooted messages, deduplicated modulo renaming."""
-    kept: list[Message] = []
-    seen: set[str] = set()
+    kept: dict[str, Message] = {}
     for m in msgs:
-        if not isinstance(m, Enc):
-            continue
-        key = canonical_form(m)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(m)
-    return EncryptionPatternSet(tuple(kept))
+        if isinstance(m, Enc):
+            kept.setdefault(canonical_form(m), m)
+    return EncryptionPatternSet(tuple(kept.values()))

@@ -300,9 +300,6 @@ def unify(left: Message, right: Message) -> Optional[dict]:
 # ---------------------------------------------------------------------------
 # Printer
 
-_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
-
-
 def _format_atomish(name: str, copy: Optional[int], session: Optional[str]) -> str:
     out = name
     if copy is not None:
@@ -427,7 +424,8 @@ def parse_message_tokens(
     """Parse ``term ('.' term)*`` where term is an atom, variable or {msg}key.
 
     ``depth`` counts the encryptions around the message; one nested deeper
-    than ``MAX_NESTING`` is a ``ParseError`` at its opening brace.
+    than ``MAX_NESTING`` is a ``ParseError`` at its opening brace. Only a
+    symmetric key may encrypt; any other key is a ``ParseError`` at the key.
     """
 
     def parse_term() -> Message:
@@ -440,7 +438,13 @@ def parse_message_tokens(
             body = parse_message_tokens(stream, resolve, depth + 1)
             stream.expect("}")
             key_tok = stream.expect("name")
-            return Enc(body, resolve(key_tok.text, key_tok))
+            key = resolve(key_tok.text, key_tok)
+            if not isinstance(key, SymKey):
+                raise ParseError(
+                    f"encryption key {format_message(key)!r} is not a declared symmetric key",
+                    key_tok.line, key_tok.column,
+                )
+            return Enc(body, key)
         if tok.kind == "?":
             name_tok = stream.expect("name")
             base, copy, session = split_atom_name(name_tok.text)

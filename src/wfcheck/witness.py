@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .context import AuthChallenge, VerificationContext
 from .errors import AtomAbsent, ChallengeAtomAbsent, ChallengeNotReceived, NoSource
@@ -131,8 +131,9 @@ def lower_bound(
     target: Target,
     r_plus: Message,
     sources: Sequence[CandidateSource],
-) -> SecurityLevel:
-    """Meet of the derivative evaluations over the sources carrying the target.
+) -> tuple[SecurityLevel, list[tuple[CandidateSource, Message]]]:
+    """Meet of the derivative evaluations over the sources carrying the target,
+    with those sources, each paired with the term standing for the target.
 
     ``sources`` are the candidate sources of ``r_plus``. Unencrypted sends
     have none; the target is evaluated on the sent message directly.
@@ -142,29 +143,29 @@ def lower_bound(
             f"{format_message(target)} does not occur in {format_message(r_plus)}"
         )
     if not isinstance(r_plus, Enc):
-        return evaluation.level(target, r_plus)
+        return evaluation.level(target, r_plus), []
     if not sources:
         raise NoSource(
             f"encrypted send {format_message(r_plus)} unifies with no generated pattern"
         )
-    return evaluation.ctx.lattice.meet_all(
-        evaluation.level(stand_in, source.instance)
-        for source, stand_in in sources_for_target(target, sources)
+    carriers = sources_for_target(target, sources)
+    level = evaluation.ctx.lattice.meet_all(
+        evaluation.level(stand_in, source.instance) for source, stand_in in carriers
     )
+    return level, carriers
 
 
 def check_step(
     role: GeneralizedRole,
-    position: int,
     evaluation: Evaluation,
     patterns: EncryptionPatternSet,
 ) -> list[StepCheck]:
-    """Bound comparisons for every atom and every variable of a send payload."""
-    step = role.steps[position]
+    """Bound comparisons for every atom and every variable of the role's final send."""
+    step = role.final
     if step.direction is not Direction.SEND:
         raise ValueError(f"step {step.step_id} of {role.label} is not a send")
     ctx = evaluation.ctx
-    received = role.received_before(position)
+    received = role.received_before(len(role.steps) - 1)
     r_plus = step.payload
     sources = candidate_sources(r_plus, patterns) if isinstance(r_plus, Enc) else []
     checks: list[StepCheck] = []
@@ -172,7 +173,7 @@ def check_step(
     for target in targets:
         received_bound = ctx.lattice.meet_all(evaluation.level(target, m) for m in received)
         declared = ctx.lattice.canon(ctx.level_of(target))
-        lower = lower_bound(evaluation, target, r_plus, sources)
+        lower, carriers = lower_bound(evaluation, target, r_plus, sources)
         required = ctx.lattice.meet(declared, received_bound)
         checks.append(
             StepCheck(
@@ -183,7 +184,7 @@ def check_step(
                 received_bound=received_bound,
                 declared=declared,
                 lower_bound=lower,
-                sources=tuple(s.description for s, _ in sources_for_target(target, sources)),
+                sources=tuple(source.description for source, _ in carriers),
                 from_patterns=isinstance(r_plus, Enc),
                 passed=ctx.lattice.leq(required, lower),
             )
@@ -207,7 +208,7 @@ def check_secrecy(
     checks: list[StepCheck] = []
     for role in roles:
         if role.steps and role.final.direction is Direction.SEND:
-            checks.extend(check_step(role, len(role.steps) - 1, evaluation, patterns))
+            checks.extend(check_step(role, evaluation, patterns))
     return all(c.passed for c in checks), checks
 
 
@@ -261,17 +262,15 @@ def check_authentication(
     patterns: EncryptionPatternSet,
     ctx: VerificationContext,
     variant: Variant,
-    challenge: Optional[AuthChallenge] = None,
 ) -> tuple[bool, AuthCheck, bool, list[StepCheck]]:
-    """Secrecy first, then the witness clause; correct only if both hold.
+    """Secrecy first, then the context's witness clause; correct only if both hold.
 
     Returns (overall, auth check, secrecy verdict, step checks).
     """
-    challenge = challenge or ctx.challenge
-    if challenge is None:
+    if ctx.challenge is None:
         raise ChallengeNotReceived("no authentication challenge is declared")
     secrecy_ok, checks = check_secrecy(roles, patterns, ctx, variant)
-    auth = challenge_check(roles, ctx, variant, challenge)
+    auth = challenge_check(roles, ctx, variant, ctx.challenge)
     return secrecy_ok and auth.passed, auth, secrecy_ok, checks
 
 

@@ -17,6 +17,6 @@ def bound_ordering_check(
 ) -> bool:
     """The upper bound dominates the lower bound on every sent message."""
     evaluation = Evaluation(variant, ctx)
-    lower = lower_bound(evaluation, target, r_plus, candidate_sources(r_plus, patterns))
+    lower = lower_bound(evaluation, target, r_plus, candidate_sources(r_plus, patterns))[0]
     upper = evaluation.level(target, r_plus)
     return ctx.lattice.leq(lower, upper)

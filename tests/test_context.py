@@ -87,6 +87,40 @@ def test_intruder_knows_directive():
     assert Nonce("Nb") in ctx.intruder_knowledge()
 
 
+SECRETS_CTX = """\
+principals A, B, I
+key kab shared(A,B)
+nonce Na fresh(A) level {A,B}
+nonce Nc fresh(A) level {A,I}
+"""
+
+
+@pytest.mark.parametrize("name", ["kab", "Na"])
+def test_intruder_knowing_a_secret_is_rejected_at_its_line(name):
+    with pytest.raises(ParseError) as err:
+        parse_context(SECRETS_CTX + f"intruder knows A, {name}\n")
+    assert err.value.line == 5
+    assert str(err.value).endswith(f"intruder knows {name!r}, but its level {{A,B}} excludes I")
+
+
+def test_intruder_may_know_what_a_later_declaration_admits():
+    ctx = parse_context(
+        "principals A, B, I\nintruder knows Nb, Nc\n"
+        "nonce Nb level public\nnonce Nc fresh(A) level {A,I}\n"
+    )
+    assert {Nonce("Nb"), Nonce("Nc")} <= set(ctx.intruder_knowledge())
+
+
+@pytest.mark.parametrize("extra, line", [
+    ("intruder knows Nz\n", 5),
+    ("challenge auth verifier=B claimant=A step=1 challenge=Nz\n", 5),
+])
+def test_checks_after_parsing_name_the_declaring_line(extra, line):
+    with pytest.raises(ParseError) as err:
+        parse_context(SECRETS_CTX + extra + "# trailing comment\n")
+    assert err.value.line == line
+
+
 def test_universe_must_include_intruder():
     with pytest.raises(ParseError):
         parse_context("principals A, B, S\nkey kas shared(A,S)\n")

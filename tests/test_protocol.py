@@ -84,6 +84,14 @@ def test_parse_rejects_non_key_encryption(woolam_mod):
         parse_narration("protocol P\n1. A -> B : {A}Nb\n", ctx)
 
 
+def test_non_key_encryption_error_names_the_key(woolam_mod):
+    _, ctx = woolam_mod
+    with pytest.raises(ParseError) as err:
+        parse_narration("protocol P\n1. A -> B : {A}\n  Nb\n", ctx)
+    assert (err.value.line, err.value.column) == (3, 3)
+    assert str(err.value) == "line 3, column 3: encryption key 'Nb' is not a declared symmetric key"
+
+
 def test_extracts_exactly_the_six_roles(woolam_mod):
     narr, ctx = woolam_mod
     roles = extract_roles(narr, ctx)
@@ -131,6 +139,25 @@ def test_role_contents_match_the_expected_abstractions(woolam_mod):
             for s in roles[label].steps
         ]
         assert got == expected, label
+
+
+def test_a_key_held_without_possession_rights_opens_nothing():
+    # A generates k but is outside its level, so A may encrypt under k yet
+    # cannot decrypt with it; B is authorized for k but never generated it
+    ctx = parse_context(
+        "principals A, B, S, I\nkey k fresh(A) level {B,S}\nnonce Na fresh(A) level {A,B}\n"
+    )
+    narr = parse_narration("protocol P\n1. A -> B : {Na}k\n2. B -> A : {Na}k\n", ctx)
+    roles = role_map(extract_roles(narr, ctx))
+    got = {
+        label: [(s.step_id, s.direction, format_message(s.payload)) for s in role.steps]
+        for label, role in roles.items()
+    }
+    assert got == {
+        "A.1": [("i.1", Direction.SEND, "{Na^i}k^i")],
+        "A.2": [("i.1", Direction.SEND, "{Na^i}k^i"), ("i.2", Direction.RECEIVE, "?X")],
+        "B.1": [("i.1", Direction.RECEIVE, "?Y"), ("i.2", Direction.SEND, "?Y")],
+    }
 
 
 def test_roles_are_prefix_closed_per_owner(woolam_mod):

@@ -165,6 +165,22 @@ def test_role_extraction_errors_name_the_step_line(steps, message, tmp_path, cap
     assert "Traceback" not in err
 
 
+def test_a_context_leaking_a_secret_to_the_intruder_is_an_input_error(tmp_path, capsys):
+    # the intruder holds kab and so decrypts Na: no secrecy verdict may stand
+    ctx_file = tmp_path / "leak.ctx"
+    ctx_file.write_text(
+        "principals A, B, I\nkey kab shared(A,B)\nnonce Na fresh(A) level {A,B}\n"
+        "intruder knows kab\n"
+    )
+    proto = tmp_path / "leak.proto"
+    proto.write_text("protocol Leak\n1. A -> B : {Na}kab\n")
+    code, out, err = run_cli(
+        ["--protocol", str(proto), "--context", str(ctx_file), "--check", "secrecy"], capsys
+    )
+    assert code == 3 and out == ""
+    assert err == "wfcheck: error: line 4: intruder knows 'kab', but its level {A,B} excludes I\n"
+
+
 # The intruder replays message 1 to A as message 2; A decrypts it and sends
 # Na in the clear. Insecure in the typed Dolev-Yao model, so no variant may
 # pass it for secrecy.
