@@ -19,16 +19,14 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import NotAKey, ParseError, UnknownAtom
 from .lattice import BOTTOM, Lattice, SecurityLevel
 from .terms import Atom, Identity, Nonce, SymKey, Variable
 
 
-@dataclass(frozen=True)
-class Decl:
+class Decl(NamedTuple):
     """A declared key or nonce: its atom, its level, the principals holding
     it (keys only) and the principal generating it per session, if any."""
 
@@ -38,8 +36,7 @@ class Decl:
     fresh_by: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class AuthChallenge:
+class AuthChallenge(NamedTuple):
     """Who authenticates whom, at which narration step, on which atom."""
 
     verifier: str
@@ -51,19 +48,23 @@ class AuthChallenge:
 INTRUDER_NAME = "I"
 
 
-@dataclass(frozen=True)
 class VerificationContext:
-    principals: tuple[str, ...]
-    decls: dict[str, Decl]
-    challenge: Optional[AuthChallenge] = None
-    intruder_knows: tuple[str, ...] = ()
-    digest: str = ""
-    lattice: Lattice = field(init=False)
-
-    def __post_init__(self):
-        if INTRUDER_NAME not in self.principals:
+    def __init__(
+        self,
+        principals: tuple[str, ...],
+        decls: dict[str, Decl],
+        challenge: Optional[AuthChallenge] = None,
+        intruder_knows: tuple[str, ...] = (),
+        digest: str = "",
+    ):
+        if INTRUDER_NAME not in principals:
             raise ParseError(f"the principal universe must include the intruder {INTRUDER_NAME!r}")
-        object.__setattr__(self, "lattice", Lattice.over(*self.principals))
+        self.principals = principals
+        self.decls = decls
+        self.challenge = challenge
+        self.intruder_knows = intruder_knows
+        self.digest = digest
+        self.lattice = Lattice.over(*principals)
 
     # -- atom construction -------------------------------------------------
 

@@ -13,12 +13,10 @@ universe canonicalizes to bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class SecurityLevel:
+class SecurityLevel(NamedTuple):
     """An element of the lattice: a principal set, or the symbolic bottom.
 
     ``authorized is None`` encodes bottom (the full universe). Structural
@@ -53,9 +51,6 @@ class SecurityLevel:
             raise ValueError("bottom has no explicit member list")
         return tuple(sorted(self.authorized))
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.members())
-
     def __contains__(self, name: str) -> bool:
         return self.authorized is None or name in self.authorized
 
@@ -71,8 +66,7 @@ BOTTOM = SecurityLevel.bottom()
 TOP = SecurityLevel.top()
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """Order, meet and join over levels drawn from a fixed principal universe."""
 
     universe: frozenset[str]

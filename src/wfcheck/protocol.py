@@ -23,10 +23,9 @@ to that send), plus the full projection when it ends with a receive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import count
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .context import VerificationContext
 from .errors import ParseError, UndeclaredAtom, UnknownAtom
@@ -56,21 +55,29 @@ SESSION_TAG = "i"
 _VARIABLE_NAMES = ("X", "Y", "Z", "U", "V", "W", "P", "Q", "R", "T")
 
 
-@dataclass(frozen=True)
-class NarrationStep:
+class NarrationStep(NamedTuple):
     index: int
     sender: str
     receiver: str
     payload: Message
-    #: where the step starts in the narration text, for diagnostics only
-    line: Optional[int] = field(default=None, compare=False)
+    #: where the step starts in the narration text, for diagnostics only:
+    #: steps that differ only in ``line`` are equal and hash equal
+    line: Optional[int] = None
+
+    def __eq__(self, other):
+        return isinstance(other, NarrationStep) and self[:4] == other[:4]
+
+    def __ne__(self, other):  # tuple's own != would still compare ``line``
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:4])
 
     def __str__(self):
         return f"{self.index}. {self.sender} -> {self.receiver} : {format_message(self.payload)}"
 
 
-@dataclass(frozen=True)
-class Narration:
+class Narration(NamedTuple):
     name: str
     steps: tuple[NarrationStep, ...]
 
@@ -88,8 +95,7 @@ class Direction(Enum):
     RECEIVE = "receive"
 
 
-@dataclass(frozen=True)
-class RoleStep:
+class RoleStep(NamedTuple):
     step_id: str
     narration_index: int
     direction: Direction
@@ -102,8 +108,7 @@ class RoleStep:
         return f"{self.step_id}  I({self.partner}) -> {owner} : {format_message(self.payload)}"
 
 
-@dataclass(frozen=True)
-class GeneralizedRole:
+class GeneralizedRole(NamedTuple):
     """A participant's abstracted view of a protocol prefix."""
 
     owner: str
@@ -128,21 +133,19 @@ class GeneralizedRole:
         return tuple(s.describe(self.owner) for s in self.steps)
 
 
-@dataclass(frozen=True)
 class EncryptionPatternSet:
     """Renamed-apart encryption-rooted messages; the candidate-source universe."""
 
-    patterns: tuple[Message, ...]
-
-    def __post_init__(self):
+    def __init__(self, patterns: tuple[Message, ...]):
         seen_vars: set = set()
-        for p in self.patterns:
+        for p in patterns:
             if not isinstance(p, Enc):
                 raise ValueError(f"pattern is not encryption-rooted: {format_message(p)}")
             mine = vars_of(p)
             if mine & seen_vars:
                 raise ValueError(f"patterns share variables: {format_message(p)}")
             seen_vars |= mine
+        self.patterns = patterns
 
     def __iter__(self):
         return iter(self.patterns)
@@ -239,7 +242,7 @@ class _OwnerView:
         if fresh_by is None:
             return a if isinstance(a, SymKey) and self.ctx.knows_key(self.owner, a) else None
         if fresh_by == self.owner and a.name in self.generated:
-            return replace(a, session=SESSION_TAG)
+            return a._replace(session=SESSION_TAG)
         return None
 
     def abstract_receive(self, m: Message) -> Message:

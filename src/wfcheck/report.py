@@ -11,9 +11,8 @@ numbers do not support. Identical inputs render byte-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, is_dataclass
 from functools import cache
-from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 from .context import VerificationContext
 from .lattice import Lattice, SecurityLevel
@@ -31,14 +30,12 @@ from .witness import (
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class RoleRecord:
+class RoleRecord(NamedTuple):
     label: str
     steps: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     version: int
     protocol: str
     variant: str
@@ -225,9 +222,9 @@ def _to_json(value):
         return value
     if isinstance(value, SecurityLevel):
         return level_to_json(value)
-    if isinstance(value, tuple):
-        return [_to_json(v) for v in value]
-    return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if hasattr(value, "_fields"):  # a record, which is also a tuple
+        return {name: _to_json(v) for name, v in zip(value._fields, value)}
+    return [_to_json(v) for v in value]
 
 
 @cache
@@ -241,9 +238,9 @@ def _decoder(tp) -> Callable:
     if get_origin(tp) is Union:
         inner = _decoder(get_args(tp)[0])  # Optional[X] is Union[X, None]
         return lambda data: None if data is None else inner(data)
-    if is_dataclass(tp):
+    if hasattr(tp, "_fields"):
         hints = get_type_hints(tp)
-        decoders = [(f.name, _decoder(hints[f.name])) for f in fields(tp)]
+        decoders = [(name, _decoder(hints[name])) for name in tp._fields]
         return lambda data: tp(**{name: dec(data[name]) for name, dec in decoders})
     return lambda data: data
 

@@ -27,9 +27,8 @@ about many targets, sources and receives walks each message once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .context import VerificationContext
 from .lattice import BOTTOM, TOP, SecurityLevel
@@ -53,8 +52,7 @@ class Variant(Enum):
     N = "n"
 
 
-@dataclass(frozen=True)
-class Selection:
+class Selection(NamedTuple):
     """Atoms selected around a target: identities and/or a decryption key.
 
     ``infimum`` marks an unprotected occurrence (level bottom), ``supremum``

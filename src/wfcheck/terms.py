@@ -15,16 +15,40 @@ empty message as the single character ``ε``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ParseError
 
 
+_set = object.__setattr__
+
+
 class Message:
-    """Base class for every term node."""
+    """Base class for every term node. Terms are immutable; each node class
+    sets its ``_fields`` once, and compares and hashes by its type and those
+    fields, so ``Identity("X") != Variable("X")``."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"terms are immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _replace(self, **changes) -> "Message":
+        """A copy of the term with the given fields changed."""
+        return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **changes})
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __str__(self):
+        return format_message(self)
 
 
 class Atom(Message):
@@ -33,71 +57,88 @@ class Atom(Message):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Identity(Atom):
-    name: str
-    copy: Optional[int] = None
+    _fields = __slots__ = ("name", "copy")
 
-    def __str__(self):
-        return format_message(self)
+    def __init__(self, name: str, copy: Optional[int] = None):
+        _set(self, "name", name)
+        _set(self, "copy", copy)
 
+    def __eq__(self, other):
+        return type(self) is type(other) and (self.name, self.copy) == (other.name, other.copy)
 
-@dataclass(frozen=True)
-class Nonce(Atom):
-    name: str
-    session: Optional[str] = None
-    copy: Optional[int] = None
-
-    def __str__(self):
-        return format_message(self)
+    def __hash__(self):
+        return hash((self.name, self.copy))
 
 
-@dataclass(frozen=True)
-class SymKey(Atom):
-    name: str
-    session: Optional[str] = None
-    copy: Optional[int] = None
+class _SessionAtom(Atom):
+    """A nonce or a key: a declared name, a session tag and a rename index."""
 
-    def __str__(self):
-        return format_message(self)
+    _fields = __slots__ = ("name", "session", "copy")
+
+    def __init__(self, name: str, session: Optional[str] = None, copy: Optional[int] = None):
+        _set(self, "name", name)
+        _set(self, "session", session)
+        _set(self, "copy", copy)
+
+    def __eq__(self, other):
+        return type(self) is type(other) and (
+            (self.name, self.session, self.copy) == (other.name, other.session, other.copy)
+        )
+
+    def __hash__(self):
+        return hash((self.name, self.session, self.copy))
 
 
-@dataclass(frozen=True)
+class Nonce(_SessionAtom):
+    __slots__ = ()
+
+
+class SymKey(_SessionAtom):
+    __slots__ = ()
+
+
 class Variable(Message):
     """An unknown component of a received message."""
 
-    name: str
-    copy: Optional[int] = None
-
-    def __str__(self):
-        return format_message(self)
+    # an identity's fields and methods; the class check keeps the two apart
+    _fields = __slots__ = ("name", "copy")
+    __init__, __eq__, __hash__ = Identity.__init__, Identity.__eq__, Identity.__hash__
 
 
-@dataclass(frozen=True)
 class Concat(Message):
     """Flattened, order-preserving concatenation of two or more parts."""
 
-    parts: tuple[Message, ...]
+    _fields = __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if len(self.parts) < 2:
+    def __init__(self, parts: tuple[Message, ...]):
+        if len(parts) < 2:
             raise ValueError("concatenation needs at least two parts")
-        if any(isinstance(p, Concat) for p in self.parts):
+        if any(isinstance(p, Concat) for p in parts):
             raise ValueError("concatenation must be flattened")
+        _set(self, "parts", parts)
 
-    def __str__(self):
-        return format_message(self)
+    def __eq__(self, other):
+        return type(self) is type(other) and self.parts == other.parts
+
+    def __hash__(self):
+        return hash((self.parts,))
 
 
-@dataclass(frozen=True)
 class Enc(Message):
     """Encryption of a body under an atomic symmetric key."""
 
-    body: Message
-    key: Message
+    _fields = __slots__ = ("body", "key")
 
-    def __str__(self):
-        return format_message(self)
+    def __init__(self, body: Message, key: Message):
+        _set(self, "body", body)
+        _set(self, "key", key)
+
+    def __eq__(self, other):
+        return type(self) is type(other) and (self.body, self.key) == (other.body, other.key)
+
+    def __hash__(self):
+        return hash((self.body, self.key))
 
 
 class _Empty(Message):
@@ -105,9 +146,6 @@ class _Empty(Message):
 
     def __repr__(self):
         return "EMPTY"
-
-    def __str__(self):
-        return "ε"
 
 
 #: The vanished message produced by deriving away every component.
@@ -189,7 +227,7 @@ def is_param(a: Message) -> bool:
 
 
 def _erase_copy(t: Message) -> Message:
-    return replace(t, copy=None) if t.copy is not None else t
+    return t._replace(copy=None) if t.copy is not None else t
 
 
 def rename_apart(m: Message, tag: int) -> Message:
@@ -198,7 +236,7 @@ def rename_apart(m: Message, tag: int) -> Message:
     Callers are responsible for issuing distinct tags; terms renamed with
     different tags share no variables or parameters.
     """
-    return map_leaves(m, lambda t: replace(t, copy=tag))
+    return map_leaves(m, lambda t: t._replace(copy=tag))
 
 
 def canonical_form(m: Message) -> str:
@@ -334,8 +372,8 @@ def format_substitution(sigma: Substitution) -> str:
 # Tokenizer and parser (shared with the narration DSL)
 
 #: Deepest ``{...}key`` nesting the parser accepts. The analysis recurses
-#: over terms (unification compares nested dataclasses), so a bound keeps
-#: every accepted payload far from the interpreter's recursion limit.
+#: over terms (equality and hashing descend into nested terms), so a bound
+#: keeps every accepted payload far from the interpreter's recursion limit.
 MAX_NESTING = 64
 
 _TOKEN_RE = re.compile(
@@ -349,8 +387,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int

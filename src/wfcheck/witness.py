@@ -20,9 +20,8 @@ received message, strictly above the public level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .context import AuthChallenge, VerificationContext
 from .errors import AtomAbsent, ChallengeAtomAbsent, ChallengeNotReceived, NoSource
@@ -52,13 +51,13 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
 class CandidateSource:
     """A generated pattern unifiable with a sent message, with its unifier."""
 
-    index: int
-    pattern: Message
-    mgu: Substitution
+    def __init__(self, index: int, pattern: Message, mgu: Substitution):
+        self.index = index
+        self.pattern = pattern
+        self.mgu = mgu
 
     # computed once per source, not once per target that the source carries
     @cached_property
@@ -70,8 +69,7 @@ class CandidateSource:
         return f"{format_message(self.pattern)} via {format_substitution(self.mgu)}"
 
 
-@dataclass(frozen=True)
-class StepCheck:
+class StepCheck(NamedTuple):
     """One bound comparison for one target of one send step."""
 
     role: str
@@ -86,8 +84,7 @@ class StepCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class AuthCheck:
+class AuthCheck(NamedTuple):
     verifier: str
     claimant: str
     challenge: str

@@ -3,8 +3,6 @@ rename indices or session tags to compare terms by their source shape."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from wfcheck import ParseError
 from wfcheck.terms import (
     AtomResolver,
@@ -26,7 +24,7 @@ def erase_copies(m: Message) -> Message:
 
 def _strip_session(t: Message) -> Message:
     if isinstance(t, (Nonce, SymKey)) and t.session is not None:
-        return replace(t, session=None)
+        return t._replace(session=None)
     return t
 
 

@@ -67,8 +67,9 @@ def test_map_leaves_reflattens_and_absorbs_empty():
 def test_concat_stays_flat():
     m = concat([A, concat([B, S])])
     assert isinstance(m, Concat) and m.parts == (A, B, S)
-    with pytest.raises(ValueError):
-        Concat((A,))
+    for parts in [(), (A,), (A, Concat((B, S)))]:
+        with pytest.raises(ValueError):
+            Concat(parts)
 
 
 def test_apply_examples():
@@ -171,8 +172,6 @@ def test_strip_sessions():
 
 
 def _resolver():
-    from dataclasses import replace
-
     from wfcheck.terms import split_atom_name
 
     atoms = {
@@ -185,9 +184,9 @@ def _resolver():
         base, copy, session = split_atom_name(text)
         atom = atoms[base]
         if session is not None:
-            atom = replace(atom, session=session)
+            atom = atom._replace(session=session)
         if copy is not None:
-            atom = replace(atom, copy=copy)
+            atom = atom._replace(copy=copy)
         return atom
 
     return resolve
