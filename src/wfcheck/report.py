@@ -10,7 +10,6 @@ numbers do not support. Identical inputs render byte-identically.
 
 from __future__ import annotations
 
-import json
 from functools import cache
 from typing import Callable, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
@@ -216,17 +215,6 @@ def render_text(report: AnalysisReport) -> str:
 # ---------------------------------------------------------------------------
 # JSON rendering
 
-def _to_json(value):
-    """JSON data of a report value: records become objects in field order."""
-    if isinstance(value, (str, int, type(None))):
-        return value
-    if isinstance(value, SecurityLevel):
-        return level_to_json(value)
-    if hasattr(value, "_fields"):  # a record, which is also a tuple
-        return {name: _to_json(v) for name, v in zip(value._fields, value)}
-    return [_to_json(v) for v in value]
-
-
 @cache
 def _decoder(tp) -> Callable:
     """The function turning JSON data back into a value of the declared type ``tp``."""
@@ -241,18 +229,52 @@ def _decoder(tp) -> Callable:
     if hasattr(tp, "_fields"):
         hints = get_type_hints(tp)
         decoders = [(name, _decoder(hints[name])) for name in tp._fields]
-        return lambda data: tp(**{name: dec(data[name]) for name, dec in decoders})
+        return lambda data: tp._make([dec(data[name]) for name, dec in decoders])
     return lambda data: data
 
 
+def _write_json(put: Callable, quote: Callable, value, pad: str) -> None:
+    """Put ``value`` at indent ``pad`` as ``json.dumps(value, indent=2, ensure_ascii=False)``."""
+    kind = type(value)
+    if kind is str:
+        return put(quote(value))
+    if value is None or kind is bool:
+        return put("null" if value is None else "true" if value else "false")
+    if kind is int:
+        return put(int.__repr__(value))
+    if kind is SecurityLevel:
+        value, kind = level_to_json(value), dict
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is tuple or kind is list:
+        lead = "[\n" + inner
+        for v in value:
+            put(lead)
+            _write_json(put, quote, v, inner)
+            lead = sep
+        return put("\n" + pad + "]" if value else "[]")
+    pairs = value.items() if kind is dict else zip(value._fields, value)  # else a record
+    lead = "{\n" + inner
+    for k, v in pairs:
+        put(f'{lead}"{k}": ')  # keys are field names, which need no escaping
+        _write_json(put, quote, v, inner)
+        lead = sep
+    put("\n" + pad + "}")
+
+
 def render_json(report: AnalysisReport) -> str:
+    """The report as JSON in one pass: records as objects in field order, tuples as arrays."""
+    from json.encoder import encode_basestring  # imported here so text runs never load json
     _check_consistency(report)
-    doc = _to_json(report)
-    doc["overall"] = "pass" if report.overall_passed else "no-decision"
-    return json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=False) + "\n"
+    out: list[str] = []  # small pieces joined once: no large partial strings to copy
+    doc = {**report._asdict(), "overall": "pass" if report.overall_passed else "no-decision"}
+    _write_json(out.append, encode_basestring, doc, "")
+    out.append("\n")
+    return "".join(out)
 
 
 def report_from_json(text: str) -> AnalysisReport:
+    import json  # imported here so text runs never load it
     doc = json.loads(text)
     if doc.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report version {doc.get('version')!r}")

@@ -147,6 +147,9 @@ class _Empty(Message):
     def __repr__(self):
         return "EMPTY"
 
+    def __reduce__(self):
+        return "EMPTY"  # copies and unpickled values are the module's one EMPTY
+
 
 #: The vanished message produced by deriving away every component.
 EMPTY = _Empty()

@@ -15,6 +15,7 @@ import pytest
 
 import wfcheck
 from wfcheck import (
+    EMPTY,
     Concat,
     Enc,
     Identity,
@@ -29,7 +30,7 @@ from wfcheck import (
     load_context,
     load_narration,
 )
-from wfcheck.terms import tokenize
+from wfcheck.terms import format_message, tokenize
 
 from conftest import CORPUS
 
@@ -86,6 +87,13 @@ def test_copies_are_equal_values_of_the_same_type(value):
         assert hash(same) == hash(value)
 
 
+def test_the_empty_message_stays_the_one_empty_message():
+    # code tests `m is EMPTY`, so a copy must be EMPTY itself
+    assert copy.deepcopy(EMPTY) is EMPTY
+    assert pickle.loads(pickle.dumps(EMPTY)) is EMPTY
+    assert format_message(copy.deepcopy(EMPTY)) == "ε"
+
+
 def test_replace_changes_only_the_named_field():
     assert NB._replace(session="i") == Nonce("Nb", session="i")
     assert Enc(NB, SymKey("k"))._replace(key=SymKey("j")) == Enc(NB, SymKey("j"))
@@ -114,10 +122,11 @@ def test_the_line_of_a_step_is_not_part_of_its_value():
     assert step != step._replace(index=2)
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def _loaded_after_importing_the_cli(modules: list[str]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter holds after ``import wfcheck.cli``."""
     # -S: modules that site-packages .pth files load at start-up do not count
     src = str(pathlib.Path(wfcheck.__file__).resolve().parent.parent)
-    probe = "import sys, wfcheck.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = f"import sys, wfcheck.cli; print(*sorted({modules!r} & sys.modules.keys()))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         capture_output=True,
@@ -125,4 +134,13 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         env=dict(os.environ, PYTHONPATH=src),
         check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.split()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    assert _loaded_after_importing_the_cli(["dataclasses", "inspect"]) == []
+
+
+def test_importing_the_cli_does_not_load_json():
+    # only JSON output and input need json; a text run never imports it
+    assert _loaded_after_importing_the_cli(["json"]) == []

@@ -1,0 +1,94 @@
+"""The one-pass JSON writer against the encoder it replaced.
+
+``render_json`` writes a report without building a dict tree first. The
+reference law kept here is the old two-step path: ``_to_json`` turns the
+report into JSON data and ``json.dumps(..., indent=2, ensure_ascii=False)``
+indents it. The writer must give the same bytes on every report.
+"""
+
+import json
+
+import pytest
+
+from conftest import CORPUS, perfbench_gen
+from wfcheck import (
+    AnalysisReport,
+    SecurityLevel,
+    analyze,
+    load_context,
+    load_narration,
+    parse_context,
+    parse_narration,
+    render_json,
+    report_from_json,
+)
+from wfcheck.report import SCHEMA_VERSION, level_to_json
+from wfcheck.safefun import Variant
+
+gen = perfbench_gen()
+
+
+def _to_json(value):
+    """JSON data of a report value: records become objects in field order."""
+    if isinstance(value, (str, int, type(None))):
+        return value
+    if isinstance(value, SecurityLevel):
+        return level_to_json(value)
+    if hasattr(value, "_fields"):  # a record, which is also a tuple
+        return {name: _to_json(v) for name, v in zip(value._fields, value)}
+    return [_to_json(v) for v in value]
+
+
+def _reference(report: AnalysisReport) -> str:
+    overall = "pass" if report.overall_passed else "no-decision"
+    doc = {**_to_json(report), "overall": overall}
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def _assert_law(report: AnalysisReport) -> None:
+    assert render_json(report) == _reference(report)
+
+
+@pytest.mark.parametrize("check", ["all", "secrecy", "auth"])
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("name", ["woolam_modified", "woolam_original"])
+def test_corpus_reports_match_the_reference(name, variant, check):
+    ctx = load_context(CORPUS / f"{name}.ctx")
+    narration = load_narration(CORPUS / f"{name}.proto", ctx)
+    _assert_law(analyze(narration, ctx, variant, check))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen.random_batch(3, 200),
+        lambda: gen.random_batch(11, 200),
+        lambda: gen.synth_chain_cases(5, 32, 4),
+    ],
+    ids=["random-batch-3", "random-batch-11", "synth-chain-5"],
+)
+def test_generated_reports_match_the_reference(make):
+    for case in make():
+        ctx = parse_context(case.context)
+        narration = parse_narration(case.protocol, ctx)
+        for check in ("all", "secrecy"):
+            _assert_law(analyze(narration, ctx, Variant(case.variant), check))
+
+
+def test_escapes_and_empty_fields_match_the_reference():
+    odd = 'q"b\\n\nc\x01e ε ⊥\x7f '
+    report = AnalysisReport(
+        version=SCHEMA_VERSION,
+        protocol=odd,
+        variant="max",
+        context_digest=odd[::-1],
+        principals=("A", "I"),
+        roles=(),
+        patterns=(),
+        checks=(),
+        auth=None,
+        secrecy_passed=True,
+        auth_passed=None,
+    )
+    _assert_law(report)
+    assert report_from_json(render_json(report)) == report
