@@ -10,7 +10,7 @@ to certify it (exit code 2 on the command line).
 
 import pathlib
 
-from wfcheck import analyze_narration, check_authentication, load_context, load_narration
+from wfcheck import analyze, load_context, load_narration
 from wfcheck.report import level_text
 from wfcheck.safefun import Variant
 
@@ -19,15 +19,15 @@ corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 for stem in ("woolam_modified", "woolam_original"):
     ctx = load_context(corpus / f"{stem}.ctx")
     narr = load_narration(corpus / f"{stem}.proto", ctx)
-    roles, patterns = analyze_narration(narr, ctx)
-    overall, auth, secrecy_ok, checks = check_authentication(roles, patterns, ctx, Variant.MAX)
+    report = analyze(narr, ctx, Variant.MAX, "auth")
+    auth = report.auth
     print(f"== {narr.name} ==")
-    print(f"   secrecy bound checks : {'all pass' if secrecy_ok else 'VIOLATED'} "
-          f"({len(checks)} targets)")
+    print(f"   secrecy bound checks : {'all pass' if report.secrecy_passed else 'VIOLATED'} "
+          f"({len(report.checks)} targets)")
     print(f"   challenge message    : {auth.message}")
     print(f"   F'({auth.challenge}) = {level_text(auth.level)}")
     print(f"   claimant {auth.claimant} present : {auth.claimant_present}")
     print(f"   strictly above bottom: {auth.above_bottom}")
-    verdict = "correct with respect to authentication" if overall else "no decision"
+    verdict = "correct with respect to authentication" if report.overall_passed else "no decision"
     print(f"   verdict              : {verdict}")
     print()

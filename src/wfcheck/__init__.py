@@ -61,7 +61,6 @@ from .witness import (
     analyze_narration,
     candidate_sources,
     challenge_check,
-    check_authentication,
     check_secrecy,
     check_step,
     lower_bound,

@@ -58,8 +58,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         ctx = load_context(args.context)
         narration = load_narration(args.protocol, ctx)
-        if args.check == "auth" and ctx.challenge is None:
-            raise AnalysisError("the context declares no authentication challenge")
         report = analyze(narration, ctx, Variant(args.function), args.check)
         rendered = render(report, args.format)
         if args.out:

@@ -60,11 +60,13 @@ class VerificationContext:
         if INTRUDER_NAME not in principals:
             raise ParseError(f"the principal universe must include the intruder {INTRUDER_NAME!r}")
         self.principals = principals
-        self.decls = decls
+        self.lattice = Lattice.over(*principals)
+        # levels are stored canonical, so every level_of result is canonical
+        canon = self.lattice.canon
+        self.decls = {name: d._replace(level=canon(d.level)) for name, d in decls.items()}
         self.challenge = challenge
         self.intruder_knows = intruder_knows
         self.digest = digest
-        self.lattice = Lattice.over(*principals)
 
     # -- atom construction -------------------------------------------------
 
@@ -98,7 +100,7 @@ class VerificationContext:
         return decl
 
     def level_of(self, target: Union[Atom, Variable]) -> SecurityLevel:
-        """Declared level; identities and variables are public by default."""
+        """Declared level, canonical; identities and variables are public by default."""
         if isinstance(target, (Variable, Identity)):
             return BOTTOM
         return self._decl(target).level
@@ -124,8 +126,9 @@ class VerificationContext:
 # ---------------------------------------------------------------------------
 # Context file parser
 
-_LEVEL_RE = re.compile(r"^\{\s*([A-Za-z][A-Za-z0-9]*(?:\s*,\s*[A-Za-z][A-Za-z0-9]*)*)\s*\}$")
-_NAME_LIST_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+_NAMES = r"[A-Za-z][A-Za-z0-9]*(?:\s*,\s*[A-Za-z][A-Za-z0-9]*)*"
+_LEVEL_RE = re.compile(rf"^\{{\s*({_NAMES})\s*\}}$")
+_NAME_LIST_RE = re.compile(rf"^(?:principals|intruder knows)\s+({_NAMES})$")
 _KEY_RE = re.compile(
     r"^key\s+(?P<name>[A-Za-z][A-Za-z0-9]*)\s+"
     r"(?:shared\(\s*(?P<o1>[A-Za-z][A-Za-z0-9]*)\s*,\s*(?P<o2>[A-Za-z][A-Za-z0-9]*)\s*\)"
@@ -141,6 +144,14 @@ _CHALLENGE_RE = re.compile(
     r"claimant=(?P<claimant>[A-Za-z][A-Za-z0-9]*)\s+step=(?P<step>\d+)\s+"
     r"challenge=(?P<challenge>[A-Za-z][A-Za-z0-9]*)$"
 )
+
+
+def _name_list(line: str, lineno: int) -> list[str]:
+    """The names after a ``principals`` or ``intruder knows`` keyword."""
+    match = _NAME_LIST_RE.match(line)
+    if match is None:
+        raise ParseError(f"malformed name list: {line!r}", lineno)
+    return [n.strip() for n in match.group(1).split(",")]
 
 
 def _parse_level(text: str, principals: tuple[str, ...], lineno: int) -> SecurityLevel:
@@ -176,9 +187,7 @@ def parse_context(text: str) -> VerificationContext:
         if line.startswith("principals"):
             if principals:
                 raise ParseError("duplicate principals line", lineno)
-            names = _NAME_LIST_RE.findall(line[len("principals"):])
-            if not names:
-                raise ParseError("principals line declares nobody", lineno)
+            names = _name_list(line, lineno)
             if len(set(names)) != len(names):
                 raise ParseError("duplicate principal name", lineno)
             principals = tuple(names)
@@ -231,8 +240,7 @@ def parse_context(text: str) -> VerificationContext:
             challenge_line = lineno
             continue
         if line.startswith("intruder knows"):
-            names = _NAME_LIST_RE.findall(line[len("intruder knows"):])
-            intruder_knows.extend((name, lineno) for name in names)
+            intruder_knows.extend((name, lineno) for name in _name_list(line, lineno))
             continue
         raise ParseError(f"unrecognized declaration: {line!r}", lineno)
 

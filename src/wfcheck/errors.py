@@ -38,7 +38,7 @@ class NoSource(AnalysisError):
 
 
 class ChallengeNotReceived(AnalysisError):
-    """The declared challenge step is not a receive of the verifier."""
+    """No challenge is declared, or its step is not a receive of the verifier."""
 
 
 class ChallengeAtomAbsent(AnalysisError):

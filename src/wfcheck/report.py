@@ -13,18 +13,14 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
+from . import witness
 from .context import VerificationContext
-from .lattice import Lattice, SecurityLevel
+from .errors import ChallengeNotReceived
+from .lattice import BOTTOM, TOP, Lattice, SecurityLevel
 from .protocol import Narration
 from .safefun import Variant
 from .terms import format_message
-from .witness import (
-    AuthCheck,
-    StepCheck,
-    check_secrecy,
-    check_authentication,
-    analyze_narration,
-)
+from .witness import AuthCheck, StepCheck, analyze_narration, check_secrecy
 
 SCHEMA_VERSION = 1
 
@@ -62,19 +58,20 @@ def analyze(
 ) -> AnalysisReport:
     """Run the selected checks over a narration and assemble the report.
 
-    ``check`` is one of ``secrecy``, ``auth`` or ``all``; ``all`` includes
-    the authentication clause whenever the context declares a challenge.
+    ``check`` is one of ``secrecy``, ``auth`` or ``all``. Secrecy always
+    runs: authentication holds only on top of it. The witness clause runs
+    for ``auth``, and for ``all`` whenever the context declares a challenge.
     """
     if check not in ("secrecy", "auth", "all"):
         raise ValueError(f"unknown check {check!r}")
+    if check == "auth" and ctx.challenge is None:
+        raise ChallengeNotReceived("the context declares no authentication challenge")
     roles, patterns = analyze_narration(narration, ctx)
-    want_auth = check == "auth" or (check == "all" and ctx.challenge is not None)
-    if want_auth:
-        _, auth, secrecy_ok, checks = check_authentication(roles, patterns, ctx, variant)
-        auth_passed = auth.passed
-    else:
-        secrecy_ok, checks = check_secrecy(roles, patterns, ctx, variant)
-        auth, auth_passed = None, None
+    secrecy_ok, checks = check_secrecy(roles, patterns, ctx, variant)
+    auth = None
+    if check != "secrecy" and ctx.challenge is not None:
+        # looked up on the module, where perfbench's tracer wraps it
+        auth = witness.challenge_check(roles, ctx, variant, ctx.challenge)
     return AnalysisReport(
         version=SCHEMA_VERSION,
         protocol=narration.name,
@@ -86,7 +83,7 @@ def analyze(
         checks=tuple(checks),
         auth=auth,
         secrecy_passed=secrecy_ok,
-        auth_passed=auth_passed,
+        auth_passed=None if auth is None else auth.passed,
     )
 
 
@@ -99,14 +96,6 @@ def level_to_json(level: SecurityLevel):
     if level.is_top:
         return {"kind": "top"}
     return {"kind": "set", "members": list(level.members())}
-
-
-def level_from_json(data) -> SecurityLevel:
-    if data["kind"] == "bottom":
-        return SecurityLevel.bottom()
-    if data["kind"] == "top":
-        return SecurityLevel.top()
-    return SecurityLevel.of(*data["members"])
 
 
 def level_text(level: SecurityLevel) -> str:
@@ -215,22 +204,105 @@ def render_text(report: AnalysisReport) -> str:
 # ---------------------------------------------------------------------------
 # JSON rendering
 
+_MISSING = object()
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "an integer", float: "a number", type(None): "null"}
+
+
+class _Mismatch(ValueError):
+    """A JSON value unlike its declared type; enclosing decoders add the path."""
+
+    def __init__(self, expected: str, got):
+        super().__init__()
+        self.expected = expected
+        self.got = got
+        self.path: list[str] = []  # innermost part first
+
+    def under(self, part: str) -> "_Mismatch":
+        """The same mismatch, inside the field or the ``[index]`` named ``part``."""
+        self.path.append(part if part.startswith("[") else "." + part)
+        return self
+
+    def __str__(self) -> str:
+        where = "".join(reversed(self.path)).lstrip(".") or "the document"
+        if self.got is _MISSING:
+            return f"malformed report: {where} is missing"
+        got = _JSON_KINDS.get(type(self.got), "a value")
+        if type(self.got) in (str, bool, int, float):
+            got += f" ({self.got!r})"
+        return f"malformed report: {where} must be {self.expected}, not {got}"
+
+
 @cache
 def _decoder(tp) -> Callable:
-    """The function turning JSON data back into a value of the declared type ``tp``."""
+    """The function turning JSON data back into a value of the declared type ``tp``.
+
+    Every decoder checks what it reads and raises :class:`_Mismatch`, a
+    ``ValueError``, naming the path of the first value unlike its type.
+    """
     if tp is SecurityLevel:
-        return level_from_json
+        names = _decoder(tuple[str, ...])
+
+        def level(data):
+            if type(data) is not dict:
+                raise _Mismatch("an object", data)
+            kind = data.get("kind", _MISSING)
+            if kind == "bottom":
+                return BOTTOM
+            if kind == "top":
+                return TOP
+            if kind != "set":
+                raise _Mismatch('"bottom", "top" or "set"', kind).under("kind")
+            try:
+                return SecurityLevel.of(*names(data.get("members", _MISSING)))
+            except _Mismatch as bad:
+                raise bad.under("members")
+
+        return level
     if get_origin(tp) is tuple:
         item = _decoder(get_args(tp)[0])
-        return lambda data: tuple(map(item, data))
+
+        def items(data):
+            if type(data) is not list:
+                raise _Mismatch("an array", data)
+            out = []
+            for i, value in enumerate(data):
+                try:
+                    out.append(item(value))
+                except _Mismatch as bad:
+                    raise bad.under(f"[{i}]")
+            return tuple(out)
+
+        return items
     if get_origin(tp) is Union:
         inner = _decoder(get_args(tp)[0])  # Optional[X] is Union[X, None]
         return lambda data: None if data is None else inner(data)
     if hasattr(tp, "_fields"):
         hints = get_type_hints(tp)
         decoders = [(name, _decoder(hints[name])) for name in tp._fields]
-        return lambda data: tp._make([dec(data[name]) for name, dec in decoders])
-    return lambda data: data
+
+        def record(data):
+            if type(data) is not dict:
+                raise _Mismatch("an object", data)
+            values = []
+            for name, dec in decoders:
+                try:
+                    values.append(dec(data.get(name, _MISSING)))
+                except _Mismatch as bad:
+                    raise bad.under(name)
+            return tp._make(values)
+
+        return record
+    if tp in (str, int, bool):
+        expected = _JSON_KINDS[tp]
+
+        def scalar(data):
+            if type(data) is not tp:  # exact: a boolean is no integer here
+                raise _Mismatch(expected, data)
+            return data
+
+        return scalar
+    raise TypeError(f"no JSON decoder for {tp!r}")
 
 
 def _write_json(put: Callable, quote: Callable, value, pad: str) -> None:
@@ -276,7 +348,7 @@ def render_json(report: AnalysisReport) -> str:
 def report_from_json(text: str) -> AnalysisReport:
     import json  # imported here so text runs never load it
     doc = json.loads(text)
-    if doc.get("version") != SCHEMA_VERSION:
+    if type(doc) is dict and doc.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report version {doc.get('version')!r}")
     return _decoder(AnalysisReport)(doc)
 

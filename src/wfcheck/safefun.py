@@ -153,7 +153,7 @@ def psi(selection: Selection, ctx: VerificationContext) -> SecurityLevel:
         if isinstance(a, Identity):
             members.add(a.name)
         elif isinstance(a, SymKey):
-            level = ctx.lattice.canon(ctx.level_of(a))
+            level = ctx.level_of(a)
             if level.is_bottom:
                 return BOTTOM
             members |= set(level.authorized)

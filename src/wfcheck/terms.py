@@ -251,14 +251,14 @@ def canonical_form(m: Message) -> str:
     """
     mapping: dict[Variable, Variable] = {}
 
-    def canon(t: Message) -> Message:
+    def canonical_leaf(t: Message) -> Message:
         if not isinstance(t, Variable):
             return _erase_copy(t)
         if t not in mapping:
             mapping[t] = Variable("V", len(mapping))
         return mapping[t]
 
-    return format_message(map_leaves(m, canon))
+    return format_message(map_leaves(m, canonical_leaf))
 
 
 # ---------------------------------------------------------------------------

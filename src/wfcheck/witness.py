@@ -169,7 +169,7 @@ def check_step(
     targets: list[Target] = list(ordered_atoms(r_plus)) + list(ordered_vars(r_plus))
     for target in targets:
         received_bound = ctx.lattice.meet_all(evaluation.level(target, m) for m in received)
-        declared = ctx.lattice.canon(ctx.level_of(target))
+        declared = ctx.level_of(target)
         lower, carriers = lower_bound(evaluation, target, r_plus, sources)
         required = ctx.lattice.meet(declared, received_bound)
         checks.append(
@@ -239,36 +239,19 @@ def challenge_check(
             f"{format_message(step.payload)}"
         )
     level = f_prime(variant, target, step.payload, ctx)
-    present = challenge.claimant in ctx.lattice.canon(level)
-    above = ctx.lattice.above_bottom(level)
+    present = challenge.claimant in level
+    above = not level.is_bottom
     return AuthCheck(
         verifier=challenge.verifier,
         claimant=challenge.claimant,
         challenge=format_message(target),
         step=challenge.step,
         message=format_message(step.payload),
-        level=ctx.lattice.canon(level),
+        level=level,
         claimant_present=present,
         above_bottom=above,
         passed=present and above,
     )
-
-
-def check_authentication(
-    roles: Sequence[GeneralizedRole],
-    patterns: EncryptionPatternSet,
-    ctx: VerificationContext,
-    variant: Variant,
-) -> tuple[bool, AuthCheck, bool, list[StepCheck]]:
-    """Secrecy first, then the context's witness clause; correct only if both hold.
-
-    Returns (overall, auth check, secrecy verdict, step checks).
-    """
-    if ctx.challenge is None:
-        raise ChallengeNotReceived("no authentication challenge is declared")
-    secrecy_ok, checks = check_secrecy(roles, patterns, ctx, variant)
-    auth = challenge_check(roles, ctx, variant, ctx.challenge)
-    return secrecy_ok and auth.passed, auth, secrecy_ok, checks
 
 
 def analyze_narration(narration: Narration, ctx: VerificationContext):

@@ -20,7 +20,6 @@ from wfcheck import (
     analyze_narration,
     candidate_sources,
     canonical_form,
-    check_authentication,
     check_secrecy,
     encryption_patterns,
     extract_roles,
@@ -78,11 +77,12 @@ def test_criterion_1_modified_woolam_golden_run(woolam_mod):
     assert per_role == {"A.1", "A.2", "B.1", "B.2", "S.1"}
 
     # the authentication witness
-    overall, auth, _, _ = check_authentication(roles, patterns, ctx, MAX)
+    auth_report = analyze(narr, ctx, MAX, "auth")
+    auth = auth_report.auth
     assert auth.message == "{Nb^i.{A.?Z}kbs}kbs"
     assert f_prime(MAX, nb_i, roles[4].final.payload, ctx) == ABS
     assert auth.level == ABS and auth.claimant_present and auth.above_bottom
-    assert overall
+    assert auth_report.overall_passed
 
     report = analyze(narr, ctx, MAX, "all")
     assert render(report, "text").rstrip().endswith("correct with respect to authentication")
@@ -153,8 +153,9 @@ def test_criterion_3_guideline_selection_example():
 def test_criterion_4_original_woolam_differential(woolam_orig, capsys):
     narr, ctx = woolam_orig
     roles, patterns = analyze_narration(narr, ctx)
-    overall, auth, secrecy_ok, _ = check_authentication(roles, patterns, ctx, MAX)
-    assert not overall
+    report = analyze(narr, ctx, MAX, "auth")
+    auth = report.auth
+    assert not report.overall_passed
     nb_i = Nonce("Nb", session="i")
     final_receive = roles[4].final.payload
     assert format_message(final_receive) == "{Nb^i}kbs"

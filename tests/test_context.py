@@ -121,6 +121,25 @@ def test_checks_after_parsing_name_the_declaring_line(extra, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("text, line", [
+    ("principals A, B, I, 9Z\n", 1),
+    ("principals A_1, B, I\n", 1),
+    ("principalsZ A, B, I\n", 1),
+    (SECRETS_CTX + "intruder knows Nc_7\n", 5),
+    (SECRETS_CTX + "intruder knowsNc\n", 5),
+], ids=["digit-first", "underscore", "glued-keyword", "intruder-underscore", "intruder-glued"])
+def test_name_lists_hold_comma_separated_names_only(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_context(text)
+    assert err.value.line == line
+
+
+def test_declared_levels_are_canonical():
+    # a level naming the whole universe is public
+    ctx = parse_context("principals A, B, I\nnonce Na level {A,B,I}\n")
+    assert ctx.level_of(Nonce("Na")) == BOTTOM
+
+
 def test_universe_must_include_intruder():
     with pytest.raises(ParseError):
         parse_context("principals A, B, S\nkey kas shared(A,S)\n")

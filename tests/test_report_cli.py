@@ -7,8 +7,16 @@ import sys
 
 import pytest
 
-from wfcheck import analyze, render, report_from_json
+from wfcheck import (
+    ChallengeNotReceived,
+    analyze,
+    parse_context,
+    parse_narration,
+    render,
+    report_from_json,
+)
 from wfcheck.cli import main
+from wfcheck.report import render_json, render_text
 from wfcheck.safefun import Variant
 
 from conftest import CORPUS
@@ -57,6 +65,17 @@ def test_check_auth_without_a_challenge_is_an_input_error(tmp_path, capsys):
         ["--protocol", str(proto), "--context", str(ctx_file), "--check", "auth"], capsys
     )
     assert code == 3 and "challenge" in err
+
+
+def test_analyze_refuses_auth_without_a_challenge_before_extracting_roles():
+    # B encrypts under a key it does not possess, which role extraction rejects
+    ctx = parse_context(ROLE_ERROR_CTX)
+    narration = parse_narration(
+        "protocol P\n1. A -> B : {kab}kas\n2. A -> B : kab\n3. B -> A : {B}kab\n", ctx
+    )
+    with pytest.raises(ChallengeNotReceived) as err:
+        analyze(narration, ctx, Variant.MAX, "auth")
+    assert str(err.value) == "the context declares no authentication challenge"
 
 
 def test_check_all_without_challenge_runs_secrecy_only(tmp_path, capsys):
@@ -226,6 +245,24 @@ def test_json_round_trip(woolam_mod, woolam_orig):
     report = analyze(narr, ctx, Variant.EK, "secrecy")
     assert report.auth is None
     assert report_from_json(render(report, "json")) == report
+
+
+def test_rendering_refuses_a_verdict_its_levels_do_not_support(woolam_mod):
+    narr, ctx = woolam_mod
+    report = analyze(narr, ctx, Variant.MAX, "all")
+    first = report.checks[0]
+    checks = (first._replace(passed=not first.passed),) + report.checks[1:]
+    forged = [
+        (report._replace(checks=checks), "inconsistent step verdict"),
+        (report._replace(secrecy_passed=not report.secrecy_passed),
+         "inconsistent secrecy verdict"),
+        (report._replace(auth=report.auth._replace(passed=not report.auth.passed)),
+         "inconsistent authentication verdict"),
+    ]
+    for bad, message in forged:
+        for render_one in (render_text, render_json):
+            with pytest.raises(AssertionError, match=message):
+                render_one(bad)
 
 
 def test_json_keys_follow_schema_v1_order(woolam_mod):

@@ -55,7 +55,59 @@ def _assert_law(report: AnalysisReport) -> None:
 def test_corpus_reports_match_the_reference(name, variant, check):
     ctx = load_context(CORPUS / f"{name}.ctx")
     narration = load_narration(CORPUS / f"{name}.proto", ctx)
-    _assert_law(analyze(narration, ctx, variant, check))
+    report = analyze(narration, ctx, variant, check)
+    _assert_law(report)
+    assert report_from_json(render_json(report)) == report
+
+
+def _corpus_doc() -> dict:
+    ctx = load_context(CORPUS / "woolam_modified.ctx")
+    narration = load_narration(CORPUS / "woolam_modified.proto", ctx)
+    return json.loads(render_json(analyze(narration, ctx, Variant.MAX, "all")))
+
+
+def _with(path, value):
+    """The corpus document with the value at ``path`` replaced, or removed if ``None``."""
+    doc = _corpus_doc()
+    *outer, last = path
+    node = doc
+    for key in outer:
+        node = node[key]
+    if value is None:
+        del node[last]
+    else:
+        node[last] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"version": 1}', "protocol is missing"),
+    ("[1]", "the document must be an object, not an array"),
+    (
+        json.dumps({**_corpus_doc(), "protocol": 3, "secrecy_passed": "no"}),
+        "protocol must be a string, not an integer (3)",
+    ),
+    (_with(["checks", 0, "passed"], 1), "checks[0].passed must be a boolean, not an integer (1)"),
+    (_with(["auth", "step"], True), "auth.step must be an integer, not a boolean (True)"),
+    (_with(["roles"], {}), "roles must be an array, not an object"),
+    (_with(["roles", 1, "steps"], None), "roles[1].steps is missing"),
+    (_with(["checks", 2, "declared", "kind"], None), "checks[2].declared.kind is missing"),
+    (
+        _with(["checks", 2, "declared", "kind"], "all"),
+        'checks[2].declared.kind must be "bottom", "top" or "set", not a string (\'all\')',
+    ),
+    (
+        _with(["auth", "level", "members"], ["A", 2]),
+        "auth.level.members[1] must be a string, not an integer (2)",
+    ),
+], ids=[
+    "version-only", "array", "protocol-and-secrecy", "check-passed",
+    "step-bool", "roles-object", "steps-missing", "kind-missing", "kind-unknown", "member-int",
+])
+def test_malformed_reports_are_refused_naming_the_field(text, message):
+    with pytest.raises(ValueError) as err:
+        report_from_json(text)
+    assert str(err.value) == f"malformed report: {message}"
 
 
 @pytest.mark.parametrize(

@@ -18,11 +18,11 @@ from wfcheck import (
     SymKey,
     TOP,
     Variable,
+    analyze,
     analyze_narration,
     apply,
     candidate_sources,
     challenge_check,
-    check_authentication,
     check_secrecy,
     check_step,
     concat,
@@ -224,8 +224,9 @@ def test_secrecy_of_a_public_broadcast_is_vacuous():
 
 def test_modified_woolam_is_correct_for_authentication(mod):
     ctx, roles, patterns = mod
-    overall, auth, secrecy_ok, _ = check_authentication(roles, patterns, ctx, Variant.MAX)
-    assert secrecy_ok and overall
+    secrecy_ok, _ = check_secrecy(roles, patterns, ctx, Variant.MAX)
+    auth = challenge_check(roles, ctx, Variant.MAX, ctx.challenge)
+    assert secrecy_ok and auth.passed
     assert auth.level == ABS
     assert auth.claimant_present and auth.above_bottom
     assert auth.message == "{Nb^i.{A.?Z}kbs}kbs"
@@ -233,9 +234,10 @@ def test_modified_woolam_is_correct_for_authentication(mod):
 
 def test_original_woolam_fails_authentication(orig):
     ctx, roles, patterns = orig
-    overall, auth, secrecy_ok, checks = check_authentication(roles, patterns, ctx, Variant.MAX)
+    secrecy_ok, _ = check_secrecy(roles, patterns, ctx, Variant.MAX)
+    auth = challenge_check(roles, ctx, Variant.MAX, ctx.challenge)
     assert secrecy_ok  # the flaw is in the identity binding, not the bounds
-    assert not overall
+    assert not (secrecy_ok and auth.passed)
     assert auth.level == SecurityLevel.of("B", "S")
     assert not auth.claimant_present
     assert auth.above_bottom
@@ -250,9 +252,9 @@ def test_public_challenge_fails_the_strictness_clause():
         "challenge auth verifier=B claimant=A step=2 challenge=Nb\n"
     )
     narr = parse_narration("protocol Echo\n1. B -> A : Nb\n2. A -> B : Nb\n", ctx)
-    roles, patterns = analyze_narration(narr, ctx)
-    overall, auth, _, _ = check_authentication(roles, patterns, ctx, Variant.MAX)
-    assert not overall
+    report = analyze(narr, ctx, Variant.MAX, "auth")
+    auth = report.auth
+    assert not report.overall_passed
     assert auth.level == BOTTOM
     assert auth.claimant_present      # bottom authorizes everybody
     assert not auth.above_bottom      # which is exactly why it fails
