@@ -29,6 +29,6 @@ print("join:", lat.join(kas, SecurityLevel.of("B", "S")))
 # bottom absorbs meets; the full universe *is* bottom
 full = SecurityLevel.of("A", "B", "S", "I")
 print("meet with bottom:", lat.meet(kas, BOTTOM))
-print("full universe canonicalizes to bottom:", lat.equal(full, BOTTOM))
-print("strictly above bottom?", lat.above_bottom(kab), "/", lat.above_bottom(full))
+print("full universe canonicalizes to bottom:", lat.canon(full) == BOTTOM)
+print("strictly above bottom?", not lat.canon(kab).is_bottom, "/", not lat.canon(full).is_bottom)
 print("top bounds everything:", lat.leq(kas, TOP))

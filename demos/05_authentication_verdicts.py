@@ -11,7 +11,6 @@ to certify it (exit code 2 on the command line).
 import pathlib
 
 from wfcheck import analyze, load_context, load_narration
-from wfcheck.report import level_text
 from wfcheck.safefun import Variant
 
 corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -25,7 +24,7 @@ for stem in ("woolam_modified", "woolam_original"):
     print(f"   secrecy bound checks : {'all pass' if report.secrecy_passed else 'VIOLATED'} "
           f"({len(report.checks)} targets)")
     print(f"   challenge message    : {auth.message}")
-    print(f"   F'({auth.challenge}) = {level_text(auth.level)}")
+    print(f"   F'({auth.challenge}) = {auth.level}")
     print(f"   claimant {auth.claimant} present : {auth.claimant_present}")
     print(f"   strictly above bottom: {auth.above_bottom}")
     verdict = "correct with respect to authentication" if report.overall_passed else "no decision"

@@ -56,9 +56,9 @@ class SecurityLevel(NamedTuple):
 
     def __str__(self):
         if self.is_bottom:
-            return "bot"
+            return "⊥"
         if self.is_top:
-            return "top"
+            return "⊤"
         return "{" + ",".join(self.members()) + "}"
 
 
@@ -118,10 +118,3 @@ class Lattice(NamedTuple):
         for lv in dict.fromkeys(levels):
             acc = self.meet(acc, lv)
         return acc
-
-    def above_bottom(self, level: SecurityLevel) -> bool:
-        """Strictly above bottom, i.e. not equal to the full universe."""
-        return not self.canon(level).is_bottom
-
-    def equal(self, a: SecurityLevel, b: SecurityLevel) -> bool:
-        return self.canon(a) == self.canon(b)

@@ -3,9 +3,9 @@
 The text layout follows the two-bound presentation: for every checked
 target of a send step it shows the upper bound computed on the receives,
 the candidate sources with their unifiers, the lower bound on the send and
-the comparison. Reports are plain data; rendering re-derives every verdict
-from the recorded levels so that a report can never display a verdict its
-numbers do not support. Identical inputs render byte-identically.
+the comparison. Reports store a step's verdict beside its levels and derive
+every other verdict from them; reading a JSON report checks each stored
+verdict against its levels. Identical inputs render byte-identically.
 """
 
 from __future__ import annotations
@@ -40,14 +40,24 @@ class AnalysisReport(NamedTuple):
     patterns: tuple[str, ...]
     checks: tuple[StepCheck, ...]
     auth: Optional[AuthCheck]
-    secrecy_passed: bool
-    auth_passed: Optional[bool]
+
+    _derived = ("secrecy_passed", "auth_passed", "overall")  # JSON writes them after the fields
+
+    @property
+    def secrecy_passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    @property
+    def auth_passed(self) -> Optional[bool]:
+        return None if self.auth is None else self.auth.passed
 
     @property
     def overall_passed(self) -> bool:
-        if self.auth is not None:
-            return self.secrecy_passed and bool(self.auth_passed)
-        return self.secrecy_passed
+        return self.secrecy_passed and (self.auth is None or self.auth.passed)
+
+    @property
+    def overall(self) -> str:
+        return "pass" if self.overall_passed else "no-decision"
 
 
 def analyze(
@@ -67,7 +77,7 @@ def analyze(
     if check == "auth" and ctx.challenge is None:
         raise ChallengeNotReceived("the context declares no authentication challenge")
     roles, patterns = analyze_narration(narration, ctx)
-    secrecy_ok, checks = check_secrecy(roles, patterns, ctx, variant)
+    checks = check_secrecy(roles, patterns, ctx, variant)
     auth = None
     if check != "secrecy" and ctx.challenge is not None:
         # looked up on the module, where perfbench's tracer wraps it
@@ -82,8 +92,6 @@ def analyze(
         patterns=tuple(format_message(p) for p in patterns),
         checks=tuple(checks),
         auth=auth,
-        secrecy_passed=secrecy_ok,
-        auth_passed=None if auth is None else auth.passed,
     )
 
 
@@ -96,14 +104,6 @@ def level_to_json(level: SecurityLevel):
     if level.is_top:
         return {"kind": "top"}
     return {"kind": "set", "members": list(level.members())}
-
-
-def level_text(level: SecurityLevel) -> str:
-    if level.is_bottom:
-        return "⊥"
-    if level.is_top:
-        return "⊤"
-    return "{" + ",".join(level.members()) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +124,8 @@ def _auth_lines(report: AnalysisReport) -> list[str]:
         f"  verifier {auth.verifier} authenticates claimant {auth.claimant} "
         f"via challenge {auth.challenge} received at step {auth.step}",
         f"  message m = {auth.message}",
-        f"  F'({auth.challenge}, m) = {level_text(auth.level)}",
-        f"  claimant {auth.claimant} in {level_text(auth.level)}: "
+        f"  F'({auth.challenge}, m) = {auth.level}",
+        f"  claimant {auth.claimant} in {auth.level}: "
         + ("yes" if auth.claimant_present else "no"),
         "  strictly above ⊥: " + ("yes" if auth.above_bottom else "no"),
     ]
@@ -141,9 +141,7 @@ def _final_lines(report: AnalysisReport) -> list[str]:
     if not report.secrecy_passed:
         reasons.append("the secrecy condition failed")
     if not report.auth.claimant_present:
-        reasons.append(
-            f"claimant {report.auth.claimant} not in {level_text(report.auth.level)}"
-        )
+        reasons.append(f"claimant {report.auth.claimant} not in {report.auth.level}")
     if not report.auth.above_bottom:
         reasons.append("the challenge is received in a public state")
     if not reasons:
@@ -152,7 +150,6 @@ def _final_lines(report: AnalysisReport) -> list[str]:
 
 
 def render_text(report: AnalysisReport) -> str:
-    _check_consistency(report)
     out: list[str] = []
     out.append(f"protocol {report.protocol}")
     out.append(f"function variant: {report.variant}")
@@ -176,8 +173,8 @@ def render_text(report: AnalysisReport) -> str:
         flag = "pass" if c.passed else "FAIL"
         kind = "variable" if c.target_is_variable else "atom"
         out.append(f"  [{flag}] role {c.role} step {c.step} {kind} {c.target}")
-        out.append(f"         upper bound on receives F' = {level_text(c.received_bound)}")
-        out.append(f"         declared level = {level_text(c.declared)}")
+        out.append(f"         upper bound on receives F' = {c.received_bound}")
+        out.append(f"         declared level = {c.declared}")
         if c.from_patterns:
             if c.sources:
                 out.append("         candidate sources:")
@@ -187,10 +184,9 @@ def render_text(report: AnalysisReport) -> str:
                 out.append("         candidate sources: (none carry this target)")
         else:
             out.append("         candidate sources: (unencrypted send, evaluated directly)")
-        out.append(f"         lower bound on send = {level_text(c.lower_bound)}")
+        out.append(f"         lower bound on send = {c.lower_bound}")
         out.append(
-            f"         check: {level_text(c.lower_bound)} ⊒ "
-            f"{level_text(c.declared)} ⊓ {level_text(c.received_bound)}: "
+            f"         check: {c.lower_bound} ⊒ {c.declared} ⊓ {c.received_bound}: "
             + ("pass" if c.passed else "FAIL")
         )
     out.append("")
@@ -218,9 +214,9 @@ class _Mismatch(ValueError):
         self.got = got
         self.path: list[str] = []  # innermost part first
 
-    def under(self, part: str) -> "_Mismatch":
-        """The same mismatch, inside the field or the ``[index]`` named ``part``."""
-        self.path.append(part if part.startswith("[") else "." + part)
+    def under(self, *parts: str) -> "_Mismatch":
+        """The same mismatch, inside the fields or ``[index]``es named, innermost first."""
+        self.path.extend(part if part.startswith("[") else "." + part for part in parts)
         return self
 
     def __str__(self) -> str:
@@ -278,8 +274,10 @@ def _decoder(tp) -> Callable:
         inner = _decoder(get_args(tp)[0])  # Optional[X] is Union[X, None]
         return lambda data: None if data is None else inner(data)
     if hasattr(tp, "_fields"):
+        import json  # reached only from report_from_json, which has loaded it
         hints = get_type_hints(tp)
         decoders = [(name, _decoder(hints[name])) for name in tp._fields]
+        derived = getattr(tp, "_derived", ())  # each stored value must be the derived one
 
         def record(data):
             if type(data) is not dict:
@@ -290,7 +288,12 @@ def _decoder(tp) -> Callable:
                     values.append(dec(data.get(name, _MISSING)))
                 except _Mismatch as bad:
                     raise bad.under(name)
-            return tp._make(values)
+            value = tp._make(values)
+            for name in derived:
+                stored, want = data.get(name, _MISSING), getattr(value, name)
+                if type(stored) is not type(want) or stored != want:
+                    raise _Mismatch(json.dumps(want), stored).under(name)
+            return value
 
         return record
     if tp in (str, int, bool):
@@ -325,7 +328,10 @@ def _write_json(put: Callable, quote: Callable, value, pad: str) -> None:
             _write_json(put, quote, v, inner)
             lead = sep
         return put("\n" + pad + "]" if value else "[]")
-    pairs = value.items() if kind is dict else zip(value._fields, value)  # else a record
+    if kind is dict:
+        pairs = value.items()
+    else:  # a record: its fields, then the verdicts derived from them
+        pairs = [(k, getattr(value, k)) for k in kind._fields + getattr(kind, "_derived", ())]
     lead = "{\n" + inner
     for k, v in pairs:
         put(f'{lead}"{k}": ')  # keys are field names, which need no escaping
@@ -335,22 +341,40 @@ def _write_json(put: Callable, quote: Callable, value, pad: str) -> None:
 
 
 def render_json(report: AnalysisReport) -> str:
-    """The report as JSON in one pass: records as objects in field order, tuples as arrays."""
+    """The report as JSON in one pass: records as objects, tuples as arrays."""
     from json.encoder import encode_basestring  # imported here so text runs never load json
-    _check_consistency(report)
     out: list[str] = []  # small pieces joined once: no large partial strings to copy
-    doc = {**report._asdict(), "overall": "pass" if report.overall_passed else "no-decision"}
-    _write_json(out.append, encode_basestring, doc, "")
+    _write_json(out.append, encode_basestring, report, "")
     out.append("\n")
     return "".join(out)
 
 
 def report_from_json(text: str) -> AnalysisReport:
+    """The report ``render_json`` wrote as ``text``; a ``ValueError`` names the path
+    of the first value the writer would not write: a wrong type, a stored verdict
+    unlike the derived one, a set level not a proper subset of ``principals`` (the
+    whole set is bottom), or a step verdict other than lower ⊒ declared ⊓ received.
+    """
     import json  # imported here so text runs never load it
     doc = json.loads(text)
     if type(doc) is dict and doc.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report version {doc.get('version')!r}")
-    return _decoder(AnalysisReport)(doc)
+    report = _decoder(AnalysisReport)(doc)
+    lattice = Lattice.over(*report.principals)
+
+    def proper(level: SecurityLevel, *path: str) -> None:
+        if not (level.is_bottom or level.authorized < lattice.universe):
+            bad = _Mismatch("a proper subset of the principals", list(level.members()))
+            raise bad.under("members", *path)
+
+    for i, c in enumerate(report.checks):
+        for name in ("received_bound", "declared", "lower_bound"):
+            proper(getattr(c, name), name, f"[{i}]", "checks")
+        if c.passed != lattice.leq(lattice.meet(c.declared, c.received_bound), c.lower_bound):
+            raise _Mismatch(json.dumps(not c.passed), c.passed).under("passed", f"[{i}]", "checks")
+    if report.auth is not None:
+        proper(report.auth.level, "level", "auth")
+    return report
 
 
 def render(report: AnalysisReport, fmt: str = "text") -> str:
@@ -359,17 +383,3 @@ def render(report: AnalysisReport, fmt: str = "text") -> str:
     if fmt == "json":
         return render_json(report)
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def _check_consistency(report: AnalysisReport) -> None:
-    """Verdicts must be re-derivable from the recorded levels."""
-    lattice = Lattice.over(*report.principals)
-    for c in report.checks:
-        required = lattice.meet(c.declared, c.received_bound)
-        if c.passed != lattice.leq(required, c.lower_bound):
-            raise AssertionError(f"inconsistent step verdict for {c.role} {c.step} {c.target}")
-    if report.secrecy_passed != all(c.passed for c in report.checks):
-        raise AssertionError("inconsistent secrecy verdict")
-    if report.auth is not None:
-        if report.auth.passed != (report.auth.claimant_present and report.auth.above_bottom):
-            raise AssertionError("inconsistent authentication verdict")

@@ -91,9 +91,20 @@ class AuthCheck(NamedTuple):
     step: int
     message: str
     level: SecurityLevel
-    claimant_present: bool
-    above_bottom: bool
-    passed: bool
+
+    _derived = ("claimant_present", "above_bottom", "passed")  # JSON writes them after the fields
+
+    @property
+    def claimant_present(self) -> bool:
+        return self.claimant in self.level
+
+    @property
+    def above_bottom(self) -> bool:
+        return not self.level.is_bottom
+
+    @property
+    def passed(self) -> bool:
+        return self.claimant_present and self.above_bottom
 
 
 def candidate_sources(
@@ -194,8 +205,8 @@ def check_secrecy(
     patterns: EncryptionPatternSet,
     ctx: VerificationContext,
     variant: Variant,
-) -> tuple[bool, list[StepCheck]]:
-    """Every send step of every role must respect the bound ordering.
+) -> list[StepCheck]:
+    """The bound comparisons of every send step; secrecy holds when all of them pass.
 
     Each send is checked once, as the final step of its prefix role, with
     the receives accumulated before it. One evaluation serves every check,
@@ -206,7 +217,7 @@ def check_secrecy(
     for role in roles:
         if role.steps and role.final.direction is Direction.SEND:
             checks.extend(check_step(role, evaluation, patterns))
-    return all(c.passed for c in checks), checks
+    return checks
 
 
 def challenge_check(
@@ -238,19 +249,13 @@ def challenge_check(
             f"challenge atom {challenge.challenge!r} does not occur in "
             f"{format_message(step.payload)}"
         )
-    level = f_prime(variant, target, step.payload, ctx)
-    present = challenge.claimant in level
-    above = not level.is_bottom
     return AuthCheck(
         verifier=challenge.verifier,
         claimant=challenge.claimant,
         challenge=format_message(target),
         step=challenge.step,
         message=format_message(step.payload),
-        level=level,
-        claimant_present=present,
-        above_bottom=above,
-        passed=present and above,
+        level=f_prime(variant, target, step.payload, ctx),
     )
 
 

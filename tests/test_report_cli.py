@@ -247,22 +247,22 @@ def test_json_round_trip(woolam_mod, woolam_orig):
     assert report_from_json(render(report, "json")) == report
 
 
-def test_rendering_refuses_a_verdict_its_levels_do_not_support(woolam_mod):
+def test_a_report_cannot_store_a_verdict_beside_its_levels(woolam_mod):
     narr, ctx = woolam_mod
     report = analyze(narr, ctx, Variant.MAX, "all")
-    first = report.checks[0]
-    checks = (first._replace(passed=not first.passed),) + report.checks[1:]
-    forged = [
-        (report._replace(checks=checks), "inconsistent step verdict"),
-        (report._replace(secrecy_passed=not report.secrecy_passed),
-         "inconsistent secrecy verdict"),
-        (report._replace(auth=report.auth._replace(passed=not report.auth.passed)),
-         "inconsistent authentication verdict"),
-    ]
-    for bad, message in forged:
-        for render_one in (render_text, render_json):
-            with pytest.raises(AssertionError, match=message):
-                render_one(bad)
+    with pytest.raises(ValueError):
+        report._replace(auth_passed=False)  # derived from auth, not a field
+    assert report.auth_passed and report.overall_passed
+
+
+@pytest.mark.parametrize(
+    "golden", sorted((CORPUS / "expected").glob("*.json")), ids=lambda path: path.stem
+)
+def test_golden_reports_read_back_and_render_byte_for_byte(golden):
+    text = golden.read_text(encoding="utf-8")
+    report = report_from_json(text)
+    assert render_json(report) == text
+    assert render_text(report) == golden.with_suffix(".txt").read_text(encoding="utf-8")
 
 
 def test_json_keys_follow_schema_v1_order(woolam_mod):

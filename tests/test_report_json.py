@@ -13,6 +13,7 @@ import pytest
 from conftest import CORPUS, perfbench_gen
 from wfcheck import (
     AnalysisReport,
+    AuthCheck,
     SecurityLevel,
     analyze,
     load_context,
@@ -28,21 +29,28 @@ from wfcheck.safefun import Variant
 gen = perfbench_gen()
 
 
+# the verdicts a record derives from its fields, written after them
+DERIVED = {
+    AuthCheck: ("claimant_present", "above_bottom", "passed"),
+    AnalysisReport: ("secrecy_passed", "auth_passed", "overall"),
+}
+
+
 def _to_json(value):
-    """JSON data of a report value: records become objects in field order."""
+    """JSON data of a report value: records become objects, fields first, then
+    the verdicts derived from them."""
     if isinstance(value, (str, int, type(None))):
         return value
     if isinstance(value, SecurityLevel):
         return level_to_json(value)
     if hasattr(value, "_fields"):  # a record, which is also a tuple
-        return {name: _to_json(v) for name, v in zip(value._fields, value)}
+        names = value._fields + DERIVED.get(type(value), ())
+        return {name: _to_json(getattr(value, name)) for name in names}
     return [_to_json(v) for v in value]
 
 
 def _reference(report: AnalysisReport) -> str:
-    overall = "pass" if report.overall_passed else "no-decision"
-    doc = {**_to_json(report), "overall": overall}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(_to_json(report), indent=2, ensure_ascii=False) + "\n"
 
 
 def _assert_law(report: AnalysisReport) -> None:
@@ -66,9 +74,10 @@ def _corpus_doc() -> dict:
     return json.loads(render_json(analyze(narration, ctx, Variant.MAX, "all")))
 
 
-def _with(path, value):
-    """The corpus document with the value at ``path`` replaced, or removed if ``None``."""
-    doc = _corpus_doc()
+def _with(path, value, text=None):
+    """The document ``text`` (by default the corpus one) with the value at
+    ``path`` replaced, or removed if ``None``."""
+    doc = json.loads(text) if text else _corpus_doc()
     *outer, last = path
     node = doc
     for key in outer:
@@ -110,6 +119,45 @@ def test_malformed_reports_are_refused_naming_the_field(text, message):
     assert str(err.value) == f"malformed report: {message}"
 
 
+@pytest.mark.parametrize("text, message", [
+    (
+        # forged along with the verdicts that follow from it: only the step rule catches it
+        _with(["overall"], "no-decision",
+              _with(["secrecy_passed"], False, _with(["checks", 0, "passed"], False))),
+        "checks[0].passed must be true, not a boolean (False)",
+    ),
+    (_with(["secrecy_passed"], False), "secrecy_passed must be true, not a boolean (False)"),
+    (_with(["auth_passed"], False), "auth_passed must be true, not a boolean (False)"),
+    (_with(["overall"], "no-decision"), "overall must be \"pass\", not a string ('no-decision')"),
+    (_with(["overall"], None), "overall is missing"),
+    (
+        _with(["auth", "claimant_present"], False),
+        "auth.claimant_present must be true, not a boolean (False)",
+    ),
+    (
+        _with(["auth", "above_bottom"], False),
+        "auth.above_bottom must be true, not a boolean (False)",
+    ),
+    (_with(["auth", "passed"], False), "auth.passed must be true, not a boolean (False)"),
+    (
+        # every principal: the writer writes this level as bottom
+        _with(["auth", "level"], {"kind": "set", "members": ["A", "B", "I", "S"]}),
+        "auth.level.members must be a proper subset of the principals, not an array",
+    ),
+    (
+        _with(["checks", 1, "declared"], {"kind": "set", "members": ["A", "Z"]}),
+        "checks[1].declared.members must be a proper subset of the principals, not an array",
+    ),
+], ids=[
+    "step-verdict", "secrecy-verdict", "auth-verdict", "overall", "overall-missing",
+    "claimant-present", "above-bottom", "auth-passed", "universe-level", "stray-member",
+])
+def test_reading_refuses_verdicts_and_levels_the_writer_never_writes(text, message):
+    with pytest.raises(ValueError) as err:
+        report_from_json(text)
+    assert str(err.value) == f"malformed report: {message}"
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -139,8 +187,6 @@ def test_escapes_and_empty_fields_match_the_reference():
         patterns=(),
         checks=(),
         auth=None,
-        secrecy_passed=True,
-        auth_passed=None,
     )
     _assert_law(report)
     assert report_from_json(render_json(report)) == report

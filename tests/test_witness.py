@@ -160,8 +160,8 @@ def test_each_distinct_message_is_walked_and_evaluated_once(monkeypatch):
     monkeypatch.setattr(
         safefun, "_select", lambda *args: computed.append(args[1]) or real_select(*args)
     )
-    ok, checks = check_secrecy(roles, patterns, ctx, Variant.MAX)
-    assert ok and len(checks) == 234
+    checks = check_secrecy(roles, patterns, ctx, Variant.MAX)
+    assert all(c.passed for c in checks) and len(checks) == 234
     received = {
         m for role in roles if role.final.direction is Direction.SEND
         for m in role.received_before(len(role.steps) - 1)
@@ -205,8 +205,7 @@ def test_public_nonce_passes_trivially(mod):
 
 def test_secrecy_verdict_for_the_modified_protocol(mod):
     ctx, roles, patterns = mod
-    ok, checks = check_secrecy(roles, patterns, ctx, Variant.MAX)
-    assert ok
+    checks = check_secrecy(roles, patterns, ctx, Variant.MAX)
     assert len(checks) == 13
     assert all(c.passed for c in checks)
 
@@ -215,8 +214,8 @@ def test_secrecy_of_a_public_broadcast_is_vacuous():
     ctx = parse_context("principals A, B, I\nnonce Na fresh(A) level public\n")
     narr = parse_narration("protocol Hello\n1. A -> B : A.Na\n", ctx)
     roles, patterns = analyze_narration(narr, ctx)
-    ok, checks = check_secrecy(roles, patterns, ctx, Variant.MAX)
-    assert ok
+    checks = check_secrecy(roles, patterns, ctx, Variant.MAX)
+    assert all(c.passed for c in checks)
     assert all(c.declared == BOTTOM for c in checks)
 
 
@@ -224,7 +223,7 @@ def test_secrecy_of_a_public_broadcast_is_vacuous():
 
 def test_modified_woolam_is_correct_for_authentication(mod):
     ctx, roles, patterns = mod
-    secrecy_ok, _ = check_secrecy(roles, patterns, ctx, Variant.MAX)
+    secrecy_ok = all(c.passed for c in check_secrecy(roles, patterns, ctx, Variant.MAX))
     auth = challenge_check(roles, ctx, Variant.MAX, ctx.challenge)
     assert secrecy_ok and auth.passed
     assert auth.level == ABS
@@ -234,7 +233,7 @@ def test_modified_woolam_is_correct_for_authentication(mod):
 
 def test_original_woolam_fails_authentication(orig):
     ctx, roles, patterns = orig
-    secrecy_ok, _ = check_secrecy(roles, patterns, ctx, Variant.MAX)
+    secrecy_ok = all(c.passed for c in check_secrecy(roles, patterns, ctx, Variant.MAX))
     auth = challenge_check(roles, ctx, Variant.MAX, ctx.challenge)
     assert secrecy_ok  # the flaw is in the identity binding, not the bounds
     assert not (secrecy_ok and auth.passed)
