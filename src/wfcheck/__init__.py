@@ -15,7 +15,6 @@ from .errors import (
 from .lattice import BOTTOM, TOP, Lattice, SecurityLevel
 from .protocol import (
     Direction,
-    EncryptionPatternSet,
     GeneralizedRole,
     Narration,
     NarrationStep,
@@ -27,13 +26,7 @@ from .protocol import (
     parse_narration,
 )
 from .report import AnalysisReport, analyze, render, render_json, render_text, report_from_json
-from .safefun import (
-    Evaluation,
-    Selection,
-    Variant,
-    f_prime,
-    psi,
-)
+from .safefun import Evaluation, Variant, f_prime
 from .terms import (
     EMPTY,
     Atom,

@@ -45,13 +45,12 @@ from .terms import (
     parse_message_tokens,
     rename_apart,
     tokenize,
-    vars_of,
 )
 
 SESSION_TAG = "i"
 
 #: Variable names handed out while abstracting received components, in the
-#: conventional order; later positions fall back to indexed names.
+#: conventional order; later positions fall back to numbered names.
 _VARIABLE_NAMES = ("X", "Y", "Z", "U", "V", "W", "P", "Q", "R", "T")
 
 
@@ -133,27 +132,6 @@ class GeneralizedRole(NamedTuple):
         return tuple(s.describe(self.owner) for s in self.steps)
 
 
-class EncryptionPatternSet:
-    """Renamed-apart encryption-rooted messages; the candidate-source universe."""
-
-    def __init__(self, patterns: tuple[Message, ...]):
-        seen_vars: set = set()
-        for p in patterns:
-            if not isinstance(p, Enc):
-                raise ValueError(f"pattern is not encryption-rooted: {format_message(p)}")
-            mine = vars_of(p)
-            if mine & seen_vars:
-                raise ValueError(f"patterns share variables: {format_message(p)}")
-            seen_vars |= mine
-        self.patterns = patterns
-
-    def __iter__(self):
-        return iter(self.patterns)
-
-    def __len__(self):
-        return len(self.patterns)
-
-
 # ---------------------------------------------------------------------------
 # Narration parsing
 
@@ -216,10 +194,14 @@ def load_narration(path, ctx: VerificationContext) -> Narration:
 # Role extraction
 
 def _variables() -> Iterator[Variable]:
-    """Fresh variables in ``_VARIABLE_NAMES`` order, then their indexed copies."""
+    """Fresh variables in ``_VARIABLE_NAMES`` order, then ``X1``, …, ``T1``, ``X2``, ….
+
+    A role variable carries no rename index: that index marks the leaves
+    of a renamed pattern, which must share no variable with a send.
+    """
     for n in count():
-        copy, i = divmod(n, len(_VARIABLE_NAMES))
-        yield Variable(_VARIABLE_NAMES[i], copy or None)
+        number, i = divmod(n, len(_VARIABLE_NAMES))
+        yield Variable(f"{_VARIABLE_NAMES[i]}{number or ''}")
 
 
 class _OwnerView:
@@ -341,10 +323,11 @@ def generated_messages(roles: Iterable[GeneralizedRole]) -> list[Message]:
     return [rename_apart(payload, tag) for tag, payload in enumerate(payloads, start=1)]
 
 
-def encryption_patterns(msgs: Iterable[Message]) -> EncryptionPatternSet:
-    """Encryption-rooted messages, deduplicated modulo renaming."""
-    kept: dict[str, Message] = {}
+def encryption_patterns(msgs: Iterable[Message]) -> tuple[Enc, ...]:
+    """Encryption-rooted messages, deduplicated modulo renaming: the
+    candidate-source universe."""
+    kept: dict[str, Enc] = {}
     for m in msgs:
         if isinstance(m, Enc):
             kept.setdefault(canonical_form(m), m)
-    return EncryptionPatternSet(tuple(kept.values()))
+    return tuple(kept.values())

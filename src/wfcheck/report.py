@@ -351,7 +351,8 @@ def render_json(report: AnalysisReport) -> str:
 
 def report_from_json(text: str) -> AnalysisReport:
     """The report ``render_json`` wrote as ``text``; a ``ValueError`` names the path
-    of the first value the writer would not write: a wrong type, a stored verdict
+    of the first value the writer would not write: a wrong type, a repeated name in
+    ``principals``, an ``auth`` claimant or verifier not among them, a stored verdict
     unlike the derived one, a set level not a proper subset of ``principals`` (the
     whole set is bottom), or a step verdict other than lower ⊒ declared ⊓ received.
     """
@@ -360,6 +361,8 @@ def report_from_json(text: str) -> AnalysisReport:
     if type(doc) is dict and doc.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report version {doc.get('version')!r}")
     report = _decoder(AnalysisReport)(doc)
+    if len(set(report.principals)) != len(report.principals):
+        raise _Mismatch("distinct names", list(report.principals)).under("principals")
     lattice = Lattice.over(*report.principals)
 
     def proper(level: SecurityLevel, *path: str) -> None:
@@ -373,6 +376,10 @@ def report_from_json(text: str) -> AnalysisReport:
         if c.passed != lattice.leq(lattice.meet(c.declared, c.received_bound), c.lower_bound):
             raise _Mismatch(json.dumps(not c.passed), c.passed).under("passed", f"[{i}]", "checks")
     if report.auth is not None:
+        for name in ("claimant", "verifier"):
+            who = getattr(report.auth, name)
+            if who not in lattice.universe:
+                raise _Mismatch("one of the principals", who).under(name, "auth")
         proper(report.auth.level, "level", "auth")
     return report
 

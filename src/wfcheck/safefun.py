@@ -2,10 +2,14 @@
 
 The evaluation of a target (atom or variable) in a message is anchored at
 its external protective key: the outermost encryption whose decryption key
-is allowed to know the target. A selection gathers neighbors under that
-protection; the homomorphism ``psi`` maps the selection to a level by
-replacing each identity with itself and the protective key's inverse with
-the set of parties authorized to know it.
+is allowed to know the target. The paper defines it in two stages,
+F' = psi . select: a selection gathers neighbors under that protection, and
+the homomorphism psi maps the selection to a level by replacing each
+identity with itself and the protective key's inverse with the set of
+parties authorized to know it. ``_level`` computes that composite in one
+pass, straight from the occurrence chains, without building the selection;
+the two-stage definition is kept in the tests as the reference it must
+agree with.
 
 Three selection variants are provided: MAX takes every identity under the
 protection plus the decryption key, EK the decryption key alone, N the
@@ -15,9 +19,9 @@ body position evaluates to top. Multiple occurrences combine by meet.
 
 The paper evaluates a target in the message with its variables removed
 (the derivative), so that nothing rests on what an unknown component might
-contain. A selection here holds only identities and a decryption key, never
-a variable, so removing variables would change no level: ``f_prime`` is
-``psi`` after ``select`` on the message as it is.
+contain. A selection holds only identities and a decryption key, never a
+variable, so removing variables would change no level: ``f_prime``
+evaluates the message as it is.
 
 One walk of a message (``occurrences``) yields the occurrence chains of
 all its leaves at once. An :class:`Evaluation` keeps that walk and the
@@ -28,22 +32,11 @@ about many targets, sources and receives walks each message once.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .context import VerificationContext
 from .lattice import BOTTOM, TOP, SecurityLevel
-from .terms import (
-    Atom,
-    Concat,
-    Enc,
-    Identity,
-    Message,
-    SymKey,
-    Target,
-    atoms_of,
-    format_message,
-    leaves,
-)
+from .terms import Concat, Enc, Identity, Message, SymKey, Target, atoms_of, leaves
 
 
 class Variant(Enum):
@@ -52,27 +45,8 @@ class Variant(Enum):
     N = "n"
 
 
-class Selection(NamedTuple):
-    """Atoms selected around a target: identities and/or a decryption key.
-
-    ``infimum`` marks an unprotected occurrence (level bottom), ``supremum``
-    a target with no occurrence at all (level top).
-    """
-
-    atoms: frozenset[Atom] = frozenset()
-    infimum: bool = False
-    supremum: bool = False
-
-    def __str__(self):
-        if self.infimum:
-            return "<infimum>"
-        if self.supremum:
-            return "<supremum>"
-        return "{" + ", ".join(sorted(format_message(a) for a in self.atoms)) + "}"
-
-
 # ---------------------------------------------------------------------------
-# Occurrences and protective keys
+# Occurrences, protective keys and levels
 
 #: Each atom and variable of a message, with the enclosing-encryption chain
 #: of each of its occurrences outside key positions, left to right.
@@ -117,49 +91,30 @@ def _protective_enc(
     return None
 
 
-# ---------------------------------------------------------------------------
-# Selections and the homomorphism
-
-def _identities_in(m: Message) -> frozenset[Identity]:
-    return frozenset(a for a in atoms_of(m) if isinstance(a, Identity))
-
-
-def _select(
+def _level(
     variant: Variant, target: Target, chains: list[tuple[Enc, ...]], ctx: VerificationContext
-) -> Selection:
+) -> SecurityLevel:
+    """The paper's psi after select, over the occurrence chains of ``target``, in one pass.
+
+    Each occurrence contributes the names of the identities in its
+    protective body (not under EK) and the members of its decryption key's
+    level (not under N); occurrences combine by meet, the union of names.
+    """
     if not chains:
-        return Selection(supremum=True)
-    chosen: set[Atom] = set()
+        return TOP
+    names: set[str] = set()
     for chain in chains:
         node = _protective_enc(target, chain, ctx)
         if node is None:
-            return Selection(infimum=True)
-        if variant in (Variant.MAX, Variant.N):
-            chosen |= _identities_in(node.body)
-        if variant in (Variant.MAX, Variant.EK):
-            chosen.add(ctx.reverse_key(node.key))
-    return Selection(atoms=frozenset(chosen))
-
-
-def psi(selection: Selection, ctx: VerificationContext) -> SecurityLevel:
-    """Map a selection to a level: identities stand for themselves, a
-    selected decryption key for the parties authorized to know it."""
-    if selection.supremum:
-        return TOP
-    if selection.infimum:
-        return BOTTOM
-    members: set[str] = set()
-    for a in selection.atoms:
-        if isinstance(a, Identity):
-            members.add(a.name)
-        elif isinstance(a, SymKey):
-            level = ctx.level_of(a)
-            if level.is_bottom:
+            return BOTTOM
+        if variant is not Variant.EK:
+            names.update(a.name for a in atoms_of(node.body) if isinstance(a, Identity))
+        if variant is not Variant.N:
+            key_level = ctx.level_of(ctx.reverse_key(node.key))
+            if key_level.is_bottom:
                 return BOTTOM
-            members |= set(level.authorized)
-        else:
-            raise TypeError(f"selection may not contain {format_message(a)}")
-    return ctx.lattice.canon(SecurityLevel(frozenset(members)))
+            names |= key_level.authorized
+    return ctx.lattice.canon(SecurityLevel(frozenset(names)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +148,14 @@ class Evaluation:
         occs, levels = self._entry(m)
         level = levels.get(target)
         if level is None:
-            selection = _select(self.variant, target, occs.get(target, []), self.ctx)
-            level = levels[target] = psi(selection, self.ctx)
+            level = levels[target] = _level(self.variant, target, occs.get(target, []), self.ctx)
         return level
 
 
 def f_prime(
     variant: Variant, target: Target, m: Message, ctx: VerificationContext
 ) -> SecurityLevel:
-    """Level of a target (atom or variable) in a message: ``psi(select(...))``.
+    """Level of a target (atom or variable) in a message: psi of its selection.
 
     No derivation is applied first: a selection never holds a variable, so
     removing the variables of ``m`` would not change the level. An absent

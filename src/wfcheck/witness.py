@@ -28,7 +28,6 @@ from .errors import AtomAbsent, ChallengeAtomAbsent, ChallengeNotReceived, NoSou
 from .lattice import SecurityLevel
 from .protocol import (
     Direction,
-    EncryptionPatternSet,
     GeneralizedRole,
     Narration,
     encryption_patterns,
@@ -107,9 +106,7 @@ class AuthCheck(NamedTuple):
         return self.claimant_present and self.above_bottom
 
 
-def candidate_sources(
-    r_plus: Message, patterns: EncryptionPatternSet
-) -> list[CandidateSource]:
+def candidate_sources(r_plus: Message, patterns: Sequence[Enc]) -> list[CandidateSource]:
     """Patterns unifiable with the sent message, in declaration order."""
     out: list[CandidateSource] = []
     for i, pattern in enumerate(patterns):
@@ -166,7 +163,7 @@ def lower_bound(
 def check_step(
     role: GeneralizedRole,
     evaluation: Evaluation,
-    patterns: EncryptionPatternSet,
+    patterns: Sequence[Enc],
 ) -> list[StepCheck]:
     """Bound comparisons for every atom and every variable of the role's final send."""
     step = role.final
@@ -202,7 +199,7 @@ def check_step(
 
 def check_secrecy(
     roles: Sequence[GeneralizedRole],
-    patterns: EncryptionPatternSet,
+    patterns: Sequence[Enc],
     ctx: VerificationContext,
     variant: Variant,
 ) -> list[StepCheck]:

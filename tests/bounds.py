@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from wfcheck import Evaluation, VerificationContext, candidate_sources, lower_bound
-from wfcheck.protocol import EncryptionPatternSet
 from wfcheck.safefun import Variant
-from wfcheck.terms import Message, Target
+from wfcheck.terms import Enc, Message, Target
 
 
 def bound_ordering_check(
     variant: Variant,
     target: Target,
     r_plus: Message,
-    patterns: EncryptionPatternSet,
+    patterns: Sequence[Enc],
     ctx: VerificationContext,
 ) -> bool:
     """The upper bound dominates the lower bound on every sent message."""

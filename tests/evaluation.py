@@ -1,21 +1,22 @@
-"""The per-target occurrence walk of the evaluation, for tests only.
+"""The paper's two-stage evaluation F' = psi . select, for tests only.
 
-This is how the analyzer evaluated a target before it kept one walk per
-message: every call walks the whole message looking for that one target.
+``select`` walks the whole message for one target and gathers the atoms
+around each occurrence's protective encryption into a :class:`Selection`;
+``psi`` maps a selection to a level. The analyzer computes the composite in
+one pass per message, without a selection:
 ``test_properties.law_memoized_evaluation_matches_the_per_target_walk``
-checks that a shared :class:`wfcheck.Evaluation` gives the same selections
-and levels.
+checks that a shared :class:`wfcheck.Evaluation` gives ``psi(select(...))``.
 
-``select`` and ``protective_key`` expose the analyzer's own selection and
-protective-key search on one message, so tests can inspect them directly.
+``protective_key`` exposes the analyzer's own protective-key search on one
+message, so tests can inspect it directly.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from wfcheck import AtomAbsent, VerificationContext, safefun
-from wfcheck.safefun import Selection, Variant
+from wfcheck import BOTTOM, TOP, AtomAbsent, SecurityLevel, VerificationContext, safefun
+from wfcheck.safefun import Variant
 from wfcheck.terms import (
     Atom,
     Concat,
@@ -29,11 +30,16 @@ from wfcheck.terms import (
 )
 
 
-def select(
-    variant: Variant, target: Target, m: Message, ctx: VerificationContext
-) -> Selection:
-    """The analyzer's selection around ``target`` in ``m``."""
-    return safefun._select(variant, target, safefun.occurrences(m).get(target, []), ctx)
+class Selection(NamedTuple):
+    """Atoms selected around a target: identities and/or a decryption key.
+
+    ``infimum`` marks an unprotected occurrence (level bottom), ``supremum``
+    a target with no occurrence at all (level top).
+    """
+
+    atoms: frozenset[Atom] = frozenset()
+    infimum: bool = False
+    supremum: bool = False
 
 
 def protective_key(
@@ -85,9 +91,10 @@ def _protective_enc(
     return None
 
 
-def reference_select(
+def select(
     variant: Variant, target: Target, m: Message, ctx: VerificationContext
 ) -> Selection:
+    """The selection around ``target`` in ``m``, one walk per target."""
     occs = body_occurrences(target, m)
     if not occs:
         return Selection(supremum=True)
@@ -101,3 +108,24 @@ def reference_select(
         if variant in (Variant.MAX, Variant.EK):
             chosen.add(ctx.reverse_key(node.key))
     return Selection(atoms=frozenset(chosen))
+
+
+def psi(selection: Selection, ctx: VerificationContext) -> SecurityLevel:
+    """Map a selection to a level: identities stand for themselves, a
+    selected decryption key for the parties authorized to know it."""
+    if selection.supremum:
+        return TOP
+    if selection.infimum:
+        return BOTTOM
+    members: set[str] = set()
+    for a in selection.atoms:
+        if isinstance(a, Identity):
+            members.add(a.name)
+        elif isinstance(a, SymKey):
+            level = ctx.level_of(a)
+            if level.is_bottom:
+                return BOTTOM
+            members |= set(level.authorized)
+        else:
+            raise TypeError(f"selection may not contain {format_message(a)}")
+    return ctx.lattice.canon(SecurityLevel(frozenset(members)))

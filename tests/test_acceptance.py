@@ -31,11 +31,11 @@ from wfcheck import (
     render,
 )
 from wfcheck.cli import main
-from wfcheck.safefun import Variant, psi
+from wfcheck.safefun import Variant
 from wfcheck.terms import Enc, concat
 
 from conftest import CORPUS
-from evaluation import select
+from evaluation import psi, select
 
 ABS = SecurityLevel.of("A", "B", "S")
 MAX = Variant.MAX

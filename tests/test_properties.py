@@ -45,14 +45,15 @@ from wfcheck import (
     unify,
     vars_of,
 )
-from wfcheck.protocol import Direction, EncryptionPatternSet
-from wfcheck.safefun import Variant, psi
+from wfcheck.protocol import Direction
+from wfcheck.safefun import Variant
 from wfcheck.terms import ordered_atoms, ordered_vars
 
 from bounds import bound_ordering_check
 from deduction import saturate
 from derivation import derive, derive_vars
-from evaluation import reference_select, select
+from evaluation import psi, select
+from messages import assert_only_pattern_leaves_are_renamed
 from unification import reference_unify
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -273,9 +274,8 @@ def law_memoized_evaluation_matches_the_per_target_walk(msgs):
         for _ in range(2):
             for m in msgs:
                 for target in GROUND_ATOMS + VARS:
-                    expected = reference_select(v, target, m, PROP_CTX)
-                    assert select(v, target, m, PROP_CTX) == expected
-                    assert evaluation.level(target, m) == psi(expected, PROP_CTX)
+                    expected = psi(select(v, target, m, PROP_CTX), PROP_CTX)
+                    assert evaluation.level(target, m) == expected
                     CASES["wellformed"] += 1
 
 
@@ -535,9 +535,7 @@ def law_pinning_a_pattern_variable_never_raises_the_lower_bound(case):
             if isinstance(target, Variable) and target in sigma \
                     and not isinstance(sigma[target], Variable):
                 continue
-            replaced = EncryptionPatternSet(
-                tuple(pinned if i == idx else p for i, p in enumerate(patterns))
-            )
+            replaced = tuple(pinned if i == idx else p for i, p in enumerate(patterns))
             tightened = lower_bound(
                 evaluation, target, r_plus, candidate_sources(r_plus, replaced)
             )[0]
@@ -545,10 +543,19 @@ def law_pinning_a_pattern_variable_never_raises_the_lower_bound(case):
             CASES["bounds"] += 1
 
 
+@given(case=protocol_cases())
+@settings(max_examples=40)
+def law_a_rename_index_marks_renamed_pattern_leaves_only(case):
+    ctx, narr = case
+    assert_only_pattern_leaves_are_renamed(*analyze_narration(narr, ctx))
+    CASES["bounds"] += 1
+
+
 BOUNDS_SUITE = [
     law_upper_bound_dominates_lower,
     corpus_bound_dominance,
     law_pinning_a_pattern_variable_never_raises_the_lower_bound,
+    law_a_rename_index_marks_renamed_pattern_leaves_only,
 ]
 
 

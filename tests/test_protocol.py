@@ -23,7 +23,8 @@ from wfcheck import (
 )
 from wfcheck.terms import MAX_NESTING
 
-from messages import strip_sessions
+from conftest import CORPUS, perfbench_gen
+from messages import assert_only_pattern_leaves_are_renamed, strip_sessions
 
 
 def role_map(roles):
@@ -242,3 +243,35 @@ def test_zero_step_narration_is_allowed(woolam_mod):
     narr = parse_narration("protocol Empty\n", ctx)
     assert narr.steps == ()
     assert extract_roles(narr, ctx) == ()
+
+
+def _corpus_texts():
+    for name in ("woolam_modified", "woolam_original"):
+        yield (CORPUS / f"{name}.ctx").read_text(), (CORPUS / f"{name}.proto").read_text()
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        _corpus_texts,
+        # more than ten role variables: the numbered names come into use
+        lambda: ((c.context, c.protocol) for c in perfbench_gen().synth_chain_cases(23, 32, 4)),
+        lambda: ((c.context, c.protocol) for c in perfbench_gen().random_batch(7, 300)),
+    ],
+    ids=["corpus", "synth-chain", "random-batch"],
+)
+def test_a_rename_index_marks_renamed_pattern_leaves_only(texts):
+    for context_text, protocol_text in texts():
+        ctx = parse_context(context_text)
+        roles = extract_roles(parse_narration(protocol_text, ctx), ctx)
+        assert_only_pattern_leaves_are_renamed(
+            roles, encryption_patterns(generated_messages(roles))
+        )
+
+
+def test_role_variables_past_the_tenth_get_numbered_names():
+    case = perfbench_gen().synth_chain_cases(23, 32, 4)[1]
+    ctx = parse_context(case.context)
+    roles = extract_roles(parse_narration(case.protocol, ctx), ctx)
+    send = role_map(roles)["S.17"].final
+    assert (send.step_id, format_message(send.payload)) == ("i.37", "{?X2}ka2s")

@@ -21,7 +21,6 @@ from wfcheck import (
     Identity,
     NarrationStep,
     Nonce,
-    Selection,
     SecurityLevel,
     SymKey,
     Variable,
@@ -59,7 +58,6 @@ def _values():
         narration,
         role.steps[0],
         role,
-        Selection(frozenset({A})),
         report.checks[0],
         report.auth,
         report.roles[0],

@@ -158,6 +158,36 @@ def test_reading_refuses_verdicts_and_levels_the_writer_never_writes(text, messa
     assert str(err.value) == f"malformed report: {message}"
 
 
+def _unclaimed(doc_text):
+    """The document with the verdicts a claimant outside every level derives."""
+    for path, value in (
+        (["auth", "claimant_present"], False), (["auth", "passed"], False),
+        (["auth_passed"], False), (["overall"], "no-decision"),
+    ):
+        doc_text = _with(path, value, doc_text)
+    return doc_text
+
+
+@pytest.mark.parametrize("text, message", [
+    (
+        _unclaimed(_with(["auth", "claimant"], "Z")),
+        "auth.claimant must be one of the principals, not a string ('Z')",
+    ),
+    (
+        _with(["auth", "verifier"], "Z"),
+        "auth.verifier must be one of the principals, not a string ('Z')",
+    ),
+    (
+        _with(["principals"], ["A", "B", "S", "I", "A"]),
+        "principals must be distinct names, not an array",
+    ),
+], ids=["stray-claimant", "stray-verifier", "repeated-principal"])
+def test_reading_refuses_principals_the_context_never_declares(text, message):
+    with pytest.raises(ValueError) as err:
+        report_from_json(text)
+    assert str(err.value) == f"malformed report: {message}"
+
+
 @pytest.mark.parametrize(
     "make",
     [

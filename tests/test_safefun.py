@@ -17,12 +17,11 @@ from wfcheck import (
     f_prime,
     format_message,
     parse_context,
-    psi,
 )
-from wfcheck.safefun import Selection, Variant
+from wfcheck.safefun import Variant
 
 from derivation import derive, derive_vars
-from evaluation import protective_key, select
+from evaluation import Selection, protective_key, psi, select
 
 A, B, C, D, S = (Identity(n) for n in "ABCDS")
 KAS, KBS, KAB = SymKey("kas"), SymKey("kbs"), SymKey("kab")
@@ -123,7 +122,7 @@ def test_inner_key_protects_when_outer_key_is_too_weak(guideline_ctx):
     assert [key for key, _ in found] == [KAS]
 
 
-# -- selections and psi ------------------------------------------------------
+# -- selections and psi, the two-stage reference ----------------------------
 
 def test_selection_of_the_guideline_example(guideline_ctx):
     alpha = Nonce("alpha")
@@ -131,6 +130,7 @@ def test_selection_of_the_guideline_example(guideline_ctx):
     sel = select(Variant.MAX, alpha, m, guideline_ctx)
     assert sel.atoms == {C, D, KAB}
     assert psi(sel, guideline_ctx) == SecurityLevel.of("A", "B", "C", "D")
+    assert f_prime(Variant.MAX, alpha, m, guideline_ctx) == psi(sel, guideline_ctx)
 
 
 def test_selection_for_the_session_key(ctx):
@@ -152,6 +152,9 @@ def test_selection_variants(guideline_ctx):
     assert select(Variant.N, alpha, m, guideline_ctx).atoms == {C, D}
     assert psi(select(Variant.EK, alpha, m, guideline_ctx), guideline_ctx) == SecurityLevel.of("A", "B")
     assert psi(select(Variant.N, alpha, m, guideline_ctx), guideline_ctx) == SecurityLevel.of("C", "D")
+    for v in (Variant.EK, Variant.N):
+        expected = psi(select(v, alpha, m, guideline_ctx), guideline_ctx)
+        assert f_prime(v, alpha, m, guideline_ctx) == expected
 
 
 def test_psi_of_infimum_and_empty(ctx):

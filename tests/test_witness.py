@@ -26,9 +26,12 @@ from wfcheck import (
     check_secrecy,
     check_step,
     concat,
+    encryption_patterns,
+    generated_messages,
     lower_bound,
     parse_context,
     parse_narration,
+    rename_apart,
 )
 from wfcheck.context import AuthChallenge
 from wfcheck.protocol import Direction
@@ -93,6 +96,21 @@ def test_unrelated_encryption_has_no_source(mod):
 
 # -- the lower bound ---------------------------------------------------------
 
+def test_a_send_past_the_tenth_role_variable_keeps_every_source():
+    # the server's send {?X2}ka2s once named its eleventh-and-later variable
+    # ?X_2, the rename index of pattern 2, and lost that pattern as a source
+    case = perfbench_gen().synth_chain_cases(23, 32, 4)[1]
+    ctx = parse_context(case.context)
+    roles, patterns = analyze_narration(parse_narration(case.protocol, ctx), ctx)
+    r_plus = next(r for r in roles if r.label == "S.17").final.payload
+    retagged = encryption_patterns(
+        rename_apart(m, tag) for tag, m in enumerate(generated_messages(roles), start=1000)
+    )
+    sources = candidate_sources(r_plus, patterns)
+    assert len(sources) == 28
+    assert [s.index for s in sources] == [s.index for s in candidate_sources(r_plus, retagged)]
+
+
 def test_lower_bound_of_the_session_key(mod):
     ctx, roles, patterns = mod
     r_plus = roles[1].final.payload
@@ -151,14 +169,14 @@ def test_each_distinct_message_is_walked_and_evaluated_once(monkeypatch):
     ctx = parse_context(case.context)
     roles, patterns = analyze_narration(parse_narration(case.protocol, ctx), ctx)
     walks, asked, computed = Counter(), set(), []
-    real_walk, real_level, real_select = safefun.occurrences, Evaluation.level, safefun._select
+    real_walk, real_level, real_compute = safefun.occurrences, Evaluation.level, safefun._level
     monkeypatch.setattr(safefun, "occurrences", lambda m: walks.update([m]) or real_walk(m))
     monkeypatch.setattr(
         Evaluation, "level",
         lambda self, target, m: asked.add((m, target)) or real_level(self, target, m),
     )
     monkeypatch.setattr(
-        safefun, "_select", lambda *args: computed.append(args[1]) or real_select(*args)
+        safefun, "_level", lambda *args: computed.append(args[1]) or real_compute(*args)
     )
     checks = check_secrecy(roles, patterns, ctx, Variant.MAX)
     assert all(c.passed for c in checks) and len(checks) == 234
@@ -289,8 +307,6 @@ def test_bound_ordering_at_the_server(mod):
 
 
 def test_unrelated_pattern_leaves_bounds_unchanged(mod):
-    from wfcheck.protocol import EncryptionPatternSet
-
     ctx, roles, patterns = mod
     # a four-part body matches no send of the protocol positionally
     extra = Enc(
@@ -298,7 +314,7 @@ def test_unrelated_pattern_leaves_bounds_unchanged(mod):
                 Identity("B", copy=99), Variable("W", copy=99)]),
         SymKey("kxx", copy=99),
     )
-    padded = EncryptionPatternSet(patterns.patterns + (extra,))
+    padded = patterns + (extra,)
     for role in roles:
         if role.final.direction.value != "send":
             continue
