@@ -77,7 +77,8 @@ def analyze(
     if check == "auth" and ctx.challenge is None:
         raise ChallengeNotReceived("the context declares no authentication challenge")
     roles, patterns = analyze_narration(narration, ctx)
-    checks = check_secrecy(roles, patterns, ctx, variant)
+    texts = tuple(format_message(p) for p in patterns)  # the report's and every source's
+    checks = check_secrecy(roles, patterns, ctx, variant, texts)
     auth = None
     if check != "secrecy" and ctx.challenge is not None:
         # looked up on the module, where perfbench's tracer wraps it
@@ -89,7 +90,7 @@ def analyze(
         context_digest=ctx.digest,
         principals=ctx.principals,
         roles=tuple(RoleRecord(r.label, r.describe()) for r in roles),
-        patterns=tuple(format_message(p) for p in patterns),
+        patterns=texts,
         checks=tuple(checks),
         auth=auth,
     )

@@ -79,15 +79,16 @@ def occurrences(m: Message) -> Occurrences:
 
 def _protective_enc(
     target: Target, chain: tuple[Enc, ...], ctx: VerificationContext
-) -> Optional[Enc]:
-    """Outermost enclosing encryption whose reverse key may know the target."""
+) -> Optional[tuple[Enc, SecurityLevel]]:
+    """Outermost enclosing encryption whose reverse key may know the target,
+    with the level of that reverse key."""
     target_level = ctx.level_of(target)
     for node in chain:
         if not isinstance(node.key, SymKey):
             continue
         key_level = ctx.level_of(ctx.reverse_key(node.key))
         if ctx.lattice.leq(target_level, key_level):
-            return node
+            return node, key_level
     return None
 
 
@@ -104,13 +105,13 @@ def _level(
         return TOP
     names: set[str] = set()
     for chain in chains:
-        node = _protective_enc(target, chain, ctx)
-        if node is None:
+        protection = _protective_enc(target, chain, ctx)
+        if protection is None:
             return BOTTOM
+        node, key_level = protection
         if variant is not Variant.EK:
             names.update(a.name for a in atoms_of(node.body) if isinstance(a, Identity))
         if variant is not Variant.N:
-            key_level = ctx.level_of(ctx.reverse_key(node.key))
             if key_level.is_bottom:
                 return BOTTOM
             names |= key_level.authorized

@@ -26,7 +26,10 @@ _set = object.__setattr__
 class Message:
     """Base class for every term node. Terms are immutable; each node class
     sets its ``_fields`` once, and compares and hashes by its type and those
-    fields, so ``Identity("X") != Variable("X")``."""
+    fields, so ``Identity("X") != Variable("X")``. A compound term
+    (``Concat``, ``Enc``) computes its hash once, when it is built, and
+    keeps it beside its fields; copies and unpickled values rebuild it from
+    the fields, so it is never carried from one process to another."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -109,7 +112,8 @@ class Variable(Message):
 class Concat(Message):
     """Flattened, order-preserving concatenation of two or more parts."""
 
-    _fields = __slots__ = ("parts",)
+    _fields = ("parts",)
+    __slots__ = ("parts", "_hash")
 
     def __init__(self, parts: tuple[Message, ...]):
         if len(parts) < 2:
@@ -117,28 +121,35 @@ class Concat(Message):
         if any(isinstance(p, Concat) for p in parts):
             raise ValueError("concatenation must be flattened")
         _set(self, "parts", parts)
+        _set(self, "_hash", hash((parts,)))
 
     def __eq__(self, other):
-        return type(self) is type(other) and self.parts == other.parts
+        return type(self) is type(other) and self._hash == other._hash and (
+            self.parts == other.parts
+        )
 
     def __hash__(self):
-        return hash((self.parts,))
+        return self._hash
 
 
 class Enc(Message):
     """Encryption of a body under an atomic symmetric key."""
 
-    _fields = __slots__ = ("body", "key")
+    _fields = ("body", "key")
+    __slots__ = ("body", "key", "_hash")
 
     def __init__(self, body: Message, key: Message):
         _set(self, "body", body)
         _set(self, "key", key)
+        _set(self, "_hash", hash((body, key)))
 
     def __eq__(self, other):
-        return type(self) is type(other) and (self.body, self.key) == (other.body, other.key)
+        return type(self) is type(other) and self._hash == other._hash and (
+            (self.body, self.key) == (other.body, other.key)
+        )
 
     def __hash__(self):
-        return hash((self.body, self.key))
+        return self._hash
 
 
 class _Empty(Message):
@@ -305,7 +316,9 @@ def unify(left: Message, right: Message) -> Optional[dict]:
     def resolve(t: Message) -> Message:
         if isinstance(t, (Atom, Variable)):
             return resolve(sol[t]) if t in sol else t
-        return map_leaves(t, resolve)
+        if any(leaf in sol for leaf in leaves(t)):
+            return map_leaves(t, resolve)
+        return t  # nothing to substitute: the term as it is, with its hash
 
     while stack:
         s, t = stack.pop()

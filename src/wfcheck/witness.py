@@ -6,7 +6,10 @@ the messages received earlier in the role. The lower bound scans every
 encryption pattern the protocol can generate, keeps the ones unifiable
 with the sent message, instantiates each with its most general unifier and
 takes the meet of the derivative evaluations: this is where an identity
-smuggled in through a variable would surface.
+smuggled in through a variable would surface. A unifier that binds no
+variable and no parameter of the sent message instantiates the pattern to
+the sent message itself, so that source's instance is the send, and every
+such source shares the send's evaluation.
 
 A protocol is accepted for secrecy when, for every target of every send,
 the lower bound dominates the meet of the declared level with the upper
@@ -21,7 +24,7 @@ received message, strictly above the public level.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .context import AuthChallenge, VerificationContext
 from .errors import AtomAbsent, ChallengeAtomAbsent, ChallengeNotReceived, NoSource
@@ -44,6 +47,7 @@ from .terms import (
     apply,
     format_message,
     format_substitution,
+    leaves,
     ordered_atoms,
     ordered_vars,
     unify,
@@ -51,21 +55,27 @@ from .terms import (
 
 
 class CandidateSource:
-    """A generated pattern unifiable with a sent message, with its unifier."""
+    """A generated pattern unifiable with a sent message, with its unifier.
 
-    def __init__(self, index: int, pattern: Message, mgu: Substitution):
+    ``instance`` is the pattern under the unifier. When the unifier binds
+    no leaf of the sent message, that is the sent message itself (the very
+    object), since a unifier maps the pattern and the message to one term.
+    ``text`` is the pattern's printed form.
+    """
+
+    def __init__(
+        self, index: int, pattern: Message, mgu: Substitution, instance: Message, text: str
+    ):
         self.index = index
         self.pattern = pattern
         self.mgu = mgu
+        self.instance = instance
+        self.text = text
 
     # computed once per source, not once per target that the source carries
     @cached_property
-    def instance(self) -> Message:
-        return apply(self.mgu, self.pattern)
-
-    @cached_property
     def description(self) -> str:
-        return f"{format_message(self.pattern)} via {format_substitution(self.mgu)}"
+        return f"{self.text} via {format_substitution(self.mgu)}"
 
 
 class StepCheck(NamedTuple):
@@ -106,13 +116,23 @@ class AuthCheck(NamedTuple):
         return self.claimant_present and self.above_bottom
 
 
-def candidate_sources(r_plus: Message, patterns: Sequence[Enc]) -> list[CandidateSource]:
-    """Patterns unifiable with the sent message, in declaration order."""
+def candidate_sources(
+    r_plus: Message, patterns: Sequence[Enc], texts: Optional[Sequence[str]] = None
+) -> list[CandidateSource]:
+    """Patterns unifiable with the sent message, in declaration order.
+
+    ``texts``, when given, are the patterns' printed forms, index for index,
+    so a caller that has formatted them already does not format them again.
+    """
+    send_leaves = frozenset(leaves(r_plus))
     out: list[CandidateSource] = []
     for i, pattern in enumerate(patterns):
         sigma = unify(pattern, r_plus)
-        if sigma is not None:
-            out.append(CandidateSource(index=i, pattern=pattern, mgu=sigma))
+        if sigma is None:
+            continue
+        instance = r_plus if send_leaves.isdisjoint(sigma) else apply(sigma, pattern)
+        text = format_message(pattern) if texts is None else texts[i]
+        out.append(CandidateSource(i, pattern, sigma, instance, text))
     return out
 
 
@@ -164,15 +184,19 @@ def check_step(
     role: GeneralizedRole,
     evaluation: Evaluation,
     patterns: Sequence[Enc],
+    texts: Optional[Sequence[str]] = None,
 ) -> list[StepCheck]:
-    """Bound comparisons for every atom and every variable of the role's final send."""
+    """Bound comparisons for every atom and every variable of the role's final send.
+
+    ``texts`` are the patterns' printed forms, as for ``candidate_sources``.
+    """
     step = role.final
     if step.direction is not Direction.SEND:
         raise ValueError(f"step {step.step_id} of {role.label} is not a send")
     ctx = evaluation.ctx
     received = role.received_before(len(role.steps) - 1)
     r_plus = step.payload
-    sources = candidate_sources(r_plus, patterns) if isinstance(r_plus, Enc) else []
+    sources = candidate_sources(r_plus, patterns, texts) if isinstance(r_plus, Enc) else []
     checks: list[StepCheck] = []
     targets: list[Target] = list(ordered_atoms(r_plus)) + list(ordered_vars(r_plus))
     for target in targets:
@@ -202,18 +226,21 @@ def check_secrecy(
     patterns: Sequence[Enc],
     ctx: VerificationContext,
     variant: Variant,
+    texts: Optional[Sequence[str]] = None,
 ) -> list[StepCheck]:
     """The bound comparisons of every send step; secrecy holds when all of them pass.
 
     Each send is checked once, as the final step of its prefix role, with
     the receives accumulated before it. One evaluation serves every check,
     so a payload that several prefix roles receive is evaluated once.
+    ``texts`` are the patterns' printed forms, as for ``candidate_sources``;
+    ``analyze`` passes the ones its report lists.
     """
     evaluation = Evaluation(variant, ctx)
     checks: list[StepCheck] = []
     for role in roles:
         if role.steps and role.final.direction is Direction.SEND:
-            checks.extend(check_step(role, evaluation, patterns))
+            checks.extend(check_step(role, evaluation, patterns, texts))
     return checks
 
 

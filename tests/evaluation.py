@@ -55,8 +55,9 @@ def protective_key(
         raise AtomAbsent(f"{format_message(target)} does not occur in {format_message(m)}")
     found: list[tuple[Atom, Message]] = []
     for chain in occs[target]:
-        node = safefun._protective_enc(target, chain, ctx)
-        if node is not None:
+        protection = safefun._protective_enc(target, chain, ctx)
+        if protection is not None:
+            node, _ = protection
             found.append((node.key, node))
     return tuple(found)
 

@@ -6,8 +6,10 @@ acceptance harness can assert coverage. Suites marked with a 500-case
 minimum back the randomized acceptance criterion.
 """
 
+import copy
 import itertools
 import pathlib
+import pickle
 from collections import defaultdict
 
 import pytest
@@ -47,13 +49,13 @@ from wfcheck import (
 )
 from wfcheck.protocol import Direction
 from wfcheck.safefun import Variant
-from wfcheck.terms import ordered_atoms, ordered_vars
+from wfcheck.terms import map_leaves, ordered_atoms, ordered_vars
 
 from bounds import bound_ordering_check
 from deduction import saturate
 from derivation import derive, derive_vars
 from evaluation import psi, select
-from messages import assert_only_pattern_leaves_are_renamed
+from messages import assert_only_pattern_leaves_are_renamed, erase_copies, parse_message
 from unification import reference_unify
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -346,6 +348,30 @@ def law_substitution_idempotent(m, sub):
     CASES["unify"] += 1
 
 
+def _rebuilt(m):
+    """Equal copies of ``m``, each built along another path."""
+    yield parse_message(format_message(m), lambda text, _tok: PROP_CTX.resolve_atom(text))
+    yield map_leaves(m, lambda t: t)
+    yield erase_copies(rename_apart(m, 7))
+    yield copy.deepcopy(m)
+    yield pickle.loads(pickle.dumps(m))
+    if isinstance(m, Concat):
+        yield concat(list(m.parts))
+    if isinstance(m, (Concat, Enc)):
+        yield m._replace()
+
+
+@given(m=open_messages)
+@settings(max_examples=150)
+def law_equal_terms_hash_equal(m):
+    # compound terms keep the hash computed when they were built
+    for same in _rebuilt(m):
+        assert same == m and hash(same) == hash(m)
+        for part, other in zip(_subterms(same), _subterms(m)):
+            assert part == other and hash(part) == hash(other)
+    CASES["unify"] += 1
+
+
 @given(data=st.data())
 @settings(max_examples=60)
 def law_unify_general_on_corpus_patterns(data):
@@ -399,6 +425,7 @@ UNIFY_SUITE = [
     law_unify_general_on_corpus_patterns,
     law_unify_occurs_check,
     law_substitution_idempotent,
+    law_equal_terms_hash_equal,
 ]
 
 

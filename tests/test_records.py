@@ -67,6 +67,13 @@ def _values():
 
 VALUES = _values()
 
+#: Compound terms inside compound terms; each keeps the hash computed when
+#: it was built, so a copy must rebuild every one of them.
+NESTED = [
+    Concat((A, Enc(Concat((NB, Variable("X", 3))), SymKey("kab", copy=1)))),
+    Enc(Concat((A, Enc(Enc(NB, SymKey("kas")), SymKey("kab")))), SymKey("kbs")),
+]
+
 
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
 def test_fields_cannot_be_assigned_or_deleted(value):
@@ -77,12 +84,42 @@ def test_fields_cannot_be_assigned_or_deleted(value):
         delattr(value, field)
 
 
-@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize(
+    "value",
+    VALUES + NESTED,
+    ids=[type(v).__name__ for v in VALUES] + [f"nested-{type(v).__name__}" for v in NESTED],
+)
 def test_copies_are_equal_values_of_the_same_type(value):
     for same in (value._replace(), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(same) is type(value)
         assert same == value and not same != value
         assert hash(same) == hash(value)
+
+
+@pytest.mark.parametrize("value", NESTED, ids=lambda v: type(v).__name__)
+def test_a_stored_hash_cannot_be_assigned(value):
+    with pytest.raises(AttributeError):
+        value._hash = 0
+
+
+def test_an_unpickled_term_hashes_as_one_built_in_its_own_process():
+    # string hashes differ between processes, so a stored hash must not travel
+    src = str(pathlib.Path(wfcheck.__file__).resolve().parent.parent)
+    probe = (
+        "import pickle, sys; from wfcheck import *; "
+        "built = Enc(Concat((Identity('A'), Enc(Nonce('Nb'), SymKey('kab')))), SymKey('kbs')); "
+        "print(hash(pickle.loads(sys.stdin.buffer.read())) == hash(built))"
+    )
+    sent = Enc(Concat((A, Enc(NB, SymKey("kab")))), SymKey("kbs"))
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            input=pickle.dumps(sent),
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            check=True,
+        )
+        assert proc.stdout.split() == [b"True"]
 
 
 def test_the_empty_message_stays_the_one_empty_message():

@@ -3,6 +3,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from wfcheck import (
     BOTTOM,
@@ -27,6 +28,7 @@ from wfcheck import (
     check_step,
     concat,
     encryption_patterns,
+    format_message,
     generated_messages,
     lower_bound,
     parse_context,
@@ -36,10 +38,12 @@ from wfcheck import (
 from wfcheck.context import AuthChallenge
 from wfcheck.protocol import Direction
 from wfcheck.safefun import Variant
+from wfcheck.terms import leaves
 from wfcheck.witness import sources_for_target
 
 from bounds import bound_ordering_check
 from conftest import perfbench_gen
+from test_properties import protocol_cases
 
 A, B, S = Identity("A"), Identity("B"), Identity("S")
 KAS, KBS = SymKey("kas"), SymKey("kbs")
@@ -92,6 +96,71 @@ def test_unrelated_encryption_has_no_source(mod):
     assert candidate_sources(stranger, patterns) == []
     with pytest.raises(NoSource):
         lower_bound(Evaluation(Variant.MAX, ctx), A, stranger, [])
+
+
+def _sources_of_every_send(roles, patterns) -> int:
+    """Check every candidate source of every encrypted send; return how many.
+
+    A source's instance is its pattern under the unifier, and it is the sent
+    message itself exactly when the unifier binds no leaf of the send.
+    """
+    count = 0
+    for role in roles:
+        r_plus = role.final.payload
+        if role.final.direction is not Direction.SEND or not isinstance(r_plus, Enc):
+            continue
+        send_leaves = set(leaves(r_plus))
+        for source in candidate_sources(r_plus, patterns):
+            assert source.instance == apply(source.mgu, source.pattern) == apply(source.mgu, r_plus)
+            assert (source.instance is r_plus) == send_leaves.isdisjoint(source.mgu)
+            count += 1
+    return count
+
+
+def _roles_and_patterns(case):
+    ctx = parse_context(case.context)
+    return analyze_narration(parse_narration(case.protocol, ctx), ctx)
+
+
+def test_every_source_instance_is_its_pattern_under_the_unifier(mod, orig):
+    for _, roles, patterns in (mod, orig):
+        assert _sources_of_every_send(roles, patterns) > 0
+    chain = _roles_and_patterns(perfbench_gen().synth_chain(0, 16, sound=True))
+    assert _sources_of_every_send(*chain) > 100
+
+
+@given(case=protocol_cases())
+@settings(max_examples=20)
+def test_every_source_instance_holds_on_random_protocols(case):
+    ctx, narr = case
+    _sources_of_every_send(*analyze_narration(narr, ctx))
+
+
+def test_a_source_binding_a_send_variable_instantiates_its_pattern():
+    roles, patterns = _roles_and_patterns(perfbench_gen().synth_chain(1, 8, sound=False))
+    r_plus = next(r for r in roles if r.label == "S.1").final.payload
+    assert format_message(r_plus) == "{A4.?Y}ka1s"
+    source = next(
+        s for s in candidate_sources(r_plus, patterns)
+        if s.text == "{A1_11.{?W_11}ka1s_11}ka2s_11"
+    )
+    assert format_message(source.mgu[Variable("Y")]) == "{?W_11}ka1s_11"
+    assert source.instance is not r_plus
+    assert format_message(source.instance) == "{A4.{?W_11}ka1s_11}ka1s"
+    # a source binding only pattern leaves shares the send itself
+    assert any(s.instance is r_plus for s in candidate_sources(r_plus, patterns))
+
+
+def test_a_parameter_of_the_send_bound_by_the_unifier_is_not_the_send():
+    # the pattern repeats one parameter where the renamed send has two, so
+    # the unifier binds the send's parameter B_2 (no variable is bound)
+    r_plus = rename_apart(Enc(concat([A, B]), KAS), 2)
+    pattern = rename_apart(Enc(concat([A, A]), KAS), 1)
+    (source,) = candidate_sources(r_plus, [pattern])
+    assert Identity("B", 2) in source.mgu
+    assert source.instance is not r_plus
+    assert source.instance == apply(source.mgu, pattern) == apply(source.mgu, r_plus)
+    assert format_message(source.instance) == "{A_2.A_2}kas_2"
 
 
 # -- the lower bound ---------------------------------------------------------
