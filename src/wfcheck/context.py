@@ -1,11 +1,13 @@
 """The verification context: principals, level assignment, key ownership.
 
-Loaded from a line-oriented text file:
+Loaded from a line-oriented text file, one of seven declaration forms a
+line, ``#`` to the end of a line a comment:
 
     principals A, B, S, I
     key kas shared(A,S)
     key kab fresh(A) level {A,B,S}
     nonce Nb fresh(B) level public
+    nonce Nc level {A,B}
     challenge auth verifier=B claimant=A step=5 challenge=Nb
     intruder knows Na, kxy          # optional
 
@@ -13,6 +15,8 @@ Loaded from a line-oriented text file:
 value generated per session by P. ``level public`` means bottom. The
 principal universe must contain the intruder identity ``I``. Identities
 need no declaration beyond the principals line: they are always public.
+Words are separated by whitespace; next to punctuation (``( ) , { } =``)
+whitespace is optional.
 """
 
 from __future__ import annotations
@@ -126,45 +130,25 @@ class VerificationContext:
 # ---------------------------------------------------------------------------
 # Context file parser
 
-_NAMES = r"[A-Za-z][A-Za-z0-9]*(?:\s*,\s*[A-Za-z][A-Za-z0-9]*)*"
-_LEVEL_RE = re.compile(rf"^\{{\s*({_NAMES})\s*\}}$")
-_NAME_LIST_RE = re.compile(rf"^(?:principals|intruder knows)\s+({_NAMES})$")
-_KEY_RE = re.compile(
-    r"^key\s+(?P<name>[A-Za-z][A-Za-z0-9]*)\s+"
-    r"(?:shared\(\s*(?P<o1>[A-Za-z][A-Za-z0-9]*)\s*,\s*(?P<o2>[A-Za-z][A-Za-z0-9]*)\s*\)"
-    r"|fresh\(\s*(?P<gen>[A-Za-z][A-Za-z0-9]*)\s*\)\s+level\s+(?P<level>public|\{[^}]*\}))$"
-)
-_NONCE_RE = re.compile(
-    r"^nonce\s+(?P<name>[A-Za-z][A-Za-z0-9]*)"
-    r"(?:\s+fresh\(\s*(?P<gen>[A-Za-z][A-Za-z0-9]*)\s*\))?"
-    r"\s+level\s+(?P<level>public|\{[^}]*\})$"
-)
-_CHALLENGE_RE = re.compile(
-    r"^challenge\s+auth\s+verifier=(?P<verifier>[A-Za-z][A-Za-z0-9]*)\s+"
-    r"claimant=(?P<claimant>[A-Za-z][A-Za-z0-9]*)\s+step=(?P<step>\d+)\s+"
-    r"challenge=(?P<challenge>[A-Za-z][A-Za-z0-9]*)$"
-)
+# a line's words: each run of letters, digits and underscores, and each other
+# non-space character; a name in a declaration must be one word that is a name
+_WORDS = re.compile(r"\w+|\S").findall
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*").fullmatch
 
 
-def _name_list(line: str, lineno: int) -> list[str]:
-    """The names after a ``principals`` or ``intruder knows`` keyword."""
-    match = _NAME_LIST_RE.match(line)
-    if match is None:
-        raise ParseError(f"malformed name list: {line!r}", lineno)
-    return [n.strip() for n in match.group(1).split(",")]
+def _names(words: list[str]) -> Optional[list[str]]:
+    """The names of ``A, B, ...`` split into words; None if the words are not such a list."""
+    names = words[::2]
+    if names and words[1::2] == [","] * (len(names) - 1) and all(map(_NAME, names)):
+        return names
+    return None
 
 
-def _parse_level(text: str, principals: tuple[str, ...], lineno: int) -> SecurityLevel:
-    if text == "public":
-        return BOTTOM
-    match = _LEVEL_RE.match(text)
-    if match is None:
-        raise ParseError(f"malformed level {text!r}", lineno)
-    names = [n.strip() for n in match.group(1).split(",")]
-    for n in names:
-        if n not in principals:
-            raise ParseError(f"level names undeclared principal {n!r}", lineno)
-    return SecurityLevel.of(*names)
+def _is_level(words: list[str]) -> bool:
+    """Whether the words are ``public``, or braces around anything but a closing brace."""
+    return words == ["public"] or (
+        words[:1] == ["{"] and words[-1:] == ["}"] and "}" not in words[1:-1]
+    )
 
 
 def parse_context(text: str) -> VerificationContext:
@@ -180,6 +164,22 @@ def parse_context(text: str) -> VerificationContext:
             raise ParseError(f"undeclared principal {name!r}", lineno)
         return name
 
+    def check_new(name: str, lineno: int) -> None:
+        if name in decls or name in principals:
+            raise ParseError(f"duplicate declaration of {name!r}", lineno)
+
+    def parse_level(words: list[str], line: str, lineno: int) -> SecurityLevel:
+        """The level of words that pass ``_is_level``."""
+        if words == ["public"]:
+            return BOTTOM
+        names = _names(words[1:-1])
+        if names is None:
+            raise ParseError(f"malformed level {line[line.index('{'):]!r}", lineno)
+        for n in names:
+            if n not in principals:
+                raise ParseError(f"level names undeclared principal {n!r}", lineno)
+        return SecurityLevel.of(*names)
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -187,62 +187,56 @@ def parse_context(text: str) -> VerificationContext:
         if line.startswith("principals"):
             if principals:
                 raise ParseError("duplicate principals line", lineno)
-            names = _name_list(line, lineno)
-            if len(set(names)) != len(names):
-                raise ParseError("duplicate principal name", lineno)
-            principals = tuple(names)
-            continue
-        if not principals:
+        elif not principals:
             raise ParseError("principals must be declared first", lineno)
-        if line.startswith("key"):
-            match = _KEY_RE.match(line)
-            if match is None:
-                raise ParseError(f"malformed key declaration: {line!r}", lineno)
-            name = match.group("name")
-            if name in decls or name in principals:
-                raise ParseError(f"duplicate declaration of {name!r}", lineno)
-            if match.group("o1"):
-                o1 = check_principal(match.group("o1"), lineno)
-                o2 = check_principal(match.group("o2"), lineno)
-                decls[name] = Decl(SymKey(name), SecurityLevel.of(o1, o2), frozenset({o1, o2}))
-            else:
-                gen = check_principal(match.group("gen"), lineno)
-                level = _parse_level(match.group("level"), principals, lineno)
+        # one case per declaration form; a line that fits none is malformed
+        # as the form its text starts with, if any
+        match _WORDS(line):
+            case ["principals", *words] if names := _names(words):
+                if len(set(names)) != len(names):
+                    raise ParseError("duplicate principal name", lineno)
+                principals = tuple(names)
+            case ["intruder", "knows", *words] if names := _names(words):
+                intruder_knows.extend((name, lineno) for name in names)
+            case ["key", name, "shared", "(", a, ",", b, ")"] if (
+                _NAME(name) and _NAME(a) and _NAME(b)
+            ):
+                check_new(name, lineno)
+                a, b = check_principal(a, lineno), check_principal(b, lineno)
+                decls[name] = Decl(SymKey(name), SecurityLevel.of(a, b), frozenset({a, b}))
+            case ["key", name, "fresh", "(", gen, ")", "level", *words] if (
+                _NAME(name) and _NAME(gen) and _is_level(words)
+            ):
+                check_new(name, lineno)
+                gen = check_principal(gen, lineno)
+                level = parse_level(words, line, lineno)
                 # a fresh key is possessed by the parties authorized to learn it
                 owners = frozenset(principals) if level.is_bottom else level.authorized
                 decls[name] = Decl(SymKey(name), level, owners, fresh_by=gen)
-            continue
-        if line.startswith("nonce"):
-            match = _NONCE_RE.match(line)
-            if match is None:
-                raise ParseError(f"malformed nonce declaration: {line!r}", lineno)
-            name = match.group("name")
-            if name in decls or name in principals:
-                raise ParseError(f"duplicate declaration of {name!r}", lineno)
-            gen = match.group("gen")
-            if gen is not None:
+            case ["nonce", name, "fresh", "(", gen, ")", "level", *words] if (
+                _NAME(name) and _NAME(gen) and _is_level(words)
+            ):
+                check_new(name, lineno)
                 gen = check_principal(gen, lineno)
-            level = _parse_level(match.group("level"), principals, lineno)
-            decls[name] = Decl(Nonce(name), level, fresh_by=gen)
-            continue
-        if line.startswith("challenge"):
-            match = _CHALLENGE_RE.match(line)
-            if match is None:
-                raise ParseError(f"malformed challenge declaration: {line!r}", lineno)
-            if challenge is not None:
-                raise ParseError("duplicate challenge declaration", lineno)
-            challenge = AuthChallenge(
-                verifier=check_principal(match.group("verifier"), lineno),
-                claimant=check_principal(match.group("claimant"), lineno),
-                step=int(match.group("step")),
-                challenge=match.group("challenge"),
-            )
-            challenge_line = lineno
-            continue
-        if line.startswith("intruder knows"):
-            intruder_knows.extend((name, lineno) for name in _name_list(line, lineno))
-            continue
-        raise ParseError(f"unrecognized declaration: {line!r}", lineno)
+                decls[name] = Decl(Nonce(name), parse_level(words, line, lineno), fresh_by=gen)
+            case ["nonce", name, "level", *words] if _NAME(name) and _is_level(words):
+                check_new(name, lineno)
+                decls[name] = Decl(Nonce(name), parse_level(words, line, lineno))
+            case [
+                "challenge", "auth", "verifier", "=", v, "claimant", "=", c,
+                "step", "=", n, "challenge", "=", atom,
+            ] if _NAME(v) and _NAME(c) and n.isdecimal() and _NAME(atom):
+                if challenge is not None:
+                    raise ParseError("duplicate challenge declaration", lineno)
+                v, c = check_principal(v, lineno), check_principal(c, lineno)
+                challenge, challenge_line = AuthChallenge(v, c, int(n), atom), lineno
+            case _:
+                for kind in ("key", "nonce", "challenge"):
+                    if line.startswith(kind):
+                        raise ParseError(f"malformed {kind} declaration: {line!r}", lineno)
+                if line.startswith(("principals", "intruder knows")):
+                    raise ParseError(f"malformed name list: {line!r}", lineno)
+                raise ParseError(f"unrecognized declaration: {line!r}", lineno)
 
     if not principals:
         raise ParseError("context declares no principals")

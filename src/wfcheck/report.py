@@ -358,7 +358,10 @@ def report_from_json(text: str) -> AnalysisReport:
     whole set is bottom), or a step verdict other than lower ⊒ declared ⊓ received.
     """
     import json  # imported here so text runs never load it
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("malformed report: nested too deeply to read") from None
     if type(doc) is dict and doc.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report version {doc.get('version')!r}")
     report = _decoder(AnalysisReport)(doc)

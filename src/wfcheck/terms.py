@@ -393,13 +393,15 @@ def format_substitution(sigma: Substitution) -> str:
 MAX_NESTING = 64
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
+    r"(?P<newline>\n)"
+    r"|(?P<ws>[^\S\n]+)"
     r"|(?P<comment>#[^\n]*)"
     r"|(?P<arrow>->)"
     r"|(?P<num>\d+)"
     r"|(?P<name>[A-Za-z][A-Za-z0-9_^]*)"
     r"|(?P<eps>ε)"
     r"|(?P<punct>[{}.:?])"
+    r"|(?P<bad>.)"
 )
 
 
@@ -412,24 +414,16 @@ class Token(NamedTuple):
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = match.lastgroup
-        chunk = match.group()
-        if kind not in ("ws", "comment"):
-            tok_kind = chunk if kind == "punct" else kind
-            tokens.append(Token(tok_kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = match.end()
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        kind, chunk = match.lastgroup, match.group()
+        column = match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {chunk!r}", line, column)
+        elif kind not in ("ws", "comment"):
+            tokens.append(Token(chunk if kind == "punct" else kind, chunk, line, column))
     return tokens
 
 

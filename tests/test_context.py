@@ -1,6 +1,11 @@
 """Context file loading, level lookup, key ownership."""
 
+import collections
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfcheck import (
     BOTTOM,
@@ -14,6 +19,10 @@ from wfcheck import (
     Variable,
     parse_context,
 )
+
+from conftest import perfbench_gen
+from context_reference import reference_parse_context
+from test_fuzz import TEXTS, _mutate_lines, _mutate_tokens
 
 WOOLAM_CTX = """\
 principals A, B, S, I
@@ -170,3 +179,111 @@ def test_comments_and_blank_lines_are_ignored(ctx):
 def test_digest_is_stable():
     assert parse_context(WOOLAM_CTX).digest == parse_context(WOOLAM_CTX).digest
     assert parse_context(WOOLAM_CTX).digest != parse_context(WOOLAM_CTX + "\n# x\n").digest
+
+
+# Each line that only the ``match`` parser reads, beside the spacing the
+# reference parser needs for the same declaration.
+WHITESPACE_VARIANTS = [
+    ("key kab shared ( A , B )", "key kab shared(A,B)"),
+    ("key kab fresh (A) level{A,B}", "key kab fresh(A) level {A,B}"),
+    ("nonce Na fresh( A )level public", "nonce Na fresh(A) level public"),
+    ("nonce Na level{ A , B }", "nonce Na level {A,B}"),
+    (
+        "challenge auth verifier = B claimant = A step = 5 challenge = Nb",
+        "challenge auth verifier=B claimant=A step=5 challenge=Nb",
+    ),
+    ("intruder  knows\tNb", "intruder knows Nb"),
+]
+
+
+def _fields(ctx):
+    return ctx.principals, ctx.decls, ctx.challenge, ctx.intruder_knows
+
+
+@pytest.mark.parametrize("variant, spaced", WHITESPACE_VARIANTS)
+def test_whitespace_variants_read_like_the_spaced_line(variant, spaced):
+    head = "principals A, B, I\nnonce Nb level public\n"
+    with pytest.raises(ParseError):
+        reference_parse_context(head + variant + "\n")
+    assert _fields(parse_context(head + variant + "\n")) == _fields(parse_context(head + spaced))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("key k_1 shared(A,B)", "malformed key declaration: 'key k_1 shared(A,B)'"),
+    ("keyboard x", "malformed key declaration: 'keyboard x'"),
+    (
+        "nonce Nc fresh(A_1) level public",
+        "malformed nonce declaration: 'nonce Nc fresh(A_1) level public'",
+    ),
+    ("nonce Nc level {A,B}}", "malformed nonce declaration: 'nonce Nc level {A,B}}'"),
+    ("nonce Nc level {A B}", "malformed level '{A B}'"),
+    ("nonce Nc level {A,Z}", "level names undeclared principal 'Z'"),
+    ("nonce Nb level public", "duplicate declaration of 'Nb'"),
+    (
+        # a digit, but not a decimal one: int() could not read it
+        "challenge auth verifier=B claimant=A step=² challenge=Nb",
+        "malformed challenge declaration: "
+        "'challenge auth verifier=B claimant=A step=² challenge=Nb'",
+    ),
+    ("intruder knowsNb", "malformed name list: 'intruder knowsNb'"),
+    ("principals A", "duplicate principals line"),
+    ("frobnicate", "unrecognized declaration: 'frobnicate'"),
+])
+def test_malformed_lines_keep_the_reference_message(line, message):
+    text = "principals A, B, I\nnonce Nb level public\n" + line + "\n"
+    for parse in (parse_context, reference_parse_context):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"line 3: {message}"
+
+
+gen = perfbench_gen()
+SEED_CONTEXTS = [TEXTS[key] for key in sorted(TEXTS) if key[1] == "ctx"] + [
+    *(case.context for case in gen.random_batch(1, 6)),
+    gen.synth_chain(0, 4, True).context,
+    WOOLAM_CTX + "intruder knows Nb, A\n",
+    SECRETS_CTX + "intruder knows A, Nc\n",
+]
+
+
+def _outcome(parse, text):
+    try:
+        ctx = parse(text)
+    except ParseError as err:
+        return err
+    return (*_fields(ctx), ctx.digest)
+
+
+def _respace(text):
+    """Each line's words, one space apart, none before ``(`` or around ``=``:
+    the spacing the reference parser needs."""
+    words = (re.findall(r"\w+|\S", raw.split("#", 1)[0]) for raw in text.splitlines())
+    lines = (" ".join(line) for line in words)
+    return "\n".join(re.sub(r" ?(=) ?| (?=\()", r"\1", line) for line in lines)
+
+
+def test_parser_agrees_with_the_reference():
+    """The ``match`` parser accepts what the regex parser accepts, with an equal
+    context, and rejects only what it rejects; a context only the ``match``
+    parser accepts is one the reference accepts once re-spaced."""
+    outcomes = collections.Counter()
+
+    @given(seed=st.sampled_from(SEED_CONTEXTS), data=st.data())
+    @settings(max_examples=1000)
+    def law(seed, data):
+        text = seed
+        for _ in range(data.draw(st.integers(1, 3))):
+            text = data.draw(st.sampled_from([_mutate_tokens, _mutate_lines]))(text, data)
+        new = _outcome(parse_context, text)
+        ref = _outcome(reference_parse_context, text)
+        if not isinstance(ref, ParseError):
+            assert new == ref, text
+            outcomes["both accept"] += 1
+        elif not isinstance(new, ParseError):
+            assert new[:4] == _outcome(reference_parse_context, _respace(text))[:4], text
+            outcomes["only the match parser accepts"] += 1
+        else:
+            outcomes["both reject"] += 1
+
+    law()
+    assert len(outcomes) == 3, outcomes

@@ -224,6 +224,38 @@ def test_reflection_attack_is_not_passed_for_secrecy(function, tmp_path, capsys)
     assert code == 2
 
 
+# More protocols insecure in the same model. ReflectWrapped is the reflection
+# with identities in the clear. In Fwd and Fwd2 the honest run itself gives Na
+# to S, outside Na's level, and S then sends Na in the clear.
+FORWARD_CTX = (
+    "principals A, B, S, I\nkey kab shared(A,B)\nkey kbs shared(B,S)\n"
+    "nonce Na fresh(A) level {A,B}\nnonce Nb fresh(B) level public\n"
+)
+INSECURE = {
+    "ReflectWrapped": (
+        "1. A -> B : A.{Na}kab\n2. B -> A : B.{Nb}kab\n3. A -> B : Nb\n", REFLECT_CTX
+    ),
+    "Fwd2": ("1. A -> B : A.{Na.A}kab\n2. B -> S : B.{Na.A}kbs\n3. S -> A : Na\n", FORWARD_CTX),
+    "Fwd": ("1. A -> B : {Na}kab\n2. B -> S : {Na}kbs\n3. S -> A : Na\n", FORWARD_CTX),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="variables get declared level ⊥ (ROADMAP item 1)")
+@pytest.mark.parametrize("function", ["max", "ek", "n"])
+@pytest.mark.parametrize("name", list(INSECURE))
+def test_other_insecure_protocols_are_not_passed_for_secrecy(name, function, tmp_path, capsys):
+    steps, ctx_text = INSECURE[name]
+    proto = tmp_path / "insecure.proto"
+    proto.write_text(f"protocol {name}\n{steps}")
+    ctx_file = tmp_path / "insecure.ctx"
+    ctx_file.write_text(ctx_text)
+    code, _, _ = run_cli(
+        ["--protocol", str(proto), "--context", str(ctx_file),
+         "--function", function, "--check", "secrecy"], capsys
+    )
+    assert code == 2
+
+
 @pytest.mark.parametrize("function", ["max", "ek", "n"])
 @pytest.mark.parametrize("stem", ["woolam_modified", "woolam_original"])
 def test_cli_matches_the_golden_reports(stem, function, capsys):

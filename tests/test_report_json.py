@@ -188,6 +188,17 @@ def test_reading_refuses_principals_the_context_never_declares(text, message):
     assert str(err.value) == f"malformed report: {message}"
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    # the corpus report with its protocol name replaced by arrays nested 5,000 deep
+    json.dumps(_corpus_doc()).replace('"WooLamMod"', "[" * 5_000 + "]" * 5_000, 1),
+], ids=["open-brackets", "deep-protocol"])
+def test_deeply_nested_documents_are_malformed_reports(text):
+    with pytest.raises(ValueError) as err:
+        report_from_json(text)
+    assert str(err.value) == "malformed report: nested too deeply to read"
+
+
 @pytest.mark.parametrize(
     "make",
     [

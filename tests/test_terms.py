@@ -8,6 +8,7 @@ from wfcheck import (
     Enc,
     Identity,
     Nonce,
+    ParseError,
     SymKey,
     Variable,
     apply,
@@ -19,6 +20,7 @@ from wfcheck import (
     unify,
     vars_of,
 )
+from wfcheck.terms import tokenize
 
 from messages import erase_copies, parse_message, strip_sessions
 
@@ -212,11 +214,55 @@ def test_parse_format_round_trip(text):
 
 
 def test_parser_rejects_trailing_garbage():
-    from wfcheck import ParseError
-
     with pytest.raises(ParseError):
         parse_message("A }", _resolver())
 
 
 def test_derivation_empty_display():
     assert format_message(EMPTY) == "ε"
+
+
+# Token positions after each kind of whitespace. Only "\n" ends a line:
+# "\r", "\f", "\t", NBSP and U+2028 are whitespace inside it, one column each.
+@pytest.mark.parametrize("text, tokens", [
+    (
+        "1. A -> B : Na\r\n2. B -> A : {Na}kab\r\n",
+        [("num", "1", 1, 1), (".", ".", 1, 2), ("name", "A", 1, 4), ("arrow", "->", 1, 6),
+         ("name", "B", 1, 9), (":", ":", 1, 11), ("name", "Na", 1, 13),
+         ("num", "2", 2, 1), (".", ".", 2, 2), ("name", "B", 2, 4), ("arrow", "->", 2, 6),
+         ("name", "A", 2, 9), (":", ":", 2, 11), ("{", "{", 2, 13), ("name", "Na", 2, 14),
+         ("}", "}", 2, 16), ("name", "kab", 2, 17)],
+    ),
+    (
+        "A\f.B\n\fC",
+        [("name", "A", 1, 1), (".", ".", 1, 3), ("name", "B", 1, 4), ("name", "C", 2, 2)],
+    ),
+    (
+        "\tA ->\tB\n\t\t{Na}k",
+        [("name", "A", 1, 2), ("arrow", "->", 1, 4), ("name", "B", 1, 7), ("{", "{", 2, 3),
+         ("name", "Na", 2, 4), ("}", "}", 2, 6), ("name", "k", 2, 7)],
+    ),
+    (
+        "A\u00a0.\u00a0B\n\u00a0C",
+        [("name", "A", 1, 1), (".", ".", 1, 3), ("name", "B", 1, 5), ("name", "C", 2, 2)],
+    ),
+    (
+        "A\u2028.B\nC\u2028\u2028D",
+        [("name", "A", 1, 1), (".", ".", 1, 3), ("name", "B", 1, 4), ("name", "C", 2, 1),
+         ("name", "D", 2, 4)],
+    ),
+    (
+        "A . B # a comment -> {x}\n  C # another\n#only\nD",
+        [("name", "A", 1, 1), (".", ".", 1, 3), ("name", "B", 1, 5), ("name", "C", 2, 3),
+         ("name", "D", 4, 1)],
+    ),
+], ids=["crlf", "form-feed", "tab", "nbsp", "line-separator", "comment"])
+def test_token_positions(text, tokens):
+    assert [tuple(t) for t in tokenize(text)] == tokens
+
+
+def test_unexpected_character_position_after_crlf():
+    with pytest.raises(ParseError) as err:
+        tokenize("A\r\nB\r\n  C @ D")
+    assert (err.value.line, err.value.column) == (3, 5)
+    assert str(err.value) == "line 3, column 5: unexpected character '@'"
