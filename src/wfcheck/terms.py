@@ -26,10 +26,11 @@ _set = object.__setattr__
 class Message:
     """Base class for every term node. Terms are immutable; each node class
     sets its ``_fields`` once, and compares and hashes by its type and those
-    fields, so ``Identity("X") != Variable("X")``. A compound term
-    (``Concat``, ``Enc``) computes its hash once, when it is built, and
-    keeps it beside its fields; copies and unpickled values rebuild it from
-    the fields, so it is never carried from one process to another."""
+    fields, so ``Identity("X") != Variable("X")`` although the two hash
+    alike. Every atom, variable and compound term computes its hash once,
+    when it is built, and keeps it beside its fields, and equality rejects
+    on unequal hashes first; copies and unpickled values rebuild the hash
+    from the fields, so it is never carried from one process to another."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -61,36 +62,42 @@ class Atom(Message):
 
 
 class Identity(Atom):
-    _fields = __slots__ = ("name", "copy")
+    _fields = ("name", "copy")
+    __slots__ = ("name", "copy", "_hash")
 
     def __init__(self, name: str, copy: Optional[int] = None):
         _set(self, "name", name)
         _set(self, "copy", copy)
+        _set(self, "_hash", hash((name, copy)))
 
     def __eq__(self, other):
-        return type(self) is type(other) and (self.name, self.copy) == (other.name, other.copy)
+        return type(self) is type(other) and self._hash == other._hash and (
+            self.name == other.name and self.copy == other.copy
+        )
 
     def __hash__(self):
-        return hash((self.name, self.copy))
+        return self._hash
 
 
 class _SessionAtom(Atom):
     """A nonce or a key: a declared name, a session tag and a rename index."""
 
-    _fields = __slots__ = ("name", "session", "copy")
+    _fields = ("name", "session", "copy")
+    __slots__ = ("name", "session", "copy", "_hash")
 
     def __init__(self, name: str, session: Optional[str] = None, copy: Optional[int] = None):
         _set(self, "name", name)
         _set(self, "session", session)
         _set(self, "copy", copy)
+        _set(self, "_hash", hash((name, session, copy)))
 
     def __eq__(self, other):
-        return type(self) is type(other) and (
-            (self.name, self.session, self.copy) == (other.name, other.session, other.copy)
+        return type(self) is type(other) and self._hash == other._hash and (
+            self.name == other.name and self.session == other.session and self.copy == other.copy
         )
 
     def __hash__(self):
-        return hash((self.name, self.session, self.copy))
+        return self._hash
 
 
 class Nonce(_SessionAtom):
@@ -105,7 +112,8 @@ class Variable(Message):
     """An unknown component of a received message."""
 
     # an identity's fields and methods; the class check keeps the two apart
-    _fields = __slots__ = ("name", "copy")
+    _fields = ("name", "copy")
+    __slots__ = ("name", "copy", "_hash")
     __init__, __eq__, __hash__ = Identity.__init__, Identity.__eq__, Identity.__hash__
 
 
@@ -235,11 +243,6 @@ def ordered_vars(m: Message) -> tuple[Variable, ...]:
     return tuple(dict.fromkeys([t for t in leaves(m) if isinstance(t, Variable)]))
 
 
-def is_param(a: Message) -> bool:
-    """Renamed copies of role atoms behave as kind-restricted parameters."""
-    return isinstance(a, Atom) and a.copy is not None
-
-
 def _erase_copy(t: Message) -> Message:
     return t._replace(copy=None) if t.copy is not None else t
 
@@ -287,6 +290,26 @@ def apply(sigma: Substitution, m: Message) -> Message:
     return map_leaves(m, lambda t: sigma.get(t, t))
 
 
+def _head(t: Message, sol: dict) -> Message:
+    """Follow bound leaves; re-flatten a concatenation with bound parts, as
+    applying the solution would."""
+    while t in sol:
+        t = sol[t]
+    if type(t) is Concat:
+        for p in t.parts:
+            if p in sol:
+                return concat([_head(q, sol) for q in t.parts])
+    return t
+
+
+def _resolve(t: Message, sol: dict) -> Message:
+    if isinstance(t, (Atom, Variable)):
+        return _resolve(sol[t], sol) if t in sol else t
+    if any(leaf in sol for leaf in leaves(t)):
+        return map_leaves(t, lambda leaf: _resolve(leaf, sol))
+    return t  # nothing to substitute: the term as it is, with its hash
+
+
 def unify(left: Message, right: Message) -> Optional[dict]:
     """Most general syntactic unifier of two terms, or None.
 
@@ -296,59 +319,59 @@ def unify(left: Message, right: Message) -> Optional[dict]:
     against a sent role message orients bindings pattern-to-message.
 
     Bindings are stored as found and may mention leaves bound later; a
-    popped pair is resolved only at its top (``head``), and every value is
-    resolved once, on return.
+    popped pair is resolved only at its top, and every value is resolved
+    once, on return. While every binding maps a leaf to a leaf, no binding
+    can change the shape of a concatenation, so resolving a top only
+    follows a chain of bound leaves. The first variable bound to a compound
+    term or to ε switches the rest of the call to re-flattening each
+    popped top (``_head``) and resolving values through compound terms.
     """
     sol: dict = {}
     stack: list[tuple[Message, Message]] = [(left, right)]
-
-    def head(t: Message) -> Message:
-        # follow bound leaves; re-flatten a concatenation with bound parts,
-        # as applying the solution would
-        while isinstance(t, (Atom, Variable)) and t in sol:
-            t = sol[t]
-        if isinstance(t, Concat):
-            for p in t.parts:
-                if isinstance(p, (Atom, Variable)) and p in sol:
-                    return concat([head(q) for q in t.parts])
-        return t
-
-    def resolve(t: Message) -> Message:
-        if isinstance(t, (Atom, Variable)):
-            return resolve(sol[t]) if t in sol else t
-        if any(leaf in sol for leaf in leaves(t)):
-            return map_leaves(t, resolve)
-        return t  # nothing to substitute: the term as it is, with its hash
-
+    leaf_to_leaf = True
     while stack:
         s, t = stack.pop()
-        if sol:
-            s = head(s)
-            t = head(t)
+        if leaf_to_leaf:
+            while s in sol:
+                s = sol[s]
+            while t in sol:
+                t = sol[t]
+        else:
+            s, t = _head(s, sol), _head(t, sol)
         if s == t:
             continue
-        if isinstance(s, Variable) or isinstance(t, Variable):
-            var, term = (s, t) if isinstance(s, Variable) else (t, s)
-            if not isinstance(term, (Atom, Variable)) and var in vars_of(resolve(term)):
-                return None
+        s_type, t_type = type(s), type(t)
+        if s_type is Variable or t_type is Variable:
+            var, term = (s, t) if s_type is Variable else (t, s)
+            if not isinstance(term, (Atom, Variable)):
+                if var in vars_of(_resolve(term, sol)):
+                    return None
+                leaf_to_leaf = False
             sol[var] = term
-        elif isinstance(s, Atom) and isinstance(t, Atom):
-            if is_param(s) and type(s) is type(t):
-                sol[s] = t
-            elif is_param(t) and type(t) is type(s):
-                sol[t] = s
-            else:
-                return None
-        elif isinstance(s, Concat) and isinstance(t, Concat):
-            if len(s.parts) != len(t.parts):
+        elif s_type is Concat:
+            if t_type is not Concat or len(s.parts) != len(t.parts):
                 return None
             stack.extend(zip(s.parts, t.parts))
-        elif isinstance(s, Enc) and isinstance(t, Enc):
+        elif s_type is Enc:
+            if t_type is not Enc:
+                return None
             stack.append((s.key, t.key))
             stack.append((s.body, t.body))
+        elif s_type is not t_type:
+            return None
+        elif s.copy is not None:  # two atoms of one kind: a parameter binds
+            sol[s] = t
+        elif t.copy is not None:
+            sol[t] = s
         else:
             return None
-    return {k: resolve(v) for k, v in sol.items()}
+    if not leaf_to_leaf:
+        return {k: _resolve(v, sol) for k, v in sol.items()}
+    for k, v in sol.items():
+        while v in sol:
+            v = sol[v]
+        sol[k] = v
+    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ received message, strictly above the public level.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .context import AuthChallenge, VerificationContext
@@ -60,7 +59,10 @@ class CandidateSource:
     ``instance`` is the pattern under the unifier. When the unifier binds
     no leaf of the sent message, that is the sent message itself (the very
     object), since a unifier maps the pattern and the message to one term.
-    ``text`` is the pattern's printed form.
+    ``text`` is the pattern's printed form, and ``description`` the line a
+    report lists for the source, computed once, when the source is built:
+    every encrypted send has its key as an atom target, which every source
+    carries, so every description is read.
     """
 
     def __init__(
@@ -71,11 +73,7 @@ class CandidateSource:
         self.mgu = mgu
         self.instance = instance
         self.text = text
-
-    # computed once per source, not once per target that the source carries
-    @cached_property
-    def description(self) -> str:
-        return f"{self.text} via {format_substitution(self.mgu)}"
+        self.description = f"{text} via {format_substitution(mgu)}"
 
 
 class StepCheck(NamedTuple):
@@ -174,9 +172,10 @@ def lower_bound(
             f"encrypted send {format_message(r_plus)} unifies with no generated pattern"
         )
     carriers = sources_for_target(target, sources)
-    level = evaluation.ctx.lattice.meet_all(
-        evaluation.level(stand_in, source.instance) for source, stand_in in carriers
-    )
+    # most sources share the send as their instance: each distinct pair is
+    # evaluated once, and the meet is idempotent
+    evaluated = dict.fromkeys((stand_in, source.instance) for source, stand_in in carriers)
+    level = evaluation.ctx.lattice.meet_all(evaluation.level(*pair) for pair in evaluated)
     return level, carriers
 
 
@@ -197,6 +196,7 @@ def check_step(
     received = role.received_before(len(role.steps) - 1)
     r_plus = step.payload
     sources = candidate_sources(r_plus, patterns, texts) if isinstance(r_plus, Enc) else []
+    every_source = tuple(source.description for source in sources)  # an atom's sources
     checks: list[StepCheck] = []
     targets: list[Target] = list(ordered_atoms(r_plus)) + list(ordered_vars(r_plus))
     for target in targets:
@@ -204,16 +204,20 @@ def check_step(
         declared = ctx.level_of(target)
         lower, carriers = lower_bound(evaluation, target, r_plus, sources)
         required = ctx.lattice.meet(declared, received_bound)
+        is_variable = isinstance(target, Variable)
         checks.append(
             StepCheck(
                 role=role.label,
                 step=step.step_id,
                 target=format_message(target),
-                target_is_variable=isinstance(target, Variable),
+                target_is_variable=is_variable,
                 received_bound=received_bound,
                 declared=declared,
                 lower_bound=lower,
-                sources=tuple(source.description for source, _ in carriers),
+                sources=(
+                    tuple(source.description for source, _ in carriers)
+                    if is_variable else every_source
+                ),
                 from_patterns=isinstance(r_plus, Enc),
                 passed=ctx.lattice.leq(required, lower),
             )

@@ -96,21 +96,32 @@ def test_copies_are_equal_values_of_the_same_type(value):
         assert hash(same) == hash(value)
 
 
-@pytest.mark.parametrize("value", NESTED, ids=lambda v: type(v).__name__)
+#: One atom or variable of each class; each keeps the hash computed when it
+#: was built, as compound terms do.
+ATOMS = [Identity("A", 1), Nonce("Nb", "i", 2), SymKey("kab", copy=1), Variable("X", 3)]
+
+
+@pytest.mark.parametrize("value", NESTED + ATOMS, ids=lambda v: type(v).__name__)
 def test_a_stored_hash_cannot_be_assigned(value):
+    assert value._hash == hash(value)
     with pytest.raises(AttributeError):
         value._hash = 0
 
 
 def test_an_unpickled_term_hashes_as_one_built_in_its_own_process():
-    # string hashes differ between processes, so a stored hash must not travel
+    # string hashes differ between processes, so a stored hash must not travel;
+    # one process per seed reads every kind of term that stores a hash
     src = str(pathlib.Path(wfcheck.__file__).resolve().parent.parent)
+    built = (
+        "[Enc(Concat((Identity('A'), Enc(Nonce('Nb'), SymKey('kab')))), SymKey('kbs')), "
+        "Identity('A', 1), Nonce('Nb', 'i', 2), SymKey('kab', copy=1), Variable('X', 3)]"
+    )
     probe = (
         "import pickle, sys; from wfcheck import *; "
-        "built = Enc(Concat((Identity('A'), Enc(Nonce('Nb'), SymKey('kab')))), SymKey('kbs')); "
-        "print(hash(pickle.loads(sys.stdin.buffer.read())) == hash(built))"
+        f"pairs = zip(pickle.loads(sys.stdin.buffer.read()), {built}); "
+        "print(*[hash(sent) == hash(own) for sent, own in pairs])"
     )
-    sent = Enc(Concat((A, Enc(NB, SymKey("kab")))), SymKey("kbs"))
+    sent = [Enc(Concat((A, Enc(NB, SymKey("kab")))), SymKey("kbs"))] + ATOMS
     for seed in ("0", "1"):
         proc = subprocess.run(
             [sys.executable, "-c", probe],
@@ -119,7 +130,7 @@ def test_an_unpickled_term_hashes_as_one_built_in_its_own_process():
             env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
             check=True,
         )
-        assert proc.stdout.split() == [b"True"]
+        assert proc.stdout.split() == [b"True"] * len(sent)
 
 
 def test_the_empty_message_stays_the_one_empty_message():
@@ -148,6 +159,14 @@ def test_terms_of_different_kinds_are_never_equal(left, right):
     # unification binds by kind, so one dict must keep both as keys
     assert left != right and not left == right
     assert len({left: 1, right: 2}) == 2
+
+
+def test_an_identity_and_a_variable_of_one_name_hash_alike_but_differ():
+    # equal stored hashes do not make equal terms: the class check decides
+    for copy_index in (None, 1):
+        identity, variable = Identity("X", copy_index), Variable("X", copy_index)
+        assert hash(identity) == hash(variable)
+        assert identity != variable and not identity == variable
 
 
 def test_the_line_of_a_step_is_not_part_of_its_value():

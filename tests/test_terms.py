@@ -20,7 +20,7 @@ from wfcheck import (
     unify,
     vars_of,
 )
-from wfcheck.terms import tokenize
+from wfcheck.terms import format_substitution, tokenize
 
 from messages import erase_copies, parse_message, strip_sessions
 
@@ -177,7 +177,7 @@ def _resolver():
     from wfcheck.terms import split_atom_name
 
     atoms = {
-        "A": A, "B": B, "S": S,
+        "A": A, "B": B, "C": Identity("C"), "S": S, "k": SymKey("k"),
         "kas": KAS, "kbs": KBS, "kab": SymKey("kab"),
         "Nb": Nonce("Nb"),
     }
@@ -211,6 +211,37 @@ def test_parse_format_round_trip(text):
     msg = parse_message(text, resolve)
     assert format_message(msg) == text
     assert parse_message(format_message(msg), resolve) == msg
+
+
+# Unifiers whose bindings depend on the order pairs are taken in, recorded
+# from the former unifier: the left side is bound first, the last part of a
+# concatenation is taken first, and a variable bound to a concatenation
+# re-flattens the parts it is taken with.
+@pytest.mark.parametrize("left, right, unifier", [
+    ("?V_1.?V_1", "?X.?Y", "{?V_1 -> ?X, ?Y -> ?X}"),
+    ("?X.?Y", "?V_1.?V_1", "{?X -> ?V_1, ?Y -> ?V_1}"),
+    ("{?X.C}k.{?X}k", "{A.B.C}k.{A.B}k", "{?X -> A.B}"),
+    ("A_1.A_1", "A.B", None),
+])
+def test_unifiers_where_order_matters(left, right, unifier):
+    resolve = _resolver()
+    sigma = unify(parse_message(left, resolve), parse_message(right, resolve))
+    assert (sigma if sigma is None else format_substitution(sigma)) == unifier
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="unify takes a concatenation's parts last to first and compares the "
+    "lengths of two parts before a variable in them is bound, so it misses "
+    "a unifier the part-swapped pair finds; a missed candidate source can "
+    "raise a lower bound (ROADMAP items 1 and 2)",
+)
+def test_swapping_the_parts_of_both_sides_gives_the_same_answer():
+    resolve = _resolver()
+    left = parse_message("{?X.C}k.{?X}k", resolve)
+    right = parse_message("{A.B.C}k.{A.B}k", resolve)
+    swapped = [concat(reversed(m.parts)) for m in (left, right)]
+    assert unify(*swapped) == unify(left, right)
 
 
 def test_parser_rejects_trailing_garbage():
