@@ -85,11 +85,6 @@ class VerificationContext:
             return self.decls[name].atom
         raise UnknownAtom(f"atom {name!r} is not declared in the context")
 
-    def intruder_knowledge(self) -> tuple[Atom, ...]:
-        identities = tuple(Identity(p) for p in self.principals)
-        extra = tuple(self.resolve_atom(n) for n in self.intruder_knows)
-        return identities + extra
-
     # -- declarations ---------------------------------------------------------
 
     def _decl(self, a: Atom) -> Decl:

@@ -122,11 +122,10 @@ class GeneralizedRole(NamedTuple):
     def final(self) -> RoleStep:
         return self.steps[-1]
 
-    def received_before(self, position: int) -> tuple[Message, ...]:
-        """Payloads received strictly before the step at ``position``."""
-        return tuple(
-            s.payload for s in self.steps[:position] if s.direction is Direction.RECEIVE
-        )
+    @property
+    def received(self) -> tuple[Message, ...]:
+        """Payloads received before the final step."""
+        return tuple(s.payload for s in self.steps[:-1] if s.direction is Direction.RECEIVE)
 
     def describe(self) -> tuple[str, ...]:
         return tuple(s.describe(self.owner) for s in self.steps)

@@ -17,7 +17,7 @@ from . import witness
 from .context import VerificationContext
 from .errors import ChallengeNotReceived
 from .lattice import BOTTOM, TOP, Lattice, SecurityLevel
-from .protocol import Narration, RoleStep
+from .protocol import Narration
 from .safefun import Variant
 from .terms import format_message
 from .witness import AuthCheck, StepCheck, analyze_narration, check_secrecy
@@ -77,23 +77,19 @@ def analyze(
     if check == "auth" and ctx.challenge is None:
         raise ChallengeNotReceived("the context declares no authentication challenge")
     roles, patterns = analyze_narration(narration, ctx)
-    texts = tuple(format_message(p) for p in patterns)  # the report's and every source's
-    checks = check_secrecy(roles, patterns, ctx, variant, texts)
+    checks = check_secrecy(roles, patterns, ctx, variant)
     auth = None
     if check != "secrecy" and ctx.challenge is not None:
         # looked up on the module, where perfbench's tracer wraps it
         auth = witness.challenge_check(roles, ctx, variant, ctx.challenge)
-    describe = cache(RoleStep.describe)  # prefix roles share their full projection's steps
     return AnalysisReport(
         version=SCHEMA_VERSION,
         protocol=narration.name,
         variant=variant.value,
         context_digest=ctx.digest,
         principals=ctx.principals,
-        roles=tuple(
-            RoleRecord(r.label, tuple(describe(s, r.owner) for s in r.steps)) for r in roles
-        ),
-        patterns=texts,
+        roles=tuple(RoleRecord(r.label, r.describe()) for r in roles),
+        patterns=tuple(map(format_message, patterns)),
         checks=tuple(checks),
         auth=auth,
     )

@@ -29,8 +29,10 @@ class Message:
     fields, so ``Identity("X") != Variable("X")`` although the two hash
     alike. Every atom, variable and compound term computes its hash once,
     when it is built, and keeps it beside its fields, and equality rejects
-    on unequal hashes first; copies and unpickled values rebuild the hash
-    from the fields, so it is never carried from one process to another."""
+    on unequal hashes first. Its printed form is computed once too, on the
+    first ``format_message``, and kept in a ``_text`` slot. Copies and
+    unpickled values rebuild the hash from the fields and print afresh, so
+    neither is carried from one process to another."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -63,7 +65,7 @@ class Atom(Message):
 
 class Identity(Atom):
     _fields = ("name", "copy")
-    __slots__ = ("name", "copy", "_hash")
+    __slots__ = ("name", "copy", "_hash", "_text")
 
     def __init__(self, name: str, copy: Optional[int] = None):
         _set(self, "name", name)
@@ -83,7 +85,7 @@ class _SessionAtom(Atom):
     """A nonce or a key: a declared name, a session tag and a rename index."""
 
     _fields = ("name", "session", "copy")
-    __slots__ = ("name", "session", "copy", "_hash")
+    __slots__ = ("name", "session", "copy", "_hash", "_text")
 
     def __init__(self, name: str, session: Optional[str] = None, copy: Optional[int] = None):
         _set(self, "name", name)
@@ -113,7 +115,7 @@ class Variable(Message):
 
     # an identity's fields and methods; the class check keeps the two apart
     _fields = ("name", "copy")
-    __slots__ = ("name", "copy", "_hash")
+    __slots__ = ("name", "copy", "_hash", "_text")
     __init__, __eq__, __hash__ = Identity.__init__, Identity.__eq__, Identity.__hash__
 
 
@@ -121,7 +123,7 @@ class Concat(Message):
     """Flattened, order-preserving concatenation of two or more parts."""
 
     _fields = ("parts",)
-    __slots__ = ("parts", "_hash")
+    __slots__ = ("parts", "_hash", "_text")
 
     def __init__(self, parts: tuple[Message, ...]):
         if len(parts) < 2:
@@ -144,7 +146,7 @@ class Enc(Message):
     """Encryption of a body under an atomic symmetric key."""
 
     _fields = ("body", "key")
-    __slots__ = ("body", "key", "_hash")
+    __slots__ = ("body", "key", "_hash", "_text")
 
     def __init__(self, body: Message, key: Message):
         _set(self, "body", body)
@@ -387,19 +389,26 @@ def _format_atomish(name: str, copy: Optional[int], session: Optional[str]) -> s
 
 
 def format_message(m: Message) -> str:
+    """The printed form of ``m``, computed on its first print and kept on the term."""
+    text = getattr(m, "_text", None)
+    if text is not None:
+        return text
     if m is EMPTY:
         return "ε"
     if isinstance(m, Identity):
-        return _format_atomish(m.name, m.copy, None)
-    if isinstance(m, (Nonce, SymKey)):
-        return _format_atomish(m.name, m.copy, m.session)
-    if isinstance(m, Variable):
-        return "?" + _format_atomish(m.name, m.copy, None)
-    if isinstance(m, Concat):
-        return ".".join(format_message(p) for p in m.parts)
-    if isinstance(m, Enc):
-        return "{" + format_message(m.body) + "}" + format_message(m.key)
-    raise TypeError(f"not a message: {m!r}")
+        text = _format_atomish(m.name, m.copy, None)
+    elif isinstance(m, (Nonce, SymKey)):
+        text = _format_atomish(m.name, m.copy, m.session)
+    elif isinstance(m, Variable):
+        text = "?" + _format_atomish(m.name, m.copy, None)
+    elif isinstance(m, Concat):
+        text = ".".join(format_message(p) for p in m.parts)
+    elif isinstance(m, Enc):
+        text = "{" + format_message(m.body) + "}" + format_message(m.key)
+    else:
+        raise TypeError(f"not a message: {m!r}")
+    _set(m, "_text", text)
+    return text
 
 
 def format_substitution(sigma: Substitution) -> str:

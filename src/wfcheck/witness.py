@@ -23,7 +23,7 @@ received message, strictly above the public level.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .context import AuthChallenge, VerificationContext
 from .errors import AtomAbsent, ChallengeAtomAbsent, ChallengeNotReceived, NoSource
@@ -59,21 +59,18 @@ class CandidateSource:
     ``instance`` is the pattern under the unifier. When the unifier binds
     no leaf of the sent message, that is the sent message itself (the very
     object), since a unifier maps the pattern and the message to one term.
-    ``text`` is the pattern's printed form, and ``description`` the line a
-    report lists for the source, computed once, when the source is built:
+    ``description`` is the line a report lists for the source: the printed
+    pattern and its unifier. It is computed once, when the source is built:
     every encrypted send has its key as an atom target, which every source
     carries, so every description is read.
     """
 
-    def __init__(
-        self, index: int, pattern: Message, mgu: Substitution, instance: Message, text: str
-    ):
+    def __init__(self, index: int, pattern: Message, mgu: Substitution, instance: Message):
         self.index = index
         self.pattern = pattern
         self.mgu = mgu
         self.instance = instance
-        self.text = text
-        self.description = f"{text} via {format_substitution(mgu)}"
+        self.description = f"{format_message(pattern)} via {format_substitution(mgu)}"
 
 
 class StepCheck(NamedTuple):
@@ -114,14 +111,8 @@ class AuthCheck(NamedTuple):
         return self.claimant_present and self.above_bottom
 
 
-def candidate_sources(
-    r_plus: Message, patterns: Sequence[Enc], texts: Optional[Sequence[str]] = None
-) -> list[CandidateSource]:
-    """Patterns unifiable with the sent message, in declaration order.
-
-    ``texts``, when given, are the patterns' printed forms, index for index,
-    so a caller that has formatted them already does not format them again.
-    """
+def candidate_sources(r_plus: Message, patterns: Sequence[Enc]) -> list[CandidateSource]:
+    """Patterns unifiable with the sent message, in declaration order."""
     send_leaves = frozenset(leaves(r_plus))
     out: list[CandidateSource] = []
     for i, pattern in enumerate(patterns):
@@ -129,8 +120,7 @@ def candidate_sources(
         if sigma is None:
             continue
         instance = r_plus if send_leaves.isdisjoint(sigma) else apply(sigma, pattern)
-        text = format_message(pattern) if texts is None else texts[i]
-        out.append(CandidateSource(i, pattern, sigma, instance, text))
+        out.append(CandidateSource(i, pattern, sigma, instance))
     return out
 
 
@@ -180,23 +170,16 @@ def lower_bound(
 
 
 def check_step(
-    role: GeneralizedRole,
-    evaluation: Evaluation,
-    patterns: Sequence[Enc],
-    texts: Optional[Sequence[str]] = None,
+    role: GeneralizedRole, evaluation: Evaluation, patterns: Sequence[Enc]
 ) -> list[StepCheck]:
-    """Bound comparisons for every atom and every variable of the role's final send.
-
-    ``texts`` are the patterns' printed forms, as for ``candidate_sources``.
-    """
+    """Bound comparisons for every atom and every variable of the role's final send."""
     step = role.final
     if step.direction is not Direction.SEND:
         raise ValueError(f"step {step.step_id} of {role.label} is not a send")
     ctx = evaluation.ctx
-    received = role.received_before(len(role.steps) - 1)
+    received = role.received
     r_plus = step.payload
-    sources = candidate_sources(r_plus, patterns, texts) if isinstance(r_plus, Enc) else []
-    every_source = tuple(source.description for source in sources)  # an atom's sources
+    sources = candidate_sources(r_plus, patterns) if isinstance(r_plus, Enc) else []
     checks: list[StepCheck] = []
     targets: list[Target] = list(ordered_atoms(r_plus)) + list(ordered_vars(r_plus))
     for target in targets:
@@ -204,20 +187,16 @@ def check_step(
         declared = ctx.level_of(target)
         lower, carriers = lower_bound(evaluation, target, r_plus, sources)
         required = ctx.lattice.meet(declared, received_bound)
-        is_variable = isinstance(target, Variable)
         checks.append(
             StepCheck(
                 role=role.label,
                 step=step.step_id,
                 target=format_message(target),
-                target_is_variable=is_variable,
+                target_is_variable=isinstance(target, Variable),
                 received_bound=received_bound,
                 declared=declared,
                 lower_bound=lower,
-                sources=(
-                    tuple(source.description for source, _ in carriers)
-                    if is_variable else every_source
-                ),
+                sources=tuple(source.description for source, _ in carriers),
                 from_patterns=isinstance(r_plus, Enc),
                 passed=ctx.lattice.leq(required, lower),
             )
@@ -230,21 +209,18 @@ def check_secrecy(
     patterns: Sequence[Enc],
     ctx: VerificationContext,
     variant: Variant,
-    texts: Optional[Sequence[str]] = None,
 ) -> list[StepCheck]:
     """The bound comparisons of every send step; secrecy holds when all of them pass.
 
     Each send is checked once, as the final step of its prefix role, with
     the receives accumulated before it. One evaluation serves every check,
     so a payload that several prefix roles receive is evaluated once.
-    ``texts`` are the patterns' printed forms, as for ``candidate_sources``;
-    ``analyze`` passes the ones its report lists.
     """
     evaluation = Evaluation(variant, ctx)
     checks: list[StepCheck] = []
     for role in roles:
         if role.steps and role.final.direction is Direction.SEND:
-            checks.extend(check_step(role, evaluation, patterns, texts))
+            checks.extend(check_step(role, evaluation, patterns))
     return checks
 
 

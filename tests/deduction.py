@@ -14,7 +14,9 @@ from itertools import product
 from typing import FrozenSet, Iterable
 
 from wfcheck import AnalysisError, VerificationContext
-from wfcheck.terms import Concat, Enc, Message, SymKey, concat, format_message, vars_of
+from wfcheck.terms import (
+    Atom, Concat, Enc, Identity, Message, SymKey, concat, format_message, vars_of,
+)
 
 MAX_DEPTH = 3
 
@@ -24,6 +26,12 @@ class DepthExceeded(AnalysisError):
 
 
 KnowledgeSet = FrozenSet[Message]
+
+
+def intruder_knowledge(ctx: VerificationContext) -> tuple[Atom, ...]:
+    """Every principal's identity, then the atoms of the ``intruder knows`` lines."""
+    identities = tuple(Identity(p) for p in ctx.principals)
+    return identities + tuple(ctx.resolve_atom(n) for n in ctx.intruder_knows)
 
 
 def _decompose(known: set[Message], ctx: VerificationContext) -> None:

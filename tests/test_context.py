@@ -22,6 +22,7 @@ from wfcheck import (
 
 from conftest import perfbench_gen
 from context_reference import reference_parse_context
+from deduction import intruder_knowledge
 from test_fuzz import TEXTS, _mutate_lines, _mutate_tokens
 
 WOOLAM_CTX = """\
@@ -88,12 +89,12 @@ def test_challenge_fields(ctx):
 
 
 def test_intruder_knowledge_defaults_to_identities(ctx):
-    assert set(ctx.intruder_knowledge()) == {Identity(p) for p in "ABSI"}
+    assert set(intruder_knowledge(ctx)) == {Identity(p) for p in "ABSI"}
 
 
 def test_intruder_knows_directive():
     ctx = parse_context(WOOLAM_CTX + "intruder knows Nb\n")
-    assert Nonce("Nb") in ctx.intruder_knowledge()
+    assert Nonce("Nb") in intruder_knowledge(ctx)
 
 
 SECRETS_CTX = """\
@@ -117,7 +118,7 @@ def test_intruder_may_know_what_a_later_declaration_admits():
         "principals A, B, I\nintruder knows Nb, Nc\n"
         "nonce Nb level public\nnonce Nc fresh(A) level {A,I}\n"
     )
-    assert {Nonce("Nb"), Nonce("Nc")} <= set(ctx.intruder_knowledge())
+    assert {Nonce("Nb"), Nonce("Nc")} <= set(intruder_knowledge(ctx))
 
 
 @pytest.mark.parametrize("extra, line", [

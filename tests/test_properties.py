@@ -52,7 +52,7 @@ from wfcheck.safefun import Variant
 from wfcheck.terms import map_leaves, ordered_atoms, ordered_vars
 
 from bounds import bound_ordering_check
-from deduction import saturate
+from deduction import intruder_knowledge, saturate
 from derivation import derive, derive_vars
 from evaluation import psi, select
 from messages import assert_only_pattern_leaves_are_renamed, erase_copies, parse_message
@@ -666,7 +666,7 @@ def law_secrecy_pass_leaks_nothing_to_the_intruder(case):
         return
     declared = [ctx.resolve_atom(name) for name in ctx.decls]
     entitled = [a for a in declared if INTRUDER in ctx.lattice.canon(ctx.level_of(a))]
-    view = [step.payload for step in narr.steps] + list(ctx.intruder_knowledge()) + entitled
+    view = [step.payload for step in narr.steps] + list(intruder_knowledge(ctx)) + entitled
     leaked = sorted(
         format_message(t) for t in saturate(view, 2, ctx)
         if isinstance(t, Atom) and INTRUDER not in ctx.lattice.canon(ctx.level_of(t))

@@ -108,6 +108,20 @@ def test_a_stored_hash_cannot_be_assigned(value):
         value._hash = 0
 
 
+@pytest.mark.parametrize("value", NESTED + ATOMS, ids=lambda v: type(v).__name__)
+def test_a_term_prints_once_and_no_copy_carries_its_text(value):
+    fresh = copy.deepcopy(value)  # rebuilt from its fields, so not printed yet
+    unprinted = pickle.dumps(fresh)
+    text = format_message(fresh)
+    assert format_message(fresh) is text
+    assert str(fresh) == text
+    with pytest.raises(AttributeError):
+        fresh._text = text
+    assert pickle.dumps(fresh) == unprinted
+    for same in (fresh._replace(), copy.deepcopy(fresh), pickle.loads(unprinted)):
+        assert format_message(same) == text
+
+
 def test_an_unpickled_term_hashes_as_one_built_in_its_own_process():
     # string hashes differ between processes, so a stored hash must not travel;
     # one process per seed reads every kind of term that stores a hash

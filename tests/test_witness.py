@@ -103,7 +103,8 @@ def _sources_of_every_send(roles, patterns) -> int:
     """Check every candidate source of every encrypted send; return how many.
 
     A source's instance is its pattern under the unifier, and it is the sent
-    message itself exactly when the unifier binds no leaf of the send.
+    message itself exactly when the unifier binds no leaf of the send. Its
+    description starts with its printed pattern.
     """
     count = 0
     for role in roles:
@@ -114,6 +115,7 @@ def _sources_of_every_send(roles, patterns) -> int:
         for source in candidate_sources(r_plus, patterns):
             assert source.instance == apply(source.mgu, source.pattern) == apply(source.mgu, r_plus)
             assert (source.instance is r_plus) == send_leaves.isdisjoint(source.mgu)
+            assert source.description.startswith(format_message(source.pattern) + " via ")
             count += 1
     return count
 
@@ -143,7 +145,7 @@ def test_a_source_binding_a_send_variable_instantiates_its_pattern():
     assert format_message(r_plus) == "{A4.?Y}ka1s"
     source = next(
         s for s in candidate_sources(r_plus, patterns)
-        if s.text == "{A1_11.{?W_11}ka1s_11}ka2s_11"
+        if format_message(s.pattern) == "{A1_11.{?W_11}ka1s_11}ka2s_11"
     )
     assert format_message(source.mgu[Variable("Y")]) == "{?W_11}ka1s_11"
     assert source.instance is not r_plus
@@ -279,7 +281,7 @@ def test_each_distinct_message_is_walked_and_evaluated_once(monkeypatch):
     assert all(c.passed for c in checks) and len(checks) == 234
     received = {
         m for role in roles if role.final.direction is Direction.SEND
-        for m in role.received_before(len(role.steps) - 1)
+        for m in role.received
     }
     # one walk per distinct message, one level per distinct (message, target):
     # a payload that several prefix roles receive is evaluated once; the
