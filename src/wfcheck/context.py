@@ -50,6 +50,7 @@ class AuthChallenge(NamedTuple):
 
 
 INTRUDER_NAME = "I"
+_NO_INTRUDER = f"the principal universe must include the intruder {INTRUDER_NAME!r}"
 
 
 class VerificationContext:
@@ -62,7 +63,7 @@ class VerificationContext:
         digest: str = "",
     ):
         if INTRUDER_NAME not in principals:
-            raise ParseError(f"the principal universe must include the intruder {INTRUDER_NAME!r}")
+            raise ParseError(_NO_INTRUDER)
         self.principals = principals
         self.lattice = Lattice.over(*principals)
         # levels are stored canonical, so every level_of result is canonical
@@ -73,9 +74,6 @@ class VerificationContext:
         self.digest = digest
 
     # -- atom construction -------------------------------------------------
-
-    def is_principal(self, name: str) -> bool:
-        return name in self.principals
 
     def resolve_atom(self, name: str) -> Atom:
         """Map a declared base name to its atom; raises UnknownAtom otherwise."""
@@ -190,6 +188,8 @@ def parse_context(text: str) -> VerificationContext:
             case ["principals", *words] if names := _names(words):
                 if len(set(names)) != len(names):
                     raise ParseError("duplicate principal name", lineno)
+                if INTRUDER_NAME not in names:
+                    raise ParseError(_NO_INTRUDER, lineno)
                 principals = tuple(names)
             case ["intruder", "knows", *words] if names := _names(words):
                 intruder_knows.extend((name, lineno) for name in names)

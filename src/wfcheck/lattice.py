@@ -27,14 +27,6 @@ class SecurityLevel(NamedTuple):
     authorized: Optional[frozenset[str]]
 
     @classmethod
-    def bottom(cls) -> "SecurityLevel":
-        return cls(None)
-
-    @classmethod
-    def top(cls) -> "SecurityLevel":
-        return cls(frozenset())
-
-    @classmethod
     def of(cls, *members: str) -> "SecurityLevel":
         return cls(frozenset(members))
 
@@ -62,8 +54,8 @@ class SecurityLevel(NamedTuple):
         return "{" + ",".join(self.members()) + "}"
 
 
-BOTTOM = SecurityLevel.bottom()
-TOP = SecurityLevel.top()
+BOTTOM = SecurityLevel(None)
+TOP = SecurityLevel(frozenset())
 
 
 class Lattice(NamedTuple):

@@ -59,18 +59,8 @@ class NarrationStep(NamedTuple):
     sender: str
     receiver: str
     payload: Message
-    #: where the step starts in the narration text, for diagnostics only:
-    #: steps that differ only in ``line`` are equal and hash equal
+    #: where the step starts in the narration text, for diagnostics
     line: Optional[int] = None
-
-    def __eq__(self, other):
-        return isinstance(other, NarrationStep) and self[:4] == other[:4]
-
-    def __ne__(self, other):  # tuple's own != would still compare ``line``
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:4])
 
     def __str__(self):
         return f"{self.index}. {self.sender} -> {self.receiver} : {format_message(self.payload)}"
@@ -138,6 +128,9 @@ def parse_narration(text: str, ctx: VerificationContext) -> Narration:
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty protocol text")
+    for tok in tokens:  # terms print variables and ε, but a narration names neither
+        if tok.kind in ("?", "eps"):
+            raise ParseError(f"a narration cannot contain {tok.text!r}", tok.line, tok.column)
     stream = TokenStream(tokens)
 
     head = stream.next()
@@ -168,7 +161,7 @@ def parse_narration(text: str, ctx: VerificationContext) -> Narration:
         receiver_tok = stream.expect("name")
         stream.expect(":")
         for tok in (sender_tok, receiver_tok):
-            if not ctx.is_principal(tok.text):
+            if tok.text not in ctx.principals:
                 raise UndeclaredAtom(f"undeclared principal {tok.text!r}", tok.line, tok.column)
         payload = parse_message_tokens(stream, resolve)
         steps.append(

@@ -284,11 +284,8 @@ Substitution = Mapping[Union[Variable, Atom], Message]
 
 
 def apply(sigma: Substitution, m: Message) -> Message:
-    """Homomorphic replacement of variables and parameters; flattening kept."""
-    if not sigma:
-        return m
-    if isinstance(m, (Variable, Atom)):  # the common case inside unify
-        return sigma.get(m, m)
+    """Homomorphic replacement of variables and parameters through
+    ``map_leaves``: flattening is kept, and every compound term is rebuilt."""
     return map_leaves(m, lambda t: sigma.get(t, t))
 
 

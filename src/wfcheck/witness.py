@@ -53,24 +53,22 @@ from .terms import (
 )
 
 
-class CandidateSource:
+class CandidateSource(NamedTuple):
     """A generated pattern unifiable with a sent message, with its unifier.
 
     ``instance`` is the pattern under the unifier. When the unifier binds
     no leaf of the sent message, that is the sent message itself (the very
     object), since a unifier maps the pattern and the message to one term.
     ``description`` is the line a report lists for the source: the printed
-    pattern and its unifier. It is computed once, when the source is built:
-    every encrypted send has its key as an atom target, which every source
-    carries, so every description is read.
+    pattern and its unifier. ``candidate_sources`` computes it when it
+    builds the source: every encrypted send has its key as an atom target,
+    which every source carries, so every description is read.
     """
 
-    def __init__(self, index: int, pattern: Message, mgu: Substitution, instance: Message):
-        self.index = index
-        self.pattern = pattern
-        self.mgu = mgu
-        self.instance = instance
-        self.description = f"{format_message(pattern)} via {format_substitution(mgu)}"
+    pattern: Message
+    mgu: Substitution
+    instance: Message
+    description: str
 
 
 class StepCheck(NamedTuple):
@@ -115,12 +113,13 @@ def candidate_sources(r_plus: Message, patterns: Sequence[Enc]) -> list[Candidat
     """Patterns unifiable with the sent message, in declaration order."""
     send_leaves = frozenset(leaves(r_plus))
     out: list[CandidateSource] = []
-    for i, pattern in enumerate(patterns):
+    for pattern in patterns:
         sigma = unify(pattern, r_plus)
         if sigma is None:
             continue
         instance = r_plus if send_leaves.isdisjoint(sigma) else apply(sigma, pattern)
-        out.append(CandidateSource(i, pattern, sigma, instance))
+        description = f"{format_message(pattern)} via {format_substitution(sigma)}"
+        out.append(CandidateSource(pattern, sigma, instance, description))
     return out
 
 

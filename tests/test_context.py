@@ -137,7 +137,11 @@ def test_checks_after_parsing_name_the_declaring_line(extra, line):
     ("principalsZ A, B, I\n", 1),
     (SECRETS_CTX + "intruder knows Nc_7\n", 5),
     (SECRETS_CTX + "intruder knowsNc\n", 5),
-], ids=["digit-first", "underscore", "glued-keyword", "intruder-underscore", "intruder-glued"])
+    ("principals A, B\nnonce Na level public\n", 1),
+], ids=[
+    "digit-first", "underscore", "glued-keyword", "intruder-underscore", "intruder-glued",
+    "no-intruder",
+])
 def test_name_lists_hold_comma_separated_names_only(text, line):
     with pytest.raises(ParseError) as err:
         parse_context(text)

@@ -11,7 +11,7 @@ LAT = Lattice.over("A", "B", "S", "I")
 
 def brute_force_glb(lat, a, b):
     """Largest level below both arguments, by enumerating all levels."""
-    candidates = [SecurityLevel.bottom()] + [
+    candidates = [BOTTOM] + [
         SecurityLevel.of(*combo)
         for n in range(len(lat.universe) + 1)
         for combo in itertools.combinations(sorted(lat.universe), n)
@@ -26,7 +26,7 @@ def brute_force_glb(lat, a, b):
 
 
 def brute_force_lub(lat, a, b):
-    candidates = [SecurityLevel.bottom()] + [
+    candidates = [BOTTOM] + [
         SecurityLevel.of(*combo)
         for n in range(len(lat.universe) + 1)
         for combo in itertools.combinations(sorted(lat.universe), n)

@@ -19,7 +19,6 @@ from wfcheck import (
     Concat,
     Enc,
     Identity,
-    NarrationStep,
     Nonce,
     SecurityLevel,
     SymKey,
@@ -181,13 +180,6 @@ def test_an_identity_and_a_variable_of_one_name_hash_alike_but_differ():
         identity, variable = Identity("X", copy_index), Variable("X", copy_index)
         assert hash(identity) == hash(variable)
         assert identity != variable and not identity == variable
-
-
-def test_the_line_of_a_step_is_not_part_of_its_value():
-    step = NarrationStep(1, "A", "B", A, line=3)
-    moved = step._replace(line=13)
-    assert step == moved and not step != moved and hash(step) == hash(moved)
-    assert step != step._replace(index=2)
 
 
 def _loaded_after_importing_the_cli(modules: list[str]) -> list[str]:

@@ -171,8 +171,15 @@ ROLE_ERROR_CTX = (
         "2. A -> B : kab\n3. B -> A : {B}kab\n",
         "line 5: B cannot encrypt under a key it does not possess",
     ),
-    ("1. A -> B : A\n2. B -> A : ε\n", "line 3: cannot abstract message component 'ε'"),
-], ids=["unlearned-send", "key-not-possessed", "empty-payload"])
+    ("1. A -> B : A\n2. B -> A : ε\n", "line 3, column 13: a narration cannot contain 'ε'"),
+    ("1. A -> B : ?X_\n", "line 2, column 13: a narration cannot contain '?'"),
+    ("1. A -> B : ?X_a\n", "line 2, column 13: a narration cannot contain '?'"),
+    ("1. A -> B : A.ε\n", "line 2, column 15: a narration cannot contain 'ε'"),
+    ("1. A -> B : {ε}kab\n", "line 2, column 14: a narration cannot contain 'ε'"),
+], ids=[
+    "unlearned-send", "key-not-possessed", "empty-payload",
+    "variable-without-index", "variable-with-bad-index", "empty-part", "empty-body",
+])
 def test_role_extraction_errors_name_the_step_line(steps, message, tmp_path, capsys):
     ctx_file = tmp_path / "roles.ctx"
     ctx_file.write_text(ROLE_ERROR_CTX)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from wfcheck import (
     BOTTOM,
     AtomAbsent,
+    CandidateSource,
     ChallengeAtomAbsent,
     ChallengeNotReceived,
     Enc,
@@ -38,13 +39,14 @@ from wfcheck import (
 from wfcheck.context import AuthChallenge
 from wfcheck.protocol import Direction
 from wfcheck.safefun import Variant
-from wfcheck.terms import Atom, leaves, unify
+from wfcheck.terms import Atom, leaves, ordered_atoms, ordered_vars, unify
 from wfcheck.witness import sources_for_target
 
 from bounds import bound_ordering_check
-from conftest import perfbench_gen
+from conftest import CORPUS, perfbench_gen
 from test_properties import protocol_cases
-from unification import reference_unify
+from test_report_cli import INSECURE, REFLECT_CTX, REFLECT_PROTO
+from unification import associative_unifiers, reference_unify
 
 A, B, S = Identity("A"), Identity("B"), Identity("S")
 KAS, KBS = SymKey("kas"), SymKey("kbs")
@@ -86,7 +88,7 @@ def test_server_send_has_two_sources(mod):
     ctx, roles, patterns = mod
     r_plus = roles[5].final.payload  # {U.{A.V}kbs}kbs
     sources = candidate_sources(r_plus, patterns)
-    assert [s.index for s in sources] == [2, 4]
+    assert [patterns.index(s.pattern) for s in sources] == [2, 4]
     for src in sources:
         assert apply(src.mgu, src.pattern) == apply(src.mgu, r_plus)
 
@@ -207,7 +209,9 @@ def test_a_send_past_the_tenth_role_variable_keeps_every_source():
     )
     sources = candidate_sources(r_plus, patterns)
     assert len(sources) == 28
-    assert [s.index for s in sources] == [s.index for s in candidate_sources(r_plus, retagged)]
+    assert [patterns.index(s.pattern) for s in sources] == [
+        retagged.index(s.pattern) for s in candidate_sources(r_plus, retagged)
+    ]
 
 
 def test_lower_bound_of_the_session_key(mod):
@@ -242,11 +246,64 @@ def test_variable_sources_exclude_pinning_unifiers(mod):
     # carry it as an unknown: only the server's own pattern remains
     ctx, roles, patterns = mod
     sources = candidate_sources(roles[5].final.payload, patterns)
-    assert [s.index for s, _ in sources_for_target(U, sources)] == [4]
-    assert [s.index for s, _ in sources_for_target(V, sources)] == [2, 4]
+    assert [patterns.index(s.pattern) for s, _ in sources_for_target(U, sources)] == [4]
+    assert [patterns.index(s.pattern) for s, _ in sources_for_target(V, sources)] == [2, 4]
     # unify binds the pattern side, so a carried variable stands for itself
     assert [t for _, t in sources_for_target(V, sources)] == [V, V]
     assert [t for _, t in sources_for_target(A, sources)] == [A, A]
+
+
+def _missed_unifier_runs():
+    """(context, narration, variant) of the corpus and of the insecure
+    protocols of ``test_report_cli`` under every variant, and of seeded
+    benchmark cases."""
+    texts = [
+        ((CORPUS / f"{stem}.ctx").read_text(), (CORPUS / f"{stem}.proto").read_text())
+        for stem in ("woolam_modified", "woolam_original")
+    ]
+    texts += [(REFLECT_CTX, REFLECT_PROTO)]
+    texts += [(ctx, f"protocol {name}\n{steps}") for name, (steps, ctx) in INSECURE.items()]
+    runs = [(ctx, proto, variant) for ctx, proto in texts for variant in Variant]
+    gen = perfbench_gen()
+    for case in gen.synth_chain_cases(1, 16, 2) + gen.random_batch(7, 200):
+        runs.append((case.context, case.protocol, Variant(case.variant)))
+    for context_text, protocol_text, variant in runs:
+        ctx = parse_context(context_text)
+        yield ctx, parse_narration(protocol_text, ctx), variant
+
+
+def test_sources_that_unify_misses_change_no_check():
+    # unify matches concatenation parts one by one, so it misses a unifier
+    # where a variable stands for several parts; adding such unifiers as
+    # sources can only lower a lower bound, and a check that then fails
+    # would be a PASS resting on a missed source
+    extra_sources = 0
+    for ctx, narration, variant in _missed_unifier_runs():
+        roles, patterns = analyze_narration(narration, ctx)
+        evaluation = Evaluation(variant, ctx)
+        for role in roles:
+            r_plus = role.final.payload
+            if role.final.direction is not Direction.SEND or not isinstance(r_plus, Enc):
+                continue
+            extra = [
+                CandidateSource(pattern, sigma, apply(sigma, pattern), "")
+                for pattern in patterns
+                for sigma in associative_unifiers(pattern, r_plus)
+            ]
+            for source in extra:
+                assert source.instance == apply(source.mgu, r_plus)
+            extra_sources += len(extra)
+            sources = candidate_sources(r_plus, patterns) + extra
+            targets = ordered_atoms(r_plus) + ordered_vars(r_plus)
+            checks = check_step(role, evaluation, patterns)
+            assert [c.target for c in checks] == [format_message(t) for t in targets]
+            for target, check in zip(targets, checks):
+                lower = lower_bound(evaluation, target, r_plus, sources)[0]
+                required = ctx.lattice.meet(check.declared, check.received_bound)
+                assert ctx.lattice.leq(required, lower) == check.passed, (
+                    narration.name, variant, role.label, check.target
+                )
+    assert extra_sources > 0
 
 
 def test_one_unification_scan_per_send(mod, monkeypatch):

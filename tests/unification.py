@@ -7,13 +7,18 @@ package's ``unify`` binds lazily and resolves once at the end; the law
 the same unifier, or both ``None``, on random terms, and
 ``test_witness.test_unify_matches_the_reference_on_every_scanned_pair``
 on every pair that real candidate-source scans try.
+
+``associative_unifiers`` enumerates unifiers that ``unify`` misses by
+matching concatenation parts one by one; the law
+``test_witness.test_sources_that_unify_misses_change_no_check`` adds them
+as candidate sources.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
-from wfcheck.terms import Atom, Concat, Enc, Message, Variable, apply, vars_of
+from wfcheck.terms import Atom, Concat, Enc, Message, Variable, apply, concat, unify, vars_of
 
 
 def is_param(a: Message) -> bool:
@@ -66,3 +71,36 @@ def reference_unify(left: Message, right: Message) -> Optional[dict]:
         else:
             return None
     return sol
+
+
+def _concats(m: Message) -> Iterator[Concat]:
+    """Every concatenation in ``m``, outermost first."""
+    if isinstance(m, Concat):
+        yield m
+        for p in m.parts:
+            yield from _concats(p)
+    elif isinstance(m, Enc):
+        yield from _concats(m.body)
+        yield from _concats(m.key)
+
+
+def associative_unifiers(pattern: Message, send: Message) -> Iterator[dict]:
+    """Unifiers of the two terms in which one variable absorbs a block of parts.
+
+    For each variable that is a part of a concatenation on one side, and
+    each block of two or more consecutive parts of a concatenation on the
+    other side, the variable is bound to the block, ``unify`` solves the two
+    instantiated terms, and the unifier with the variable's binding added
+    is yielded. Unification modulo associativity is infinitary, so these
+    are a sample of the unifiers that associative concatenation allows.
+    """
+    for one, other in ((pattern, send), (send, pattern)):
+        variables = [p for c in _concats(one) for p in c.parts if isinstance(p, Variable)]
+        for var in dict.fromkeys(variables):
+            for c in _concats(other):
+                for i in range(len(c.parts) - 1):
+                    for j in range(i + 2, len(c.parts) + 1):
+                        block = concat(c.parts[i:j])
+                        sigma = unify(apply({var: block}, pattern), apply({var: block}, send))
+                        if sigma is not None:
+                            yield {**sigma, var: apply(sigma, block)}
