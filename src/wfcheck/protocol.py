@@ -8,6 +8,12 @@ A narration is the familiar numbered message list:
     3. A -> B : {B.kab}kas
     ...
 
+This module owns the narration grammar. A payload is terms joined by
+``.``; a term is a declared atom or ``{payload}key``. Principal and atom
+names follow the context file's rule, a letter and then letters or digits;
+the protocol name may also hold ``_`` and ``^``. Any other character is an
+``unexpected character`` error at its line and column.
+
 Role extraction projects the narration onto each participant, routes every
 exchange through the intruder-controlled network, session-tags the values
 the participant generates freshly, and replaces the components it cannot
@@ -23,6 +29,7 @@ to that send), plus the full projection when it ends with a receive.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from itertools import count
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -37,14 +44,11 @@ from .terms import (
     Message,
     Nonce,
     SymKey,
-    TokenStream,
     Variable,
     canonical_form,
     concat,
     format_message,
-    parse_message_tokens,
     rename_apart,
-    tokenize,
 )
 
 SESSION_TAG = "i"
@@ -124,27 +128,132 @@ class GeneralizedRole(NamedTuple):
 # ---------------------------------------------------------------------------
 # Narration parsing
 
+#: Deepest ``{...}key`` nesting the parser accepts. The analysis recurses
+#: over terms (equality and hashing descend into nested terms), so a bound
+#: keeps every accepted payload far from the interpreter's recursion limit.
+MAX_NESTING = 64
+
+# a name token may hold '_' and '^' for the protocol name; a principal or
+# atom name follows the context file's rule (`_context_name`)
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)"
+    r"|(?P<ws>[^\S\n]+)"
+    r"|(?P<comment>#[^\n]*)"
+    r"|(?P<arrow>->)"
+    r"|(?P<num>\d+)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_^]*)"
+    r"|(?P<punct>[{}.:])"
+    r"|(?P<bad>.)"
+)
+
+
+class Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+def tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        kind, chunk = match.lastgroup, match.group()
+        column = match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {chunk!r}", line, column)
+        elif kind not in ("ws", "comment"):
+            tokens.append(Token(chunk if kind == "punct" else kind, chunk, line, column))
+    return tokens
+
+
+class TokenStream:
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.pos = 0
+        self.end_line = tokens[-1].line if tokens else 1
+
+    def peek(self) -> Optional[Token]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self) -> Token:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self.end_line)
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> Token:
+        tok = self.next()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.column)
+        return tok
+
+
+def _context_name(tok: Token) -> str:
+    """A principal or atom name; only the protocol name may hold ``_`` or ``^``."""
+    for offset, char in enumerate(tok.text):
+        if char in "_^":
+            raise ParseError(f"unexpected character {char!r}", tok.line, tok.column + offset)
+    return tok.text
+
+
+def _declared(tok: Token, ctx: VerificationContext) -> Atom:
+    try:
+        return ctx.resolve_atom(_context_name(tok))
+    except UnknownAtom:
+        raise UndeclaredAtom(
+            f"atom {tok.text!r} is not declared in the context", tok.line, tok.column
+        ) from None
+
+
+def _payload(stream: TokenStream, ctx: VerificationContext, depth: int = 0) -> Message:
+    """Parse ``term ('.' term)*``, where a term is a declared atom or ``{payload}key``.
+
+    ``depth`` counts the encryptions around the payload; one nested deeper
+    than ``MAX_NESTING`` is a ``ParseError`` at its opening brace. Only a
+    symmetric key may encrypt; any other key is a ``ParseError`` at the key.
+    """
+    parts: list[Message] = []
+    while True:
+        tok = stream.next()
+        if tok.kind == "{":
+            if depth == MAX_NESTING:
+                raise ParseError(
+                    f"encryption nested deeper than {MAX_NESTING} levels", tok.line, tok.column
+                )
+            body = _payload(stream, ctx, depth + 1)
+            stream.expect("}")
+            key_tok = stream.expect("name")
+            key = _declared(key_tok, ctx)
+            if not isinstance(key, SymKey):
+                raise ParseError(
+                    f"encryption key {format_message(key)!r} is not a declared symmetric key",
+                    key_tok.line, key_tok.column,
+                )
+            parts.append(Enc(body, key))
+        elif tok.kind == "name":
+            parts.append(_declared(tok, ctx))
+        else:
+            raise ParseError(f"expected a message term, found {tok.text!r}", tok.line, tok.column)
+        tok = stream.peek()
+        if tok is None or tok.kind != ".":
+            return concat(parts)
+        stream.next()
+
+
 def parse_narration(text: str, ctx: VerificationContext) -> Narration:
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty protocol text")
-    for tok in tokens:  # terms print variables and ε, but a narration names neither
-        if tok.kind in ("?", "eps"):
-            raise ParseError(f"a narration cannot contain {tok.text!r}", tok.line, tok.column)
     stream = TokenStream(tokens)
 
     head = stream.next()
     if head.kind != "name" or head.text != "protocol":
         raise ParseError("narration must start with 'protocol <name>'", head.line, head.column)
     name_tok = stream.expect("name")
-
-    def resolve(atom_text: str, tok) -> Atom:
-        try:
-            return ctx.resolve_atom(atom_text)
-        except UnknownAtom:
-            raise UndeclaredAtom(
-                f"atom {atom_text!r} is not declared in the context", tok.line, tok.column
-            ) from None
 
     steps: list[NarrationStep] = []
     while stream.peek() is not None:
@@ -161,9 +270,9 @@ def parse_narration(text: str, ctx: VerificationContext) -> Narration:
         receiver_tok = stream.expect("name")
         stream.expect(":")
         for tok in (sender_tok, receiver_tok):
-            if tok.text not in ctx.principals:
+            if _context_name(tok) not in ctx.principals:
                 raise UndeclaredAtom(f"undeclared principal {tok.text!r}", tok.line, tok.column)
-        payload = parse_message_tokens(stream, resolve)
+        payload = _payload(stream, ctx)
         steps.append(
             NarrationStep(
                 index=index,
@@ -299,19 +408,20 @@ def extract_roles(narration: Narration, ctx: VerificationContext) -> tuple[Gener
     return tuple(roles)
 
 
-def generated_messages(roles: Iterable[GeneralizedRole]) -> list[Message]:
-    """Renamed copies of every step payload, one per step of each full projection.
-
-    Prefix roles repeat the steps of the full projection, so each owner
-    contributes the payloads of its longest role only. Every payload is
-    renamed apart with its own tag; duplicates survive with multiplicity.
-    """
+def full_roles(roles: Iterable[GeneralizedRole]) -> dict[str, GeneralizedRole]:
+    """Each owner's longest role: its full projection, of which its other
+    roles are prefixes. Owners keep the order of their first role."""
     longest: dict[str, GeneralizedRole] = {}
     for role in roles:
-        kept = longest.get(role.owner)
-        if kept is None or len(role.steps) > len(kept.steps):
-            longest[role.owner] = role
-    payloads = [step.payload for role in longest.values() for step in role.steps]
+        longest[role.owner] = max(longest.get(role.owner, role), role, key=lambda r: len(r.steps))
+    return longest
+
+
+def generated_messages(roles: Iterable[GeneralizedRole]) -> list[Message]:
+    """Renamed copies of every step payload, one per step of each owner's
+    full role; each payload is renamed apart with its own tag, and
+    duplicates survive with multiplicity."""
+    payloads = [step.payload for role in full_roles(roles).values() for step in role.steps]
     return [rename_apart(payload, tag) for tag, payload in enumerate(payloads, start=1)]
 
 

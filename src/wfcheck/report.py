@@ -17,7 +17,7 @@ from . import witness
 from .context import VerificationContext
 from .errors import ChallengeNotReceived
 from .lattice import BOTTOM, TOP, Lattice, SecurityLevel
-from .protocol import Narration
+from .protocol import Narration, full_roles
 from .safefun import Variant
 from .terms import format_message
 from .witness import AuthCheck, StepCheck, analyze_narration, check_secrecy
@@ -82,13 +82,15 @@ def analyze(
     if check != "secrecy" and ctx.challenge is not None:
         # looked up on the module, where perfbench's tracer wraps it
         auth = witness.challenge_check(roles, ctx, variant, ctx.challenge)
+    # a prefix role's step lines are the first lines of its owner's full role
+    lines = {owner: role.describe() for owner, role in full_roles(roles).items()}
     return AnalysisReport(
         version=SCHEMA_VERSION,
         protocol=narration.name,
         variant=variant.value,
         context_digest=ctx.digest,
         principals=ctx.principals,
-        roles=tuple(RoleRecord(r.label, r.describe()) for r in roles),
+        roles=tuple(RoleRecord(r.label, lines[r.owner][: len(r.steps)]) for r in roles),
         patterns=tuple(map(format_message, patterns)),
         checks=tuple(checks),
         auth=auth,

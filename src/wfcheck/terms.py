@@ -6,18 +6,15 @@ first-order and purely syntactic (perfect encryption): renamed copies of
 role atoms act as kind-restricted parameters that may match any concrete
 atom of the same kind, while ordinary variables match arbitrary terms.
 
-The printer and parser round-trip bit-exactly. Display syntax: atoms as
-identifiers (optionally ``name_copy^session``), variables with a leading
-``?``, concatenation with ``.``, encryption as ``{body}key`` and the
-empty message as the single character ``ε``.
+Display syntax: atoms as identifiers (optionally ``name_copy^session``),
+variables with a leading ``?``, concatenation with ``.``, encryption as
+``{body}key`` and the empty message as the single character ``ε``. The
+narration grammar, which names declared atoms only, is in ``protocol``.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
-
-from .errors import ParseError
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 
 _set = object.__setattr__
@@ -324,11 +321,26 @@ def unify(left: Message, right: Message) -> Optional[dict]:
     follows a chain of bound leaves. The first variable bound to a compound
     term or to ε switches the rest of the call to re-flattening each
     popped top (``_head``) and resolving values through compound terms.
+
+    Two concatenations of unequal length with a variable among their parts
+    are deferred, not failed, since a later binding may make the lengths
+    equal. When the pairs run out, the deferred ones are retried if the
+    fast path is off and a binding was made since the first of them was
+    deferred; otherwise unification fails. So the answer does not depend
+    on the order of concatenation parts, but unification modulo
+    associativity stays incomplete: a variable is never split across
+    parts, so ``?X.?Y`` against ``A.B.C`` fails.
     """
     sol: dict = {}
     stack: list[tuple[Message, Message]] = [(left, right)]
+    deferred: list[tuple[Message, Message]] = []
     leaf_to_leaf = True
-    while stack:
+    while stack or deferred:
+        if not stack:  # retry only if a binding since the deferral can change a length
+            if leaf_to_leaf or len(sol) == bound_at_deferral:
+                return None
+            stack, deferred = deferred, []
+            continue
         s, t = stack.pop()
         if leaf_to_leaf:
             while s in sol:
@@ -348,8 +360,15 @@ def unify(left: Message, right: Message) -> Optional[dict]:
                 leaf_to_leaf = False
             sol[var] = term
         elif s_type is Concat:
-            if t_type is not Concat or len(s.parts) != len(t.parts):
+            if t_type is not Concat:
                 return None
+            if len(s.parts) != len(t.parts):
+                if Variable not in map(type, s.parts + t.parts):
+                    return None
+                if not deferred:
+                    bound_at_deferral = len(sol)
+                deferred.append((s, t))
+                continue
             stack.extend(zip(s.parts, t.parts))
         elif s_type is Enc:
             if t_type is not Enc:
@@ -411,135 +430,3 @@ def format_message(m: Message) -> str:
 def format_substitution(sigma: Substitution) -> str:
     items = sorted((format_message(k), format_message(v)) for k, v in sigma.items())
     return "{" + ", ".join(f"{k} -> {v}" for k, v in items) + "}"
-
-
-# ---------------------------------------------------------------------------
-# Tokenizer and parser (shared with the narration DSL)
-
-#: Deepest ``{...}key`` nesting the parser accepts. The analysis recurses
-#: over terms (equality and hashing descend into nested terms), so a bound
-#: keeps every accepted payload far from the interpreter's recursion limit.
-MAX_NESTING = 64
-
-_TOKEN_RE = re.compile(
-    r"(?P<newline>\n)"
-    r"|(?P<ws>[^\S\n]+)"
-    r"|(?P<comment>#[^\n]*)"
-    r"|(?P<arrow>->)"
-    r"|(?P<num>\d+)"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9_^]*)"
-    r"|(?P<eps>ε)"
-    r"|(?P<punct>[{}.:?])"
-    r"|(?P<bad>.)"
-)
-
-
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    for match in _TOKEN_RE.finditer(text):
-        kind, chunk = match.lastgroup, match.group()
-        column = match.start() - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, match.end()
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {chunk!r}", line, column)
-        elif kind not in ("ws", "comment"):
-            tokens.append(Token(chunk if kind == "punct" else kind, chunk, line, column))
-    return tokens
-
-
-class TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.end_line = tokens[-1].line if tokens else 1
-
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.end_line)
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.column)
-        return tok
-
-
-def split_atom_name(text: str) -> tuple[str, Optional[int], Optional[str]]:
-    """Split a printed identifier into (base, copy index, session tag)."""
-    session = None
-    if "^" in text:
-        text, session = text.split("^", 1)
-    copy = None
-    if "_" in text:
-        text, idx = text.rsplit("_", 1)
-        copy = int(idx)
-    return text, copy, session
-
-
-AtomResolver = Callable[[str, Token], Atom]
-
-
-def parse_message_tokens(
-    stream: TokenStream, resolve: AtomResolver, depth: int = 0
-) -> Message:
-    """Parse ``term ('.' term)*`` where term is an atom, variable or {msg}key.
-
-    ``depth`` counts the encryptions around the message; one nested deeper
-    than ``MAX_NESTING`` is a ``ParseError`` at its opening brace. Only a
-    symmetric key may encrypt; any other key is a ``ParseError`` at the key.
-    """
-
-    def parse_term() -> Message:
-        tok = stream.next()
-        if tok.kind == "{":
-            if depth == MAX_NESTING:
-                raise ParseError(
-                    f"encryption nested deeper than {MAX_NESTING} levels", tok.line, tok.column
-                )
-            body = parse_message_tokens(stream, resolve, depth + 1)
-            stream.expect("}")
-            key_tok = stream.expect("name")
-            key = resolve(key_tok.text, key_tok)
-            if not isinstance(key, SymKey):
-                raise ParseError(
-                    f"encryption key {format_message(key)!r} is not a declared symmetric key",
-                    key_tok.line, key_tok.column,
-                )
-            return Enc(body, key)
-        if tok.kind == "?":
-            name_tok = stream.expect("name")
-            base, copy, session = split_atom_name(name_tok.text)
-            if session is not None:
-                raise ParseError("variables carry no session tag", name_tok.line, name_tok.column)
-            return Variable(base, copy)
-        if tok.kind == "eps":
-            return EMPTY
-        if tok.kind == "name":
-            return resolve(tok.text, tok)
-        raise ParseError(f"expected a message term, found {tok.text!r}", tok.line, tok.column)
-
-    parts = [parse_term()]
-    while True:
-        tok = stream.peek()
-        if tok is not None and tok.kind == ".":
-            stream.next()
-            parts.append(parse_term())
-        else:
-            break
-    return concat(parts)
-

@@ -1,25 +1,25 @@
-"""Message helpers that only tests use: standalone parsing, erasing rename
-indices or session tags to compare terms by their source shape, and the
-rule that a rename index marks a renamed pattern leaf and nothing else."""
+"""Message helpers that only tests use: reading printed terms back, erasing
+rename indices or session tags to compare terms by their source shape, and
+the rule that a rename index marks a renamed pattern leaf and nothing else."""
 
 from __future__ import annotations
 
-from typing import Sequence
+import re
+from typing import Callable, Optional, Sequence
 
 from wfcheck import Direction, GeneralizedRole, ParseError
 from wfcheck.terms import (
+    EMPTY,
     Atom,
-    AtomResolver,
+    Enc,
     Message,
     Nonce,
     SymKey,
-    TokenStream,
     Variable,
     _erase_copy,
+    concat,
     leaves,
     map_leaves,
-    parse_message_tokens,
-    tokenize,
     vars_of,
 )
 
@@ -40,13 +40,65 @@ def strip_sessions(m: Message) -> Message:
     return map_leaves(m, _strip_session)
 
 
-def parse_message(text: str, resolve: AtomResolver) -> Message:
-    """Parse a standalone message; ``resolve`` maps identifier text to atoms."""
-    stream = TokenStream(tokenize(text))
-    msg = parse_message_tokens(stream, resolve)
-    trailing = stream.peek()
-    if trailing is not None:
-        raise ParseError(f"trailing input {trailing.text!r}", trailing.line, trailing.column)
+#: A printed leaf (``?`` for a variable, then ``name_copy^session``) or one
+#: other character, after any whitespace.
+_PRINTED_TOKEN = re.compile(r"\s*(\??[A-Za-z][A-Za-z0-9]*(?:_[0-9]+)?(?:\^[A-Za-z0-9]+)?|\S)")
+_LEAF = re.compile(r"\??[A-Za-z]").match
+
+
+def split_atom_name(text: str) -> tuple[str, Optional[int], Optional[str]]:
+    """Split a printed identifier into (base, copy index, session tag)."""
+    session = None
+    if "^" in text:
+        text, session = text.split("^", 1)
+    copy = None
+    if "_" in text:
+        text, idx = text.rsplit("_", 1)
+        copy = int(idx)
+    return text, copy, session
+
+
+def parse_message(text: str, resolve: Callable[[str], Atom]) -> Message:
+    """Read back what ``format_message`` prints; ``resolve`` maps a base name to its atom."""
+    tokens = _PRINTED_TOKEN.findall(text)[::-1]
+
+    def pop() -> str:
+        if not tokens:
+            raise ParseError(f"unexpected end of {text!r}")
+        return tokens.pop()
+
+    def leaf(tok: str) -> Message:
+        if not _LEAF(tok):
+            raise ParseError(f"expected a name, found {tok!r} in {text!r}")
+        base, copy, session = split_atom_name(tok.lstrip("?"))
+        if tok.startswith("?"):
+            if session is not None:
+                raise ParseError(f"variables carry no session tag: {tok!r}")
+            return Variable(base, copy)
+        atom = resolve(base)
+        if session is not None:
+            atom = atom._replace(session=session)
+        return atom if copy is None else atom._replace(copy=copy)
+
+    def term() -> Message:
+        tok = pop()
+        if tok == "{":
+            body = message()
+            if pop() != "}":
+                raise ParseError(f"unclosed encryption in {text!r}")
+            return Enc(body, leaf(pop()))
+        return EMPTY if tok == "ε" else leaf(tok)
+
+    def message() -> Message:
+        parts = [term()]
+        while tokens[-1:] == ["."]:
+            tokens.pop()
+            parts.append(term())
+        return concat(parts)
+
+    msg = message()
+    if tokens:
+        raise ParseError(f"trailing input {tokens[-1]!r}")
     return msg
 
 

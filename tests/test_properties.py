@@ -350,7 +350,7 @@ def law_substitution_idempotent(m, sub):
 
 def _rebuilt(m):
     """Equal copies of ``m``, each built along another path."""
-    yield parse_message(format_message(m), lambda text, _tok: PROP_CTX.resolve_atom(text))
+    yield parse_message(format_message(m), PROP_CTX.resolve_atom)
     yield map_leaves(m, lambda t: t)
     yield erase_copies(rename_apart(m, 7))
     yield copy.deepcopy(m)

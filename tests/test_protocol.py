@@ -21,7 +21,7 @@ from wfcheck import (
     parse_narration,
     render,
 )
-from wfcheck.terms import MAX_NESTING
+from wfcheck.protocol import MAX_NESTING
 
 from conftest import CORPUS, perfbench_gen
 from messages import assert_only_pattern_leaves_are_renamed, strip_sessions
@@ -43,6 +43,12 @@ def test_parse_rejects_empty_input(woolam_mod):
     _, ctx = woolam_mod
     with pytest.raises(ParseError):
         parse_narration("", ctx)
+
+
+@pytest.mark.parametrize("name", ["Woo_Lam", "NS^v2"])
+def test_the_protocol_name_may_hold_underscores_and_carets(name, woolam_mod):
+    _, ctx = woolam_mod
+    assert parse_narration(f"protocol {name}\n1. A -> B : A\n", ctx).name == name
 
 
 def test_parse_rejects_undeclared_atom(woolam_mod):

@@ -28,7 +28,8 @@ from wfcheck import (
     load_context,
     load_narration,
 )
-from wfcheck.terms import format_message, tokenize
+from wfcheck.protocol import tokenize
+from wfcheck.terms import format_message
 
 from conftest import CORPUS
 
@@ -182,11 +183,10 @@ def test_an_identity_and_a_variable_of_one_name_hash_alike_but_differ():
         assert identity != variable and not identity == variable
 
 
-def _loaded_after_importing_the_cli(modules: list[str]) -> list[str]:
-    """Which of ``modules`` a fresh interpreter holds after ``import wfcheck.cli``."""
+def _printed_by_a_fresh_interpreter(probe: str) -> list[str]:
+    """The words that ``probe`` prints when a fresh interpreter runs it."""
     # -S: modules that site-packages .pth files load at start-up do not count
     src = str(pathlib.Path(wfcheck.__file__).resolve().parent.parent)
-    probe = f"import sys, wfcheck.cli; print(*sorted({modules!r} & sys.modules.keys()))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         capture_output=True,
@@ -197,6 +197,13 @@ def _loaded_after_importing_the_cli(modules: list[str]) -> list[str]:
     return proc.stdout.split()
 
 
+def _loaded_after_importing_the_cli(modules: list[str]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter holds after ``import wfcheck.cli``."""
+    return _printed_by_a_fresh_interpreter(
+        f"import sys, wfcheck.cli; print(*sorted({modules!r} & sys.modules.keys()))"
+    )
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert _loaded_after_importing_the_cli(["dataclasses", "inspect"]) == []
 
@@ -204,3 +211,18 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 def test_importing_the_cli_does_not_load_json():
     # only JSON output and input need json; a text run never imports it
     assert _loaded_after_importing_the_cli(["json"]) == []
+
+
+def test_a_cli_run_in_text_and_json_loads_only_the_standard_library():
+    # the package is stdlib-only: after one run in each format, every module
+    # held is the probe itself, wfcheck's or the standard library's
+    args = ["--protocol", str(CORPUS / "woolam_modified.proto"),
+            "--context", str(CORPUS / "woolam_modified.ctx"), "--out"]
+    probe = (
+        "import os, sys, wfcheck.cli\n"
+        "for fmt in ('text', 'json'):\n"
+        f"    print(wfcheck.cli.main({args!r} + [os.devnull, '--format', fmt]))\n"
+        "top = {name.partition('.')[0] for name in sys.modules} - {'__main__', 'wfcheck'}\n"
+        "print(*sorted(top - sys.stdlib_module_names))"
+    )
+    assert _printed_by_a_fresh_interpreter(probe) == ["0", "0"]

@@ -171,14 +171,21 @@ ROLE_ERROR_CTX = (
         "2. A -> B : kab\n3. B -> A : {B}kab\n",
         "line 5: B cannot encrypt under a key it does not possess",
     ),
-    ("1. A -> B : A\n2. B -> A : ε\n", "line 3, column 13: a narration cannot contain 'ε'"),
-    ("1. A -> B : ?X_\n", "line 2, column 13: a narration cannot contain '?'"),
-    ("1. A -> B : ?X_a\n", "line 2, column 13: a narration cannot contain '?'"),
-    ("1. A -> B : A.ε\n", "line 2, column 15: a narration cannot contain 'ε'"),
-    ("1. A -> B : {ε}kab\n", "line 2, column 14: a narration cannot contain 'ε'"),
+    ("1. A -> B : A\n2. B -> A : ε\n", "line 3, column 13: unexpected character 'ε'"),
+    ("1. A -> B : ?X_\n", "line 2, column 13: unexpected character '?'"),
+    ("1. A -> B : ?X_a\n", "line 2, column 13: unexpected character '?'"),
+    ("1. A -> B : A.ε\n", "line 2, column 15: unexpected character 'ε'"),
+    ("1. A -> B : {ε}kab\n", "line 2, column 14: unexpected character 'ε'"),
+    # names follow the context rule: a letter, then letters or digits
+    ("1. A -> B : A_1\n", "line 2, column 14: unexpected character '_'"),
+    ("1. A -> B : Na^i\n", "line 2, column 15: unexpected character '^'"),
+    ("1. A -> B : {A}kab_1\n", "line 2, column 19: unexpected character '_'"),
+    ("1. A_1 -> B : A\n", "line 2, column 5: unexpected character '_'"),
 ], ids=[
     "unlearned-send", "key-not-possessed", "empty-payload",
     "variable-without-index", "variable-with-bad-index", "empty-part", "empty-body",
+    "rename-index-in-name", "session-tag-in-name", "rename-index-in-key",
+    "rename-index-in-principal",
 ])
 def test_role_extraction_errors_name_the_step_line(steps, message, tmp_path, capsys):
     ctx_file = tmp_path / "roles.ctx"

@@ -1,6 +1,8 @@
 """Message construction, traversal, substitution, unification, display."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfcheck import (
     EMPTY,
@@ -20,7 +22,8 @@ from wfcheck import (
     unify,
     vars_of,
 )
-from wfcheck.terms import format_substitution, tokenize
+from wfcheck.protocol import tokenize
+from wfcheck.terms import format_substitution
 
 from messages import erase_copies, parse_message, strip_sessions
 
@@ -173,25 +176,11 @@ def test_strip_sessions():
     assert strip_sessions(Enc(concat([B, KAB_I]), KAS)) == Enc(concat([B, SymKey("kab")]), KAS)
 
 
-def _resolver():
-    from wfcheck.terms import split_atom_name
-
-    atoms = {
-        "A": A, "B": B, "C": Identity("C"), "S": S, "k": SymKey("k"),
-        "kas": KAS, "kbs": KBS, "kab": SymKey("kab"),
-        "Nb": Nonce("Nb"),
-    }
-
-    def resolve(text, tok):
-        base, copy, session = split_atom_name(text)
-        atom = atoms[base]
-        if session is not None:
-            atom = atom._replace(session=session)
-        if copy is not None:
-            atom = atom._replace(copy=copy)
-        return atom
-
-    return resolve
+#: Base names of the atoms in the printed terms below.
+ATOMS = {
+    "A": A, "B": B, "C": Identity("C"), "S": S, "k": SymKey("k"),
+    "kas": KAS, "kbs": KBS, "kab": SymKey("kab"), "Nb": Nonce("Nb"),
+}.__getitem__
 
 
 @pytest.mark.parametrize(
@@ -207,10 +196,9 @@ def _resolver():
     ],
 )
 def test_parse_format_round_trip(text):
-    resolve = _resolver()
-    msg = parse_message(text, resolve)
+    msg = parse_message(text, ATOMS)
     assert format_message(msg) == text
-    assert parse_message(format_message(msg), resolve) == msg
+    assert parse_message(format_message(msg), ATOMS) == msg
 
 
 # Unifiers whose bindings depend on the order pairs are taken in, recorded
@@ -224,29 +212,61 @@ def test_parse_format_round_trip(text):
     ("A_1.A_1", "A.B", None),
 ])
 def test_unifiers_where_order_matters(left, right, unifier):
-    resolve = _resolver()
-    sigma = unify(parse_message(left, resolve), parse_message(right, resolve))
+    sigma = unify(parse_message(left, ATOMS), parse_message(right, ATOMS))
     assert (sigma if sigma is None else format_substitution(sigma)) == unifier
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="unify takes a concatenation's parts last to first and compares the "
-    "lengths of two parts before a variable in them is bound, so it misses "
-    "a unifier the part-swapped pair finds; a missed candidate source can "
-    "raise a lower bound (ROADMAP items 1 and 2)",
-)
 def test_swapping_the_parts_of_both_sides_gives_the_same_answer():
-    resolve = _resolver()
-    left = parse_message("{?X.C}k.{?X}k", resolve)
-    right = parse_message("{A.B.C}k.{A.B}k", resolve)
+    # the swapped pair meets {?X.C}k and {A.B.C}k before ?X is bound
+    left = parse_message("{?X.C}k.{?X}k", ATOMS)
+    right = parse_message("{A.B.C}k.{A.B}k", ATOMS)
     swapped = [concat(reversed(m.parts)) for m in (left, right)]
     assert unify(*swapped) == unify(left, right)
 
 
+@st.composite
+def one_variable_in_parts_of_unequal_length(draw):
+    """Encryptions of ``?X`` among 0-2 atoms, joined, and the instance of
+    that term under ``?X`` bound to a block of two or three atoms."""
+    atoms = st.sampled_from([A, B, S, Identity("C"), Nonce("Nb")])
+    keys = st.sampled_from([KAS, KBS, SymKey("k")])
+
+    def part():
+        around = draw(st.lists(atoms, max_size=2))
+        cut = draw(st.integers(0, len(around)))
+        return Enc(concat(around[:cut] + [X] + around[cut:]), draw(keys))
+
+    left = concat([part() for _ in range(draw(st.integers(2, 3)))])
+    return left, apply({X: concat(draw(st.lists(atoms, min_size=2, max_size=3)))}, left)
+
+
+@given(one_variable_in_parts_of_unequal_length())
+@settings(max_examples=300)
+def test_unify_answers_alike_when_both_sides_swap_their_parts(pair):
+    swapped = [concat(reversed(m.parts)) for m in pair]
+    answers = [unify(left, right) for left, right in (pair, swapped)]
+    assert (answers[0] is None) == (answers[1] is None)
+    for (left, right), sigma in zip((pair, swapped), answers):
+        if sigma is not None:
+            assert apply(sigma, left) == apply(sigma, right)
+    # a part that encrypts ?X alone binds it to the block, and the rest follows
+    if any(p.body == X for p in pair[0].parts):
+        assert None not in answers
+
+
 def test_parser_rejects_trailing_garbage():
     with pytest.raises(ParseError):
-        parse_message("A }", _resolver())
+        parse_message("A }", ATOMS)
+
+
+@pytest.mark.parametrize("text", ["?X^i", "{A.B}", "{A.B", "A.", "{A}.", "?", "A ?"])
+def test_reader_rejects_malformed_printed_terms(text):
+    with pytest.raises(ParseError):
+        parse_message(text, ATOMS)
+
+
+def test_reader_skips_whitespace_between_tokens():
+    assert parse_message(" { A . Nb^i } kas ", ATOMS) == parse_message("{A.Nb^i}kas", ATOMS)
 
 
 def test_derivation_empty_display():

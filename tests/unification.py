@@ -33,9 +33,12 @@ def reference_unify(left: Message, right: Message) -> Optional[dict]:
     to atoms of the same kind only. When both sides are variables or both
     are parameters, the left one is bound, so unifying a renamed pattern
     against a sent role message orients bindings pattern-to-message.
+    Concatenations of unequal length with a variable part are deferred and
+    retried as in ``unify``.
     """
     sol: dict = {}
     stack: list[tuple[Message, Message]] = [(left, right)]
+    deferred: list[tuple[Message, Message]] = []
 
     def bind(key, value) -> None:
         one = {key: value}
@@ -43,7 +46,13 @@ def reference_unify(left: Message, right: Message) -> Optional[dict]:
             sol[k] = apply(one, sol[k])
         sol[key] = value
 
-    while stack:
+    while stack or deferred:
+        if not stack:
+            compound = any(not isinstance(v, (Atom, Variable)) for v in sol.values())
+            if not compound or len(sol) == bound_at_deferral:
+                return None
+            stack, deferred = deferred, []
+            continue
         s, t = stack.pop()
         s = apply(sol, s)
         t = apply(sol, t)
@@ -63,7 +72,12 @@ def reference_unify(left: Message, right: Message) -> Optional[dict]:
                 return None
         elif isinstance(s, Concat) and isinstance(t, Concat):
             if len(s.parts) != len(t.parts):
-                return None
+                if not any(isinstance(p, Variable) for p in s.parts + t.parts):
+                    return None
+                if not deferred:
+                    bound_at_deferral = len(sol)
+                deferred.append((s, t))
+                continue
             stack.extend(zip(s.parts, t.parts))
         elif isinstance(s, Enc) and isinstance(t, Enc):
             stack.append((s.key, t.key))
