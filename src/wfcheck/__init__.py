@@ -28,7 +28,6 @@ from .protocol import (
 from .report import AnalysisReport, analyze, render, render_json, render_text, report_from_json
 from .safefun import Evaluation, Variant, f_prime
 from .terms import (
-    EMPTY,
     Atom,
     Concat,
     Enc,

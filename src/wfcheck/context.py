@@ -173,7 +173,8 @@ def parse_context(text: str) -> VerificationContext:
                 raise ParseError(f"level names undeclared principal {n!r}", lineno)
         return SecurityLevel.of(*names)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # only "\n" ends a line, as in a narration; "\f" or U+2028 is a space
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -160,7 +160,7 @@ def f_prime(
 
     No derivation is applied first: a selection never holds a variable, so
     removing the variables of ``m`` would not change the level. An absent
-    target, and so the empty message, scores top. A one-off
+    target scores top. A one-off
     :class:`Evaluation`; an analysis keeps one evaluation for all its calls.
     """
     return Evaluation(variant, ctx).level(target, m)

@@ -7,9 +7,9 @@ role atoms act as kind-restricted parameters that may match any concrete
 atom of the same kind, while ordinary variables match arbitrary terms.
 
 Display syntax: atoms as identifiers (optionally ``name_copy^session``),
-variables with a leading ``?``, concatenation with ``.``, encryption as
-``{body}key`` and the empty message as the single character ``ε``. The
-narration grammar, which names declared atoms only, is in ``protocol``.
+variables with a leading ``?``, concatenation with ``.`` and encryption as
+``{body}key``. The narration grammar, which names declared atoms only, is
+in ``protocol``.
 """
 
 from __future__ import annotations
@@ -159,41 +159,24 @@ class Enc(Message):
         return self._hash
 
 
-class _Empty(Message):
-    __slots__ = ()
-
-    def __repr__(self):
-        return "EMPTY"
-
-    def __reduce__(self):
-        return "EMPTY"  # copies and unpickled values are the module's one EMPTY
-
-
-#: The vanished message produced by deriving away every component.
-EMPTY = _Empty()
-
 Target = Union[Atom, Variable]
 
 
 def concat(parts: Iterable[Message]) -> Message:
-    """Build a flattened concatenation, absorbing empty components."""
+    """Build a flattened concatenation; a single part is returned as it is."""
     flat: list[Message] = []
     for p in parts:
-        if p is EMPTY:
-            continue
         if isinstance(p, Concat):
             flat.extend(p.parts)
         else:
             flat.append(p)
-    if not flat:
-        return EMPTY
     if len(flat) == 1:
         return flat[0]
     return Concat(tuple(flat))
 
 
 def leaves(m: Message) -> list[Message]:
-    """The atoms, variables and ε of ``m``, left to right, body before key."""
+    """The atoms and variables of ``m``, left to right, body before key."""
     out: list[Message] = []
     stack = [m]
     while stack:
@@ -212,7 +195,7 @@ def map_leaves(m: Message, fn: Callable[[Message], Message]) -> Message:
     """Rebuild ``m`` with every atom and variable replaced by ``fn`` of it.
 
     Leaves are visited in ``leaves`` order; concatenations are rebuilt with
-    ``concat``, so flattening and absorption of ε are kept.
+    ``concat``, so they stay flat.
     """
     if isinstance(m, (Atom, Variable)):
         return fn(m)
@@ -319,7 +302,7 @@ def unify(left: Message, right: Message) -> Optional[dict]:
     once, on return. While every binding maps a leaf to a leaf, no binding
     can change the shape of a concatenation, so resolving a top only
     follows a chain of bound leaves. The first variable bound to a compound
-    term or to ε switches the rest of the call to re-flattening each
+    term switches the rest of the call to re-flattening each
     popped top (``_head``) and resolving values through compound terms.
 
     Two concatenations of unequal length with a variable among their parts
@@ -409,8 +392,6 @@ def format_message(m: Message) -> str:
     text = getattr(m, "_text", None)
     if text is not None:
         return text
-    if m is EMPTY:
-        return "ε"
     if isinstance(m, Identity):
         text = _format_atomish(m.name, m.copy, None)
     elif isinstance(m, (Nonce, SymKey)):

@@ -34,6 +34,7 @@ from .protocol import (
     Narration,
     encryption_patterns,
     extract_roles,
+    full_roles,
     generated_messages,
 )
 from .safefun import Evaluation, Variant, f_prime
@@ -230,12 +231,11 @@ def challenge_check(
     challenge: AuthChallenge,
 ) -> AuthCheck:
     """The witness clause: the claimant must appear in the challenge's level."""
-    verifier_roles = [r for r in roles if r.owner == challenge.verifier]
-    if not verifier_roles:
+    full = full_roles(roles).get(challenge.verifier)
+    if full is None:
         raise ChallengeNotReceived(
             f"verifier {challenge.verifier} plays no role in the protocol"
         )
-    full = max(verifier_roles, key=lambda r: len(r.steps))
     step = next(
         (s for s in full.steps if s.narration_index == challenge.step), None
     )

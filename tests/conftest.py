@@ -22,15 +22,20 @@ CORPUS = REPO_ROOT / "corpus"
 
 
 @functools.cache
-def perfbench_gen():
-    """The benchmark's seeded input generators, ``perfbench/gen.py``, read-only."""
+def perfbench_module(stem):
+    """The module ``perfbench/<stem>.py``, read-only, as ``perfbench_<stem>``."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", REPO_ROOT / "perfbench" / "gen.py"
+        f"perfbench_{stem}", REPO_ROOT / "perfbench" / f"{stem}.py"
     )
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
+
+
+def perfbench_gen():
+    """The benchmark's seeded input generators, ``perfbench/gen.py``."""
+    return perfbench_module("gen")
 
 
 @pytest.fixture(scope="session")

@@ -73,7 +73,7 @@ def reference_parse_context(text: str) -> VerificationContext:
             raise ParseError(f"undeclared principal {name!r}", lineno)
         return name
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

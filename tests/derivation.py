@@ -4,13 +4,33 @@ The paper evaluates a target in the message with its variables removed,
 keeping only the variable under evaluation when the target is one. The
 analyzer evaluates the message as it is; the reference law in
 ``test_properties.DERIVATION_SUITE`` checks that both give the same level.
+
+A removed variable becomes the empty message ε, which only derivation
+builds: the package has no such term, and ``format_message`` prints it
+from the ``_text`` every term keeps.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
-from wfcheck.terms import EMPTY, Atom, Concat, Enc, Message, Variable, concat, vars_of
+from wfcheck import terms
+from wfcheck.terms import Atom, Concat, Enc, Message, Variable, vars_of
+
+
+class _Empty(Message):
+    __slots__ = ()
+    _text = "ε"
+
+
+#: The vanished message produced by deriving away every component.
+EMPTY = _Empty()
+
+
+def concat(parts: Iterable[Message]) -> Message:
+    """``terms.concat`` that absorbs vanished parts; if none is left, ε."""
+    kept = [p for p in parts if p is not EMPTY]
+    return terms.concat(kept) if kept else EMPTY
 
 
 def derive_vars(m: Message, remove: frozenset[Variable]) -> Message:

@@ -9,7 +9,6 @@ from typing import Callable, Optional, Sequence
 
 from wfcheck import Direction, GeneralizedRole, ParseError
 from wfcheck.terms import (
-    EMPTY,
     Atom,
     Enc,
     Message,
@@ -17,11 +16,12 @@ from wfcheck.terms import (
     SymKey,
     Variable,
     _erase_copy,
-    concat,
     leaves,
     map_leaves,
     vars_of,
 )
+
+from derivation import EMPTY, concat
 
 
 def erase_copies(m: Message) -> Message:

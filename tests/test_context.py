@@ -17,6 +17,7 @@ from wfcheck import (
     SymKey,
     UnknownAtom,
     Variable,
+    load_context,
     parse_context,
 )
 
@@ -181,6 +182,29 @@ def test_comments_and_blank_lines_are_ignored(ctx):
     assert parse_context(with_comments).decls.keys() == ctx.decls.keys()
 
 
+# Characters that str.splitlines ends a line at; only "\n" ends one, as in a
+# narration, so each of them is a space.
+LINE_BREAKING_SPACES = ["\f", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("space", LINE_BREAKING_SPACES)
+def test_a_comment_runs_to_the_newline(space, ctx, tmp_path):
+    path = tmp_path / "spaced.ctx"
+    path.write_text(
+        WOOLAM_CTX.replace("principals A, B, S, I", f"principals A, B, S, I # page{space}break"),
+        encoding="utf-8",
+    )
+    assert _fields(load_context(path)) == _fields(ctx)
+
+
+@pytest.mark.parametrize("space", LINE_BREAKING_SPACES)
+def test_lines_are_counted_by_newlines(space):
+    text = f"principals A, B, I\nnonce Nb{space}level{space}public\nfrobnicate\n"
+    with pytest.raises(ParseError) as err:
+        parse_context(text)
+    assert str(err.value) == "line 3: unrecognized declaration: 'frobnicate'"
+
+
 def test_digest_is_stable():
     assert parse_context(WOOLAM_CTX).digest == parse_context(WOOLAM_CTX).digest
     assert parse_context(WOOLAM_CTX).digest != parse_context(WOOLAM_CTX + "\n# x\n").digest
@@ -262,7 +286,7 @@ def _outcome(parse, text):
 def _respace(text):
     """Each line's words, one space apart, none before ``(`` or around ``=``:
     the spacing the reference parser needs."""
-    words = (re.findall(r"\w+|\S", raw.split("#", 1)[0]) for raw in text.splitlines())
+    words = (re.findall(r"\w+|\S", raw.split("#", 1)[0]) for raw in text.split("\n"))
     lines = (" ".join(line) for line in words)
     return "\n".join(re.sub(r" ?(=) ?| (?=\()", r"\1", line) for line in lines)
 

@@ -5,6 +5,8 @@ import pytest
 from wfcheck import (
     Direction,
     Identity,
+    Narration,
+    NarrationStep,
     Nonce,
     ParseError,
     SymKey,
@@ -165,6 +167,24 @@ def test_a_key_held_without_possession_rights_opens_nothing():
         "A.2": [("i.1", Direction.SEND, "{Na^i}k^i"), ("i.2", Direction.RECEIVE, "?X")],
         "B.1": [("i.1", Direction.RECEIVE, "?Y"), ("i.2", Direction.SEND, "?Y")],
     }
+
+
+# A parsed narration names declared atoms only; one built by hand may hold a
+# variable. B appears first in the second narration, so its receive of ?X is
+# abstracted before A's send of it.
+@pytest.mark.parametrize("steps, line", [
+    ([("A", "B", Variable("X"), 2)], 2),
+    ([("B", "A", Identity("A"), 2), ("A", "B", Variable("X"), 3)], 3),
+], ids=["send", "receive"])
+def test_a_hand_built_variable_payload_is_rejected_at_its_step(steps, line, woolam_mod):
+    _, ctx = woolam_mod
+    narr = Narration("P", tuple(
+        NarrationStep(index, sender, receiver, payload, step_line)
+        for index, (sender, receiver, payload, step_line) in enumerate(steps, start=1)
+    ))
+    with pytest.raises(ParseError) as err:
+        extract_roles(narr, ctx)
+    assert str(err.value) == f"line {line}: cannot abstract message component '?X'"
 
 
 def test_roles_are_prefix_closed_per_owner(woolam_mod):

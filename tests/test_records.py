@@ -15,7 +15,6 @@ import pytest
 
 import wfcheck
 from wfcheck import (
-    EMPTY,
     Concat,
     Enc,
     Identity,
@@ -145,13 +144,6 @@ def test_an_unpickled_term_hashes_as_one_built_in_its_own_process():
             check=True,
         )
         assert proc.stdout.split() == [b"True"] * len(sent)
-
-
-def test_the_empty_message_stays_the_one_empty_message():
-    # code tests `m is EMPTY`, so a copy must be EMPTY itself
-    assert copy.deepcopy(EMPTY) is EMPTY
-    assert pickle.loads(pickle.dumps(EMPTY)) is EMPTY
-    assert format_message(copy.deepcopy(EMPTY)) == "ε"
 
 
 def test_replace_changes_only_the_named_field():

@@ -4,7 +4,6 @@ import pytest
 
 from wfcheck import (
     BOTTOM,
-    EMPTY,
     AtomAbsent,
     Enc,
     Identity,
@@ -20,7 +19,7 @@ from wfcheck import (
 )
 from wfcheck.safefun import Variant
 
-from derivation import derive, derive_vars
+from derivation import EMPTY, derive, derive_vars
 from evaluation import Selection, protective_key, psi, select
 
 A, B, C, D, S = (Identity(n) for n in "ABCDS")

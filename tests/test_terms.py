@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfcheck import (
-    EMPTY,
     Concat,
     Enc,
     Identity,
@@ -25,6 +24,7 @@ from wfcheck import (
 from wfcheck.protocol import tokenize
 from wfcheck.terms import format_substitution
 
+from derivation import EMPTY
 from messages import erase_copies, parse_message, strip_sessions
 
 A, B, S = Identity("A"), Identity("B"), Identity("S")
@@ -60,12 +60,12 @@ def test_leaves_run_left_to_right_with_body_before_key():
     assert leaves(m) == [B, X, KAB_I, KAS, A, EMPTY, KBS]
 
 
-def test_map_leaves_reflattens_and_absorbs_empty():
+def test_map_leaves_reflattens():
     from wfcheck.terms import map_leaves
 
     m = concat([A, X, Enc(concat([Y, B]), KAS)])
-    out = map_leaves(m, lambda t: {X: concat([B, S]), Y: EMPTY}.get(t, t))
-    assert out == concat([A, B, S, Enc(B, KAS)])
+    out = map_leaves(m, lambda t: {X: concat([B, S]), Y: S}.get(t, t))
+    assert out == concat([A, B, S, Enc(concat([S, B]), KAS)])
     assert isinstance(out, Concat) and len(out.parts) == 4
 
 

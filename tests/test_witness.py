@@ -440,6 +440,13 @@ def test_challenge_on_a_send_step_is_rejected(mod):
         challenge_check(roles, ctx, Variant.MAX, bad)
 
 
+def test_challenge_of_a_verifier_without_a_role_is_rejected(mod):
+    ctx, roles, patterns = mod
+    bad = AuthChallenge(verifier="I", claimant="A", step=3, challenge="Nb")
+    with pytest.raises(ChallengeNotReceived, match="^verifier I plays no role in the protocol$"):
+        challenge_check(roles, ctx, Variant.MAX, bad)
+
+
 def test_challenge_atom_must_occur(mod):
     ctx, roles, patterns = mod
     bad = AuthChallenge(verifier="B", claimant="A", step=3, challenge="Nb")
