@@ -1,4 +1,4 @@
-"""The verification context: principals, level assignment, key ownership.
+"""The verification context: principals, level assignment, key possession.
 
 Loaded from a line-oriented text file, one of seven declaration forms a
 line, ``#`` to the end of a line a comment:
@@ -11,12 +11,12 @@ line, ``#`` to the end of a line a comment:
     challenge auth verifier=B claimant=A step=5 challenge=Nb
     intruder knows Na, kxy          # optional
 
-``shared(X,Y)`` implies level {X,Y} and owners {X,Y}. ``fresh(P)`` marks a
-value generated per session by P. ``level public`` means bottom. The
-principal universe must contain the intruder identity ``I``. Identities
-need no declaration beyond the principals line: they are always public.
-Words are separated by whitespace; next to punctuation (``( ) , { } =``)
-whitespace is optional.
+``shared(X,Y)`` implies level {X,Y}; a key is held by the principals its
+level admits. ``fresh(P)`` marks a value generated per session by P.
+``level public`` means bottom. The principal universe must contain the
+intruder identity ``I``. Identities need no declaration beyond the
+principals line: they are always public. Words are separated by
+whitespace; next to punctuation (``( ) , { } =``) whitespace is optional.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from .terms import Atom, Identity, Nonce, SymKey, Variable
 
 
 class Decl(NamedTuple):
-    """A declared key or nonce: its atom, its level, the principals holding
-    it (keys only) and the principal generating it per session, if any."""
+    """A declared key or nonce: its atom, its level (for a key, also the
+    principals holding it) and the principal generating it per session, if any."""
 
     atom: Atom
     level: SecurityLevel
-    owners: frozenset[str] = frozenset()
     fresh_by: Optional[str] = None
 
 
@@ -110,14 +109,14 @@ class VerificationContext:
         return k
 
     def knows_key(self, agent: str, k: Atom) -> bool:
+        """Whether ``agent`` holds ``k``: whether the key's level admits it."""
         if not isinstance(k, SymKey):
             raise NotAKey(f"{k} is not a key atom")
-        return agent in self._decl(k).owners
+        return agent in self._decl(k).level
 
     def fresh_owner(self, a: Atom) -> Optional[str]:
-        """The generating principal for session-fresh atoms, else None."""
-        decl = self.decls.get(a.name)
-        return decl.fresh_by if decl is not None and type(decl.atom) is type(a) else None
+        """The principal generating a declared key or nonce per session, else None."""
+        return self._decl(a).fresh_by
 
 
 # ---------------------------------------------------------------------------
@@ -199,22 +198,14 @@ def parse_context(text: str) -> VerificationContext:
             ):
                 check_new(name, lineno)
                 a, b = check_principal(a, lineno), check_principal(b, lineno)
-                decls[name] = Decl(SymKey(name), SecurityLevel.of(a, b), frozenset({a, b}))
-            case ["key", name, "fresh", "(", gen, ")", "level", *words] if (
+                decls[name] = Decl(SymKey(name), SecurityLevel.of(a, b))
+            case [("key" | "nonce") as kind, name, "fresh", "(", gen, ")", "level", *words] if (
                 _NAME(name) and _NAME(gen) and _is_level(words)
             ):
                 check_new(name, lineno)
                 gen = check_principal(gen, lineno)
-                level = parse_level(words, line, lineno)
-                # a fresh key is possessed by the parties authorized to learn it
-                owners = frozenset(principals) if level.is_bottom else level.authorized
-                decls[name] = Decl(SymKey(name), level, owners, fresh_by=gen)
-            case ["nonce", name, "fresh", "(", gen, ")", "level", *words] if (
-                _NAME(name) and _NAME(gen) and _is_level(words)
-            ):
-                check_new(name, lineno)
-                gen = check_principal(gen, lineno)
-                decls[name] = Decl(Nonce(name), parse_level(words, line, lineno), fresh_by=gen)
+                atom = SymKey(name) if kind == "key" else Nonce(name)
+                decls[name] = Decl(atom, parse_level(words, line, lineno), fresh_by=gen)
             case ["nonce", name, "level", *words] if _NAME(name) and _is_level(words):
                 check_new(name, lineno)
                 decls[name] = Decl(Nonce(name), parse_level(words, line, lineno))

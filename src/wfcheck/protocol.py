@@ -19,9 +19,10 @@ exchange through the intruder-controlled network, session-tags the values
 the participant generates freshly, and replaces the components it cannot
 verify in received messages by variables. One rule, ``_OwnerView._held``,
 decides possession: the participant holds the values it generated in this
-session and the long-term keys it shares. A received atom it does not hold,
-or an encryption it cannot open with a held key, becomes one variable.
-Forwarded opaque components reuse the variable introduced when they arrived.
+session and the long-term keys whose level admits it. A received atom it
+does not hold, or an encryption it cannot open with a held key, becomes one
+variable. Forwarded opaque components reuse the variable introduced when
+they arrived.
 
 One role is emitted per send of the participant (the projection prefix up
 to that send), plus the full projection when it ends with a receive.
@@ -319,7 +320,7 @@ class _OwnerView:
         """The owner's own copy of ``a``, or None when it does not hold it.
 
         The owner holds a value it has generated in this session (the
-        session-tagged copy) and a long-term key it shares (the key itself).
+        session-tagged copy) and a long-term key whose level admits it.
         """
         fresh_by = self.ctx.fresh_owner(a)
         if fresh_by is None:

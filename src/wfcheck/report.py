@@ -14,7 +14,7 @@ from functools import cache
 from typing import Callable, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 from . import witness
-from .context import VerificationContext
+from .context import INTRUDER_NAME, VerificationContext
 from .errors import ChallengeNotReceived
 from .lattice import BOTTOM, TOP, Lattice, SecurityLevel
 from .protocol import Narration, full_roles
@@ -95,17 +95,6 @@ def analyze(
         checks=tuple(checks),
         auth=auth,
     )
-
-
-# ---------------------------------------------------------------------------
-# Level serialization
-
-def level_to_json(level: SecurityLevel):
-    if level.is_bottom:
-        return {"kind": "bottom"}
-    if level.is_top:
-        return {"kind": "top"}
-    return {"kind": "set", "members": list(level.members())}
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +308,6 @@ def _write_json(put: Callable, quote: Callable, value, pad: str) -> None:
         return put("null" if value is None else "true" if value else "false")
     if kind is int:
         return put(int.__repr__(value))
-    if kind is SecurityLevel:
-        value, kind = level_to_json(value), dict
     inner = pad + "  "
     sep = ",\n" + inner
     if kind is tuple or kind is list:
@@ -330,8 +317,10 @@ def _write_json(put: Callable, quote: Callable, value, pad: str) -> None:
             _write_json(put, quote, v, inner)
             lead = sep
         return put("\n" + pad + "]" if value else "[]")
-    if kind is dict:
-        pairs = value.items()
+    if kind is SecurityLevel and (value.is_bottom or value.is_top):
+        pairs = [("kind", "bottom" if value.is_bottom else "top")]
+    elif kind is SecurityLevel:  # a set level lists its members after its kind
+        pairs = [("kind", "set"), ("members", value.members())]
     else:  # a record: its fields, then the verdicts derived from them
         pairs = [(k, getattr(value, k)) for k in kind._fields + getattr(kind, "_derived", ())]
     lead = "{\n" + inner
@@ -353,10 +342,11 @@ def render_json(report: AnalysisReport) -> str:
 
 def report_from_json(text: str) -> AnalysisReport:
     """The report ``render_json`` wrote as ``text``; a ``ValueError`` names the path
-    of the first value the writer would not write: a wrong type, a repeated name in
-    ``principals``, an ``auth`` claimant or verifier not among them, a stored verdict
-    unlike the derived one, a set level not a proper subset of ``principals`` (the
-    whole set is bottom), or a step verdict other than lower ⊒ declared ⊓ received.
+    of the first value the writer would not write: a wrong type, an unknown variant,
+    ``principals`` repeating a name or lacking ``I``, an ``auth`` claimant or verifier
+    not among them, a stored verdict unlike the derived one, a set level not a proper
+    subset of ``principals`` (the whole set is bottom), or a step verdict other than
+    lower ⊒ declared ⊓ received.
     """
     import json  # imported here so text runs never load it
     try:
@@ -366,8 +356,13 @@ def report_from_json(text: str) -> AnalysisReport:
     if type(doc) is dict and doc.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report version {doc.get('version')!r}")
     report = _decoder(AnalysisReport)(doc)
-    if len(set(report.principals)) != len(report.principals):
-        raise _Mismatch("distinct names", list(report.principals)).under("principals")
+    if report.variant not in [v.value for v in Variant]:
+        raise _Mismatch('"max", "ek" or "n"', report.variant).under("variant")
+    names = list(report.principals)
+    if len(set(names)) != len(names):
+        raise _Mismatch("distinct names", names).under("principals")
+    if INTRUDER_NAME not in names:
+        raise _Mismatch(f"names including the intruder {INTRUDER_NAME!r}", names).under("principals")
     lattice = Lattice.over(*report.principals)
 
     def proper(level: SecurityLevel, *path: str) -> None:

@@ -97,13 +97,11 @@ def reference_parse_context(text: str) -> VerificationContext:
             if match.group("o1"):
                 o1 = check_principal(match.group("o1"), lineno)
                 o2 = check_principal(match.group("o2"), lineno)
-                decls[name] = Decl(SymKey(name), SecurityLevel.of(o1, o2), frozenset({o1, o2}))
+                decls[name] = Decl(SymKey(name), SecurityLevel.of(o1, o2))
             else:
                 gen = check_principal(match.group("gen"), lineno)
                 level = _parse_level(match.group("level"), principals, lineno)
-                # a fresh key is possessed by the parties authorized to learn it
-                owners = frozenset(principals) if level.is_bottom else level.authorized
-                decls[name] = Decl(SymKey(name), level, owners, fresh_by=gen)
+                decls[name] = Decl(SymKey(name), level, fresh_by=gen)
             continue
         if line.startswith("nonce"):
             match = _NONCE_RE.match(line)

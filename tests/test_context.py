@@ -82,6 +82,19 @@ def test_knows_key(ctx):
     assert ctx.knows_key("S", SymKey("kas"))
     assert not ctx.knows_key("B", SymKey("kas"))
     assert ctx.knows_key("A", SymKey("kab"))  # generator is authorized to know it
+    # a key is held by exactly the principals its level admits, at bottom by all
+    corners = parse_context(
+        "principals A, B, I\nkey kp fresh(A) level public\n"
+        "key kall fresh(A) level {A,B,I}\nkey kb fresh(A) level {B}\n"
+    )
+    for p in ("A", "B", "I"):
+        assert corners.knows_key(p, SymKey("kp"))
+        assert corners.knows_key(p, SymKey("kall"))
+    assert not corners.knows_key("A", SymKey("kb"))  # generating a key is not holding it
+    assert corners.knows_key("B", SymKey("kb"))
+    whole = parse_context("principals A, I\nkey k shared(A,I)\n")  # canonical level ⊥
+    assert whole.level_of(SymKey("k")) == BOTTOM
+    assert whole.knows_key("A", SymKey("k")) and whole.knows_key("I", SymKey("k"))
 
 
 def test_challenge_fields(ctx):

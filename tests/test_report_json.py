@@ -23,7 +23,7 @@ from wfcheck import (
     render_json,
     report_from_json,
 )
-from wfcheck.report import SCHEMA_VERSION, level_to_json
+from wfcheck.report import SCHEMA_VERSION
 from wfcheck.safefun import Variant
 
 gen = perfbench_gen()
@@ -42,7 +42,11 @@ def _to_json(value):
     if isinstance(value, (str, int, type(None))):
         return value
     if isinstance(value, SecurityLevel):
-        return level_to_json(value)
+        if value.is_bottom:
+            return {"kind": "bottom"}
+        if value.is_top:
+            return {"kind": "top"}
+        return {"kind": "set", "members": list(value.members())}
     if hasattr(value, "_fields"):  # a record, which is also a tuple
         names = value._fields + DERIVED.get(type(value), ())
         return {name: _to_json(getattr(value, name)) for name in names}
@@ -109,9 +113,11 @@ def _with(path, value, text=None):
         _with(["auth", "level", "members"], ["A", 2]),
         "auth.level.members[1] must be a string, not an integer (2)",
     ),
+    (_with(["variant"], "zzz"), 'variant must be "max", "ek" or "n", not a string (\'zzz\')'),
 ], ids=[
     "version-only", "array", "protocol-and-secrecy", "check-passed",
     "step-bool", "roles-object", "steps-missing", "kind-missing", "kind-unknown", "member-int",
+    "variant-unknown",
 ])
 def test_malformed_reports_are_refused_naming_the_field(text, message):
     with pytest.raises(ValueError) as err:
@@ -181,7 +187,11 @@ def _unclaimed(doc_text):
         _with(["principals"], ["A", "B", "S", "I", "A"]),
         "principals must be distinct names, not an array",
     ),
-], ids=["stray-claimant", "stray-verifier", "repeated-principal"])
+    (
+        _with(["principals"], ["A", "B", "S"]),
+        "principals must be names including the intruder 'I', not an array",
+    ),
+], ids=["stray-claimant", "stray-verifier", "repeated-principal", "no-intruder"])
 def test_reading_refuses_principals_the_context_never_declares(text, message):
     with pytest.raises(ValueError) as err:
         report_from_json(text)
