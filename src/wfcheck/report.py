@@ -310,7 +310,7 @@ def _write_json(put: Callable, quote: Callable, value, pad: str) -> None:
         return put(int.__repr__(value))
     inner = pad + "  "
     sep = ",\n" + inner
-    if kind is tuple or kind is list:
+    if kind is tuple:
         lead = "[\n" + inner
         for v in value:
             put(lead)

@@ -11,6 +11,11 @@ variable and no parameter of the sent message instantiates the pattern to
 the sent message itself, so that source's instance is the send, and every
 such source shares the send's evaluation.
 
+Sends that differ only in their leaves share that scan. The patterns are
+unified with a send's shape, its leaves renamed by first occurrence, and
+one analysis keeps the unifiers per shape; each send maps them back to its
+own leaves and subterms, so a shape is unified with each pattern once.
+
 A protocol is accepted for secrecy when, for every target of every send,
 the lower bound dominates the meet of the declared level with the upper
 bound on the receives. Failing the comparison yields *no decision*: the
@@ -23,7 +28,7 @@ received message, strictly above the public level.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .context import AuthChallenge, VerificationContext
 from .errors import AtomAbsent, ChallengeAtomAbsent, ChallengeNotReceived, NoSource
@@ -39,6 +44,7 @@ from .protocol import (
 )
 from .safefun import Evaluation, Variant, f_prime
 from .terms import (
+    Concat,
     Enc,
     Message,
     Substitution,
@@ -47,7 +53,7 @@ from .terms import (
     apply,
     format_message,
     format_substitution,
-    leaves,
+    map_leaves,
     ordered_atoms,
     ordered_vars,
     unify,
@@ -57,13 +63,15 @@ from .terms import (
 class CandidateSource(NamedTuple):
     """A generated pattern unifiable with a sent message, with its unifier.
 
-    ``instance`` is the pattern under the unifier. When the unifier binds
-    no leaf of the sent message, that is the sent message itself (the very
-    object), since a unifier maps the pattern and the message to one term.
-    ``description`` is the line a report lists for the source: the printed
-    pattern and its unifier. ``candidate_sources`` computes it when it
-    builds the source: every encrypted send has its key as an atom target,
-    which every source carries, so every description is read.
+    ``mgu`` is the unifier with the sent message, mapped back from the
+    unifier with its shape. ``instance`` is the pattern under the unifier.
+    When the unifier binds no leaf of the sent message, that is the sent
+    message itself (the very object), since a unifier maps the pattern and
+    the message to one term. ``description`` is the line a report lists for
+    the source: the printed pattern and its unifier. ``candidate_sources``
+    computes it when it builds the source: every encrypted send has its key
+    as an atom target, which every source carries, so every description is
+    read.
     """
 
     pattern: Message
@@ -110,17 +118,71 @@ class AuthCheck(NamedTuple):
         return self.claimant_present and self.above_bottom
 
 
-def candidate_sources(r_plus: Message, patterns: Sequence[Enc]) -> list[CandidateSource]:
-    """Patterns unifiable with the sent message, in declaration order."""
-    send_leaves = frozenset(leaves(r_plus))
+def send_shape(r_plus: Message) -> tuple[Message, dict[Message, Message]]:
+    """The send with each leaf but its parameters renamed, by first occurrence,
+    to ``#0``, ``#1``, … of its own class; with a map from each subterm of that
+    shape back to the subterm of the send it stands for.
+
+    ``unify`` sees only a leaf's class, equality and whether it has a rename
+    index. No parsed or renamed leaf is named ``#i``, and the shape keeps the
+    send's parameters, the only leaves it can share with renamed-apart
+    patterns; so the renaming is injective, fixes every pattern leaf, and a
+    pattern unifies with the shape exactly as with the send, up to the
+    renaming. A renamed leaf loses its session tag with its name, so sends
+    that differ only in their tags share a shape.
+    """
+    renamed: dict[Message, Message] = {}
+    real: dict[Message, Message] = {}
+
+    def shaped(m: Message) -> Message:
+        if isinstance(m, Concat):
+            s = Concat(tuple(map(shaped, m.parts)))
+        elif isinstance(m, Enc):
+            s = Enc(shaped(m.body), shaped(m.key))
+        elif m.copy is not None:
+            s = m
+        else:
+            s = renamed.get(m)
+            if s is None:
+                s = renamed[m] = type(m)(f"#{len(renamed)}")
+        real[s] = m
+        return s
+
+    return shaped(r_plus), real
+
+
+#: The unifiers of each send shape with the patterns, in declaration order.
+Scans = dict[Message, list[tuple[Enc, Substitution]]]
+
+
+def candidate_sources(
+    r_plus: Message, patterns: Sequence[Enc], scans: Optional[Scans] = None
+) -> list[CandidateSource]:
+    """Patterns unifiable with the sent message, in declaration order.
+
+    The patterns, renamed apart as ``encryption_patterns`` makes them, are
+    unified with the send's shape (``send_shape``) and each unifier is mapped
+    back to the send. ``scans`` keeps those unifiers per shape for one pattern
+    set, so a later send of the same shape unifies nothing; without it the
+    call scans afresh.
+    """
+    shape, real = send_shape(r_plus)
+    scans = {} if scans is None else scans
+    scan = scans.get(shape)
+    if scan is None:
+        unifiers = ((pattern, unify(pattern, shape)) for pattern in patterns)
+        scan = scans[shape] = [(p, sigma) for p, sigma in unifiers if sigma is not None]
+
+    def unshaped(t: Message) -> Message:  # a term mixing pattern and shape leaves
+        return map_leaves(t, lambda leaf: real.get(leaf, leaf))
+
     out: list[CandidateSource] = []
-    for pattern in patterns:
-        sigma = unify(pattern, r_plus)
-        if sigma is None:
-            continue
-        instance = r_plus if send_leaves.isdisjoint(sigma) else apply(sigma, pattern)
-        description = f"{format_message(pattern)} via {format_substitution(sigma)}"
-        out.append(CandidateSource(pattern, sigma, instance, description))
+    for pattern, sigma in scan:
+        # a key is a leaf; a value is most often a subterm of the shape
+        mgu = {real.get(k, k): real.get(v) or unshaped(v) for k, v in sigma.items()}
+        instance = r_plus if real.keys().isdisjoint(sigma) else apply(mgu, pattern)
+        description = f"{format_message(pattern)} via {format_substitution(mgu)}"
+        out.append(CandidateSource(pattern, mgu, instance, description))
     return out
 
 
@@ -170,16 +232,20 @@ def lower_bound(
 
 
 def check_step(
-    role: GeneralizedRole, evaluation: Evaluation, patterns: Sequence[Enc]
+    role: GeneralizedRole,
+    evaluation: Evaluation,
+    patterns: Sequence[Enc],
+    scans: Optional[Scans] = None,
 ) -> list[StepCheck]:
-    """Bound comparisons for every atom and every variable of the role's final send."""
+    """Bound comparisons for every atom and every variable of the role's final send;
+    ``scans`` is the analysis's memo of unifiers per send shape."""
     step = role.final
     if step.direction is not Direction.SEND:
         raise ValueError(f"step {step.step_id} of {role.label} is not a send")
     ctx = evaluation.ctx
     received = role.received
     r_plus = step.payload
-    sources = candidate_sources(r_plus, patterns) if isinstance(r_plus, Enc) else []
+    sources = candidate_sources(r_plus, patterns, scans) if isinstance(r_plus, Enc) else []
     checks: list[StepCheck] = []
     targets: list[Target] = list(ordered_atoms(r_plus)) + list(ordered_vars(r_plus))
     for target in targets:
@@ -214,13 +280,16 @@ def check_secrecy(
 
     Each send is checked once, as the final step of its prefix role, with
     the receives accumulated before it. One evaluation serves every check,
-    so a payload that several prefix roles receive is evaluated once.
+    so a payload that several prefix roles receive is evaluated once; one
+    memo of unifiers serves every send, so each send shape is unified with
+    the patterns once.
     """
     evaluation = Evaluation(variant, ctx)
+    scans: Scans = {}
     checks: list[StepCheck] = []
     for role in roles:
         if role.steps and role.final.direction is Direction.SEND:
-            checks.extend(check_step(role, evaluation, patterns))
+            checks.extend(check_step(role, evaluation, patterns, scans))
     return checks
 
 

@@ -30,6 +30,7 @@ from wfcheck import (
     concat,
     encryption_patterns,
     format_message,
+    format_substitution,
     generated_messages,
     lower_bound,
     parse_context,
@@ -39,8 +40,8 @@ from wfcheck import (
 from wfcheck.context import AuthChallenge
 from wfcheck.protocol import Direction
 from wfcheck.safefun import Variant
-from wfcheck.terms import Atom, leaves, ordered_atoms, ordered_vars, unify
-from wfcheck.witness import sources_for_target
+from wfcheck.terms import Atom, leaves, map_leaves, ordered_atoms, ordered_vars, unify
+from wfcheck.witness import send_shape, sources_for_target
 
 from bounds import bound_ordering_check
 from conftest import CORPUS, perfbench_gen
@@ -168,9 +169,128 @@ def test_a_parameter_of_the_send_bound_by_the_unifier_is_not_the_send():
     assert format_message(source.instance) == "{A_2.A_2}kas_2"
 
 
+def _direct_sources(r_plus, patterns) -> list[CandidateSource]:
+    """The scan without a shape: every pattern unified with the send itself."""
+    send_leaves = set(leaves(r_plus))
+    out = []
+    for pattern in patterns:
+        sigma = unify(pattern, r_plus)
+        if sigma is not None:
+            instance = r_plus if send_leaves.isdisjoint(sigma) else apply(sigma, pattern)
+            description = f"{format_message(pattern)} via {format_substitution(sigma)}"
+            out.append(CandidateSource(pattern, sigma, instance, description))
+    return out
+
+
+def _assert_same_sources(got, want, r_plus):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.pattern is w.pattern
+        assert g.mgu == w.mgu
+        assert (g.instance is r_plus) == (w.instance is r_plus)
+        assert g.instance == w.instance
+        assert g.description == w.description
+
+
+def _scans_through_one_memo(roles, patterns) -> tuple[int, int]:
+    """Scan every encrypted send through one shared memo, as an analysis does,
+    and check each scan against a fresh one and against the direct scan;
+    return how many sends and how many shapes."""
+    scans: dict = {}
+    sends = 0
+    for role in roles:
+        r_plus = role.final.payload
+        if role.final.direction is not Direction.SEND or not isinstance(r_plus, Enc):
+            continue
+        shared = candidate_sources(r_plus, patterns, scans)
+        _assert_same_sources(shared, candidate_sources(r_plus, patterns), r_plus)
+        _assert_same_sources(shared, _direct_sources(r_plus, patterns), r_plus)
+        sends += 1
+    return sends, len(scans)
+
+
+def test_a_shared_scan_memo_changes_no_source(mod, orig):
+    for _, roles, patterns in (mod, orig):
+        assert _scans_through_one_memo(roles, patterns)[0] > 0
+    chain = _roles_and_patterns(perfbench_gen().synth_chain(0, 32, sound=True))
+    assert _scans_through_one_memo(*chain) == (35, 3)
+
+
+@given(case=protocol_cases())
+@settings(max_examples=30)
+def test_a_shared_scan_memo_changes_no_source_on_random_protocols(case):
+    ctx, narr = case
+    _scans_through_one_memo(*analyze_narration(narr, ctx))
+
+
+def test_a_send_keeps_its_parameters_in_its_shape(monkeypatch):
+    import wfcheck.witness as witness
+
+    # a parameter of the send may be a leaf of a pattern, so the shape keeps
+    # it: a renamed pattern scanned against itself binds nothing, as the
+    # direct scan does
+    pattern = rename_apart(Enc(concat([A, A]), KAS), 1)
+    (source,) = candidate_sources(pattern, [pattern])
+    _assert_same_sources([source], _direct_sources(pattern, [pattern]), pattern)
+    assert source.mgu == {} and source.instance is pattern
+    assert source.description == "{A_1.A_1}kas_1 via {}"
+    # the B_2 case: the pattern repeats one parameter where each send has
+    # two leaves, so each unifier binds the send's parameter B_2; the first
+    # two sends differ only in their other leaves, so they share one scan,
+    # and the renamed-apart send, all parameters, is a shape of its own
+    first = Enc(concat([A, Identity("B", 2)]), KAS)
+    second = Enc(concat([S, Identity("B", 2)]), KBS)
+    renamed = rename_apart(Enc(concat([A, B]), KAS), 2)
+    calls = []
+    real_unify = witness.unify
+    monkeypatch.setattr(witness, "unify", lambda *terms: calls.append(terms) or real_unify(*terms))
+    scans: dict = {}
+    instances = []
+    for r_plus in (first, second, renamed):
+        (source,) = candidate_sources(r_plus, [pattern], scans)
+        _assert_same_sources([source], _direct_sources(r_plus, [pattern]), r_plus)
+        assert Identity("B", 2) in source.mgu and source.instance is not r_plus
+        instances.append(format_message(source.instance))
+    assert instances == ["{A.A}kas", "{S.S}kbs", "{A_2.A_2}kas_2"]
+    assert len(scans) == len(calls) == 2
+
+
+def test_sends_that_differ_in_a_session_tag_share_one_scan():
+    tagged, untagged = Enc(concat([A, NB_I]), KAS), Enc(concat([A, Nonce("Nb")]), KAS)
+    patterns = [rename_apart(tagged, 1), rename_apart(Enc(concat([A, Y]), KAS), 2)]
+    scans: dict = {}
+    descriptions = []
+    for r_plus in (tagged, untagged):
+        sources = candidate_sources(r_plus, patterns, scans)
+        _assert_same_sources(sources, _direct_sources(r_plus, patterns), r_plus)
+        assert all(source.instance is r_plus for source in sources)
+        descriptions.append([source.description for source in sources])
+    # a shape renames the tag with the name, and each send maps the
+    # unifiers back to its own nonce
+    assert len(scans) == 1
+    assert descriptions == [
+        ["{A_1.Nb_1^i}kas_1 via {A_1 -> A, Nb_1^i -> Nb^i, kas_1 -> kas}",
+         "{A_2.?Y_2}kas_2 via {?Y_2 -> Nb^i, A_2 -> A, kas_2 -> kas}"],
+        ["{A_1.Nb_1^i}kas_1 via {A_1 -> A, Nb_1^i -> Nb, kas_1 -> kas}",
+         "{A_2.?Y_2}kas_2 via {?Y_2 -> Nb, A_2 -> A, kas_2 -> kas}"],
+    ]
+
+
+def test_a_unifier_whose_keys_print_alike_still_has_the_send_as_instance():
+    # an identity and a key may share a name only outside a parsed context;
+    # their renamed copies both print k_1, so the description sorts by value
+    r_plus = Enc(concat([Identity("k"), SymKey("k")]), KAS)
+    patterns = [rename_apart(r_plus, 1)]
+    sources = candidate_sources(r_plus, patterns)
+    _assert_same_sources(sources, _direct_sources(r_plus, patterns), r_plus)
+    assert sources[0].instance is r_plus
+    assert sources[0].description == "{k_1.k_1}kas_1 via {k_1 -> k, k_1 -> k, kas_1 -> kas}"
+
+
 def test_unify_matches_the_reference_on_every_scanned_pair(woolam_mod, woolam_orig):
-    # every (pattern, send) pair the scans try, each also with its sides
-    # swapped, on the corpus, a 32-step chain and 200 random protocols
+    # every (pattern, send shape) pair the scans try, and every (pattern,
+    # send) pair, each also with its sides swapped, on the corpus, a 32-step
+    # chain and 200 random protocols
     gen = perfbench_gen()
     scans = [analyze_narration(narr, ctx) for narr, ctx in (woolam_mod, woolam_orig)]
     cases = [gen.synth_chain(0, 32, sound=True)] + gen.random_batch(1, 200)
@@ -181,8 +301,9 @@ def test_unify_matches_the_reference_on_every_scanned_pair(woolam_mod, woolam_or
             r_plus = role.final.payload
             if role.final.direction is not Direction.SEND or not isinstance(r_plus, Enc):
                 continue
+            shape, _ = send_shape(r_plus)
             for pattern in patterns:
-                for left, right in ((pattern, r_plus), (r_plus, pattern)):
+                for left, right in ((pattern, shape), (pattern, r_plus), (r_plus, pattern)):
                     sigma = unify(left, right)
                     assert sigma == reference_unify(left, right), (left, right)
                     pairs += 1
@@ -316,6 +437,30 @@ def test_one_unification_scan_per_send(mod, monkeypatch):
     checks = check_step(roles[5], Evaluation(Variant.MAX, ctx), patterns)  # {U.{A.V}kbs}kbs
     assert len(checks) == 4
     assert len(calls) == len(patterns)
+
+
+def test_one_unification_per_send_shape_and_pattern(monkeypatch):
+    import wfcheck.witness as witness
+
+    case = perfbench_gen().synth_chain(0, 64, sound=True)
+    ctx = parse_context(case.context)
+    roles, patterns = analyze_narration(parse_narration(case.protocol, ctx), ctx)
+    calls = []
+    real_unify = witness.unify
+    monkeypatch.setattr(witness, "unify", lambda *terms: calls.append(terms) or real_unify(*terms))
+    check_secrecy(roles, patterns, ctx, Variant.MAX)
+    sends = [
+        role.final.payload for role in roles
+        if role.final.direction is Direction.SEND and isinstance(role.final.payload, Enc)
+    ]
+
+    def renamed(m):  # each leaf renamed by first occurrence to a bare leaf of its class
+        names: dict = {}
+        return map_leaves(m, lambda t: type(t)(f"#{names.setdefault(t, len(names))}"))
+
+    shapes = {renamed(r_plus) for r_plus in sends}
+    assert len(calls) == len(shapes) * len(patterns)
+    assert (len(sends), len(shapes), len(patterns)) == (67, 3, 43)
 
 
 def test_each_distinct_message_is_walked_and_evaluated_once(monkeypatch):
