@@ -56,6 +56,7 @@ from .witness import (
     check_secrecy,
     check_step,
     lower_bound,
+    variable_levels,
 )
 
 __version__ = "0.1.0"

@@ -11,10 +11,11 @@ variable and no parameter of the sent message instantiates the pattern to
 the sent message itself, so that source's instance is the send, and every
 such source shares the send's evaluation.
 
-Sends that differ only in their leaves share that scan. The patterns are
-unified with a send's shape, its leaves renamed by first occurrence, and
-one analysis keeps the unifiers per shape; each send maps them back to its
-own leaves and subterms, so a shape is unified with each pattern once.
+A sent variable's declared level is the join of the secrets that the
+encryptions it arrived in can put in its place (``variable_levels``). One
+scan serves both universes: a term's shape, its leaves renamed by first
+occurrence, is unified with each universe term once per analysis, and each
+term maps the summary back to its own leaves and subterms.
 
 A protocol is accepted for secrecy when, for every target of every send,
 the lower bound dominates the meet of the declared level with the upper
@@ -28,11 +29,12 @@ received message, strictly above the public level.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from functools import reduce
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .context import AuthChallenge, VerificationContext
 from .errors import AtomAbsent, ChallengeAtomAbsent, ChallengeNotReceived, NoSource
-from .lattice import SecurityLevel
+from .lattice import BOTTOM, SecurityLevel
 from .protocol import (
     Direction,
     GeneralizedRole,
@@ -42,7 +44,7 @@ from .protocol import (
     full_roles,
     generated_messages,
 )
-from .safefun import Evaluation, Variant, f_prime
+from .safefun import Evaluation, Variant, f_prime, occurrences
 from .terms import (
     Concat,
     Enc,
@@ -51,12 +53,15 @@ from .terms import (
     Target,
     Variable,
     apply,
+    canonical_form,
     format_message,
     format_substitution,
     map_leaves,
     ordered_atoms,
     ordered_vars,
+    rename_apart,
     unify,
+    vars_of,
 )
 
 
@@ -88,6 +93,7 @@ class StepCheck(NamedTuple):
     target: str
     target_is_variable: bool
     received_bound: SecurityLevel
+    #: an atom's declared level; a variable's from ``variable_levels``
     declared: SecurityLevel
     lower_bound: SecurityLevel
     sources: tuple[str, ...]
@@ -118,17 +124,17 @@ class AuthCheck(NamedTuple):
         return self.claimant_present and self.above_bottom
 
 
-def send_shape(r_plus: Message) -> tuple[Message, dict[Message, Message]]:
-    """The send with each leaf but its parameters renamed, by first occurrence,
+def shape_of(term: Message) -> tuple[Message, dict[Message, Message]]:
+    """The term with each leaf but its parameters renamed, by first occurrence,
     to ``#0``, ``#1``, … of its own class; with a map from each subterm of that
-    shape back to the subterm of the send it stands for.
+    shape back to the subterm of the term it stands for.
 
     ``unify`` sees only a leaf's class, equality and whether it has a rename
     index. No parsed or renamed leaf is named ``#i``, and the shape keeps the
-    send's parameters, the only leaves it can share with renamed-apart
-    patterns; so the renaming is injective, fixes every pattern leaf, and a
-    pattern unifies with the shape exactly as with the send, up to the
-    renaming. A renamed leaf loses its session tag with its name, so sends
+    term's parameters, the only leaves it can share with a renamed-apart
+    universe; so the renaming is injective, fixes every universe leaf, and a
+    universe term unifies with the shape exactly as with the term, up to the
+    renaming. A renamed leaf loses its session tag with its name, so terms
     that differ only in their tags share a shape.
     """
     renamed: dict[Message, Message] = {}
@@ -148,7 +154,19 @@ def send_shape(r_plus: Message) -> tuple[Message, dict[Message, Message]]:
         real[s] = m
         return s
 
-    return shaped(r_plus), real
+    return shaped(term), real
+
+
+def _scan(term: Message, universe: Sequence[Enc], memo: dict, summarize: Callable) -> tuple:
+    """The analysis's one unification scan: ``summarize`` of the unifiers of
+    every universe term with the term's shape, in universe order, kept in
+    ``memo`` per shape; with the map back from the shape to the term."""
+    shape, real = shape_of(term)
+    summary = memo.get(shape)
+    if summary is None:
+        unifiers = ((p, unify(p, shape)) for p in universe)
+        summary = memo[shape] = summarize([(p, sg) for p, sg in unifiers if sg is not None])
+    return summary, real
 
 
 #: The unifiers of each send shape with the patterns, in declaration order.
@@ -161,17 +179,12 @@ def candidate_sources(
     """Patterns unifiable with the sent message, in declaration order.
 
     The patterns, renamed apart as ``encryption_patterns`` makes them, are
-    unified with the send's shape (``send_shape``) and each unifier is mapped
+    unified with the send's shape (``_scan``) and each unifier is mapped
     back to the send. ``scans`` keeps those unifiers per shape for one pattern
     set, so a later send of the same shape unifies nothing; without it the
     call scans afresh.
     """
-    shape, real = send_shape(r_plus)
-    scans = {} if scans is None else scans
-    scan = scans.get(shape)
-    if scan is None:
-        unifiers = ((pattern, unify(pattern, shape)) for pattern in patterns)
-        scan = scans[shape] = [(p, sigma) for p, sigma in unifiers if sigma is not None]
+    scan, real = _scan(r_plus, patterns, {} if scans is None else scans, list)
 
     def unshaped(t: Message) -> Message:  # a term mixing pattern and shape leaves
         return map_leaves(t, lambda leaf: real.get(leaf, leaf))
@@ -184,6 +197,56 @@ def candidate_sources(
         description = f"{format_message(pattern)} via {format_substitution(mgu)}"
         out.append(CandidateSource(pattern, mgu, instance, description))
     return out
+
+
+def _encryptions(chains: Iterable[list[tuple[Enc, ...]]]) -> Iterable[Enc]:
+    """The encryptions of occurrence chains (``occurrences``), each once."""
+    return dict.fromkeys(enc for cs in chains for chain in cs for enc in chain)
+
+
+def variable_levels(
+    roles: Sequence[GeneralizedRole], ctx: VerificationContext
+) -> dict[Variable, SecurityLevel]:
+    """Per variable that a full role receives in an encryption and some role
+    sends: the join of the declared levels of the nonces and keys at body
+    positions of every term that its receive encryptions bind it to, unified
+    with the encryptions of every payload, nested ones included, kept once
+    per renaming. A term with no secret of its own still counts: a leaf it
+    repeats can bind the variable to the receive's own secret. A shape
+    keeps, per variable, the join of the universe's secrets and its own
+    atoms among them, which each receive maps back."""
+    join = ctx.lattice.join
+    steps = [step for role in full_roles(roles).values() for step in role.steps]
+    sent = {v for step in steps if step.direction is Direction.SEND for v in vars_of(step.payload)}
+    received = [
+        enc for step in steps if step.direction is Direction.RECEIVE
+        for enc in _encryptions(cs for x, cs in occurrences(step.payload).items() if x in sent)
+    ]
+    if not received:  # no variable to give a level: the universe is not needed
+        return {}
+    encs = (enc for step in steps for enc in _encryptions(occurrences(step.payload).values()))
+    distinct = {canonical_form(enc): enc for enc in encs}.values()
+    universe = [rename_apart(enc, tag) for tag, enc in enumerate(distinct, start=1)]
+
+    def summarize(unifiers: list) -> dict[Variable, tuple[SecurityLevel, frozenset]]:
+        summary: dict[Variable, tuple[SecurityLevel, frozenset]] = {}
+        for _, sigma in unifiers:
+            for v, value in sigma.items():
+                if type(v) is Variable and v.copy is None:  # a shape variable
+                    body = [leaf for leaf, cs in occurrences(value).items() if cs]
+                    own, theirs = summary.get(v, (BOTTOM, frozenset()))
+                    own = reduce(join, [ctx.level_of(a) for a in body if a.copy is not None], own)
+                    summary[v] = own, theirs | {a for a in body if a.copy is None}
+        return summary
+
+    memo: dict = {}
+    levels: dict[Variable, SecurityLevel] = {}
+    for enc in received:
+        summary, real = _scan(enc, universe, memo, summarize)
+        for v, (own, theirs) in summary.items():
+            found = [own, *(ctx.level_of(real[a]) for a in theirs)]
+            levels[real[v]] = reduce(join, found, levels.get(real[v], BOTTOM))
+    return levels
 
 
 def sources_for_target(
@@ -235,10 +298,12 @@ def check_step(
     role: GeneralizedRole,
     evaluation: Evaluation,
     patterns: Sequence[Enc],
+    levels: Mapping[Variable, SecurityLevel],
     scans: Optional[Scans] = None,
 ) -> list[StepCheck]:
     """Bound comparisons for every atom and every variable of the role's final send;
-    ``scans`` is the analysis's memo of unifiers per send shape."""
+    ``levels`` is the analysis's ``variable_levels``, where a variable missing
+    is public, and ``scans`` its memo of unifiers per send shape."""
     step = role.final
     if step.direction is not Direction.SEND:
         raise ValueError(f"step {step.step_id} of {role.label} is not a send")
@@ -250,7 +315,7 @@ def check_step(
     targets: list[Target] = list(ordered_atoms(r_plus)) + list(ordered_vars(r_plus))
     for target in targets:
         received_bound = ctx.lattice.meet_all(evaluation.level(target, m) for m in received)
-        declared = ctx.level_of(target)
+        declared = levels[target] if target in levels else ctx.level_of(target)
         lower, carriers = lower_bound(evaluation, target, r_plus, sources)
         required = ctx.lattice.meet(declared, received_bound)
         checks.append(
@@ -282,14 +347,15 @@ def check_secrecy(
     the receives accumulated before it. One evaluation serves every check,
     so a payload that several prefix roles receive is evaluated once; one
     memo of unifiers serves every send, so each send shape is unified with
-    the patterns once.
+    the patterns once; the variables' levels are computed once.
     """
     evaluation = Evaluation(variant, ctx)
     scans: Scans = {}
+    levels = variable_levels(roles, ctx)
     checks: list[StepCheck] = []
     for role in roles:
         if role.steps and role.final.direction is Direction.SEND:
-            checks.extend(check_step(role, evaluation, patterns, scans))
+            checks.extend(check_step(role, evaluation, patterns, levels, scans))
     return checks
 
 

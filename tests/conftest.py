@@ -19,6 +19,8 @@ settings.load_profile("ci")
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = REPO_ROOT / "corpus"
+#: Every corpus protocol, by file stem; each file cites its source.
+CORPUS_STEMS = sorted(path.stem for path in CORPUS.glob("*.proto"))
 
 
 @functools.cache

@@ -19,7 +19,7 @@ from wfcheck.cli import main
 from wfcheck.report import render_json, render_text
 from wfcheck.safefun import Variant
 
-from conftest import CORPUS
+from conftest import CORPUS, CORPUS_STEMS
 
 MOD = [str(CORPUS / "woolam_modified.proto"), str(CORPUS / "woolam_modified.ctx")]
 ORIG = [str(CORPUS / "woolam_original.proto"), str(CORPUS / "woolam_original.ctx")]
@@ -214,26 +214,17 @@ def test_a_context_leaking_a_secret_to_the_intruder_is_an_input_error(tmp_path, 
     assert err == "wfcheck: error: line 4: intruder knows 'kab', but its level {A,B} excludes I\n"
 
 
+def corpus_args(stem):
+    return ["--protocol", str(CORPUS / f"{stem}.proto"), "--context", str(CORPUS / f"{stem}.ctx")]
+
+
 # The intruder replays message 1 to A as message 2; A decrypts it and sends
 # Na in the clear. Insecure in the typed Dolev-Yao model, so no variant may
 # pass it for secrecy.
-REFLECT_PROTO = "protocol Reflect\n1. A -> B : {Na}kab\n2. B -> A : {Nb}kab\n3. A -> B : Nb\n"
-REFLECT_CTX = (
-    "principals A, B, I\nkey kab shared(A,B)\n"
-    "nonce Na fresh(A) level {A,B}\nnonce Nb fresh(B) level public\n"
-)
-
-
-@pytest.mark.xfail(strict=True, reason="variables get declared level ⊥ (ROADMAP item 1)")
 @pytest.mark.parametrize("function", ["max", "ek", "n"])
-def test_reflection_attack_is_not_passed_for_secrecy(function, tmp_path, capsys):
-    proto = tmp_path / "reflect.proto"
-    proto.write_text(REFLECT_PROTO)
-    ctx_file = tmp_path / "reflect.ctx"
-    ctx_file.write_text(REFLECT_CTX)
+def test_reflection_attack_is_not_passed_for_secrecy(function, capsys):
     code, _, _ = run_cli(
-        ["--protocol", str(proto), "--context", str(ctx_file),
-         "--function", function, "--check", "secrecy"], capsys
+        [*corpus_args("reflect"), "--function", function, "--check", "secrecy"], capsys
     )
     assert code == 2
 
@@ -241,40 +232,22 @@ def test_reflection_attack_is_not_passed_for_secrecy(function, tmp_path, capsys)
 # More protocols insecure in the same model. ReflectWrapped is the reflection
 # with identities in the clear. In Fwd and Fwd2 the honest run itself gives Na
 # to S, outside Na's level, and S then sends Na in the clear.
-FORWARD_CTX = (
-    "principals A, B, S, I\nkey kab shared(A,B)\nkey kbs shared(B,S)\n"
-    "nonce Na fresh(A) level {A,B}\nnonce Nb fresh(B) level public\n"
-)
-INSECURE = {
-    "ReflectWrapped": (
-        "1. A -> B : A.{Na}kab\n2. B -> A : B.{Nb}kab\n3. A -> B : Nb\n", REFLECT_CTX
-    ),
-    "Fwd2": ("1. A -> B : A.{Na.A}kab\n2. B -> S : B.{Na.A}kbs\n3. S -> A : Na\n", FORWARD_CTX),
-    "Fwd": ("1. A -> B : {Na}kab\n2. B -> S : {Na}kbs\n3. S -> A : Na\n", FORWARD_CTX),
-}
+INSECURE = {"ReflectWrapped": "reflect_wrapped", "Fwd2": "fwd2", "Fwd": "fwd"}
 
 
-@pytest.mark.xfail(strict=True, reason="variables get declared level ⊥ (ROADMAP item 1)")
 @pytest.mark.parametrize("function", ["max", "ek", "n"])
 @pytest.mark.parametrize("name", list(INSECURE))
-def test_other_insecure_protocols_are_not_passed_for_secrecy(name, function, tmp_path, capsys):
-    steps, ctx_text = INSECURE[name]
-    proto = tmp_path / "insecure.proto"
-    proto.write_text(f"protocol {name}\n{steps}")
-    ctx_file = tmp_path / "insecure.ctx"
-    ctx_file.write_text(ctx_text)
+def test_other_insecure_protocols_are_not_passed_for_secrecy(name, function, capsys):
     code, _, _ = run_cli(
-        ["--protocol", str(proto), "--context", str(ctx_file),
-         "--function", function, "--check", "secrecy"], capsys
+        [*corpus_args(INSECURE[name]), "--function", function, "--check", "secrecy"], capsys
     )
     assert code == 2
 
 
 @pytest.mark.parametrize("function", ["max", "ek", "n"])
-@pytest.mark.parametrize("stem", ["woolam_modified", "woolam_original"])
+@pytest.mark.parametrize("stem", CORPUS_STEMS)
 def test_cli_matches_the_golden_reports(stem, function, capsys):
-    args = ["--protocol", str(CORPUS / f"{stem}.proto"), "--context", str(CORPUS / f"{stem}.ctx")]
-    args += ["--function", function, "--check", "all"]
+    args = [*corpus_args(stem), "--function", function, "--check", "all"]
     golden = CORPUS / "expected" / f"{stem}.{function}"
     golden_json = pathlib.Path(f"{golden}.json").read_text(encoding="utf-8")
     code = {"pass": 0, "no-decision": 2}[json.loads(golden_json)["overall"]]

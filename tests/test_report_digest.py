@@ -3,11 +3,13 @@
 The inputs come from the benchmark's seeded generators (``perfbench/gen.py``,
 imported read-only). Every case is analyzed with ``--check all`` semantics
 and rendered as text and as JSON; the sha256 of all rendered reports, in
-case order, must equal the recorded digest. The random-batch digest dates
-from before the evaluation memo; the synth-chain digest was recorded again
-when role variables past the tenth got numbered names (``?X1`` for
-``?X_1``), which renamed them in these reports. A speed change that moves
-a single report byte fails here.
+case order, must equal the recorded digest. The synth-chain digest was
+recorded again when role variables past the tenth got numbered names
+(``?X1`` for ``?X_1``), which renamed them in these reports. Both digests
+were recorded again when variables took their declared level from the
+encryptions they can stand for (``variable_levels``), which changed the
+declared level and check line of variable rows, and no verdict. A speed
+change that moves a single report byte fails here.
 """
 
 import hashlib
@@ -38,11 +40,11 @@ def _digest(cases) -> str:
     [
         (
             lambda: gen.synth_chain_cases(7, 32, 4),
-            "04534087a66d6779de8da8f22e47d3b0863c49cdf4c58be6ebc6b06b2d3a6f83",
+            "2f7d2f37b111f1504b1d3512855ceccbc7686a56e2bf37916e959d97b529b15a",
         ),
         (
             lambda: gen.random_batch(7, 300),
-            "882565554e56c4252cc962ad48e6a29be44d8b796c578660200cd144e322c90b",
+            "08e2db3f466e0d66c7531e84d5485edf52735ee680015b44bccf712bff9d3fcc",
         ),
     ],
     ids=["synth-chain", "random-batch"],

@@ -36,17 +36,32 @@ from wfcheck import (
     parse_context,
     parse_narration,
     rename_apart,
+    variable_levels,
 )
 from wfcheck.context import AuthChallenge
 from wfcheck.protocol import Direction
 from wfcheck.safefun import Variant
-from wfcheck.terms import Atom, leaves, map_leaves, ordered_atoms, ordered_vars, unify
-from wfcheck.witness import send_shape, sources_for_target
+from wfcheck.terms import (
+    Atom,
+    canonical_form,
+    leaves,
+    map_leaves,
+    ordered_atoms,
+    ordered_vars,
+    unify,
+)
+from wfcheck.witness import shape_of, sources_for_target
 
 from bounds import bound_ordering_check
-from conftest import CORPUS, perfbench_gen
+from conftest import CORPUS, CORPUS_STEMS, perfbench_gen
+from levels import (
+    most_general,
+    plain_universe,
+    plain_variable_levels,
+    receive_encryptions,
+    sent_variables,
+)
 from test_properties import protocol_cases
-from test_report_cli import INSECURE, REFLECT_CTX, REFLECT_PROTO
 from unification import associative_unifiers, reference_unify
 
 A, B, S = Identity("A"), Identity("B"), Identity("S")
@@ -288,32 +303,41 @@ def test_a_unifier_whose_keys_print_alike_still_has_the_send_as_instance():
 
 
 def test_unify_matches_the_reference_on_every_scanned_pair(woolam_mod, woolam_orig):
-    # every (pattern, send shape) pair the scans try, and every (pattern,
-    # send) pair, each also with its sides swapped, on the corpus, a 32-step
-    # chain and 200 random protocols
+    # every (pattern, send shape) pair the send scans try, and every (pattern,
+    # send) pair, each also with its sides swapped; and every (universe term,
+    # receive shape) pair the level scan can try, with the plain universe, a
+    # superset of the scan's; on the corpus, a 32-step chain and 200 random
+    # protocols
     gen = perfbench_gen()
     scans = [analyze_narration(narr, ctx) for narr, ctx in (woolam_mod, woolam_orig)]
     cases = [gen.synth_chain(0, 32, sound=True)] + gen.random_batch(1, 200)
     scans += [_roles_and_patterns(case) for case in cases]
-    pairs, compound = 0, 0
+    pairs, compound, received = 0, 0, 0
     for roles, patterns in scans:
+        tried = []
         for role in roles:
             r_plus = role.final.payload
             if role.final.direction is not Direction.SEND or not isinstance(r_plus, Enc):
                 continue
-            shape, _ = send_shape(r_plus)
+            shape, _ = shape_of(r_plus)
             for pattern in patterns:
-                for left, right in ((pattern, shape), (pattern, r_plus), (r_plus, pattern)):
-                    sigma = unify(left, right)
-                    assert sigma == reference_unify(left, right), (left, right)
-                    pairs += 1
-                    # a variable bound to a compound term switches the call to
-                    # re-flattening; no scanned pair needs it to get its answer,
-                    # test_terms' pins and the random-term law cover that
-                    compound += sigma is not None and any(
-                        not isinstance(v, (Atom, Variable)) for v in sigma.values()
-                    )
-    assert pairs > 2_000 and compound > 0
+                tried += [(pattern, shape), (pattern, r_plus), (r_plus, pattern)]
+        universe = plain_universe(roles)
+        for enc in receive_encryptions(roles):
+            shape, _ = shape_of(enc)
+            tried += [(p, shape) for p in universe]
+            received += len(universe)
+        for left, right in tried:
+            sigma = unify(left, right)
+            assert sigma == reference_unify(left, right), (left, right)
+            pairs += 1
+            # a variable bound to a compound term switches the call to
+            # re-flattening; no scanned pair needs it to get its answer,
+            # test_terms' pins and the random-term law cover that
+            compound += sigma is not None and any(
+                not isinstance(v, (Atom, Variable)) for v in sigma.values()
+            )
+    assert pairs > 2_000 and compound > 0 and received > 1_000
 
 
 # -- the lower bound ---------------------------------------------------------
@@ -374,16 +398,14 @@ def test_variable_sources_exclude_pinning_unifiers(mod):
     assert [t for _, t in sources_for_target(A, sources)] == [A, A]
 
 
+def _corpus_texts(stem):
+    return (CORPUS / f"{stem}.ctx").read_text(), (CORPUS / f"{stem}.proto").read_text()
+
+
 def _missed_unifier_runs():
-    """(context, narration, variant) of the corpus and of the insecure
-    protocols of ``test_report_cli`` under every variant, and of seeded
-    benchmark cases."""
-    texts = [
-        ((CORPUS / f"{stem}.ctx").read_text(), (CORPUS / f"{stem}.proto").read_text())
-        for stem in ("woolam_modified", "woolam_original")
-    ]
-    texts += [(REFLECT_CTX, REFLECT_PROTO)]
-    texts += [(ctx, f"protocol {name}\n{steps}") for name, (steps, ctx) in INSECURE.items()]
+    """(context, narration, variant) of every corpus protocol under every
+    variant, and of seeded benchmark cases."""
+    texts = [_corpus_texts(stem) for stem in CORPUS_STEMS]
     runs = [(ctx, proto, variant) for ctx, proto in texts for variant in Variant]
     gen = perfbench_gen()
     for case in gen.synth_chain_cases(1, 16, 2) + gen.random_batch(7, 200):
@@ -402,6 +424,7 @@ def test_sources_that_unify_misses_change_no_check():
     for ctx, narration, variant in _missed_unifier_runs():
         roles, patterns = analyze_narration(narration, ctx)
         evaluation = Evaluation(variant, ctx)
+        levels = variable_levels(roles, ctx)
         for role in roles:
             r_plus = role.final.payload
             if role.final.direction is not Direction.SEND or not isinstance(r_plus, Enc):
@@ -416,7 +439,7 @@ def test_sources_that_unify_misses_change_no_check():
             extra_sources += len(extra)
             sources = candidate_sources(r_plus, patterns) + extra
             targets = ordered_atoms(r_plus) + ordered_vars(r_plus)
-            checks = check_step(role, evaluation, patterns)
+            checks = check_step(role, evaluation, patterns, levels)
             assert [c.target for c in checks] == [format_message(t) for t in targets]
             for target, check in zip(targets, checks):
                 lower = lower_bound(evaluation, target, r_plus, sources)[0]
@@ -427,28 +450,145 @@ def test_sources_that_unify_misses_change_no_check():
     assert extra_sources > 0
 
 
+# -- variable levels -----------------------------------------------------------
+
+def _assert_plain_levels(roles, ctx, unifiers=most_general) -> int:
+    """``variable_levels`` gives every sent variable the plain rule's level,
+    with ``unifiers`` as the plain rule's; return how many are above bottom."""
+    got = variable_levels(roles, ctx)
+    plain = plain_variable_levels(roles, ctx, unifiers)
+    assert set(plain) == sent_variables(roles)
+    assert {x: got.get(x, BOTTOM) for x in plain} == plain
+    return sum(not level.is_bottom for level in plain.values())
+
+
+def test_variable_levels_match_the_plain_rule():
+    # the scan deduplicates its universe and scans each receive
+    # shape once; the plain rule unifies every nested encryption, renamed
+    # apart, with every receive encryption
+    runs = _missed_unifier_runs()
+    raised = sum(_assert_plain_levels(_roles(narr, ctx), ctx) for ctx, narr, _ in runs)
+    assert raised > 40
+
+
+@given(case=protocol_cases())
+@settings(max_examples=40)
+def test_variable_levels_match_the_plain_rule_on_random_protocols(case):
+    ctx, narr = case
+    _assert_plain_levels(_roles(narr, ctx), ctx)
+
+
+def test_associative_unifiers_change_no_variable_level():
+    # unify misses a unifier where a variable stands for several parts;
+    # joining what such unifiers bind a variable to changes no level
+    def with_associative(p, e):
+        return most_general(p, e) + list(associative_unifiers(p, e))
+
+    extra = 0
+    for ctx, narr, _ in _missed_unifier_runs():
+        roles = _roles(narr, ctx)
+        _assert_plain_levels(roles, ctx, with_associative)
+        universe = plain_universe(roles)
+        extra += sum(
+            len(list(associative_unifiers(p, e)))
+            for e in receive_encryptions(roles) for p in universe
+        )
+    assert extra > 0
+
+
+def _roles(narration, ctx):
+    return analyze_narration(narration, ctx)[0]
+
+
+def _levels_by_name(context_text, protocol_text):
+    ctx = parse_context(context_text)
+    roles = _roles(parse_narration(protocol_text, ctx), ctx)
+    return {format_message(v): level for v, level in variable_levels(roles, ctx).items()}, roles
+
+
+def test_a_variable_takes_the_level_of_the_secret_it_can_stand_for():
+    # A receives the replayed {?X}kab, which can hold Na: ?X is {A,B}, and A
+    # sending it in the clear fails
+    assert _levels_by_name(*_corpus_texts("reflect"))[0] == {"?X": SecurityLevel.of("A", "B")}
+    # in modified Woo-Lam the server forwards ?V, which can be kab^i
+    assert _levels_by_name(*_corpus_texts("woolam_modified"))[0]["?V"] == ABS
+    # S's {?Y}kbs unifies with {Na}kab renamed, whose key is a parameter
+    assert _levels_by_name(*_corpus_texts("fwd"))[0] == {
+        "?X": SecurityLevel.of("A", "B"), "?Y": SecurityLevel.of("A", "B")
+    }
+    # a key in key position adds nothing: B forwards {A}kas, which it cannot
+    # open, in the clear, and that exposes no secret; ?X can only be
+    # {A}kas, whose only secret is a key, so it stays public
+    ctx_text = "principals A, B, S, I\nkey kab shared(A,B)\nkey kas shared(A,S)\n"
+    proto_text = "protocol Nested\n1. A -> B : {{A}kas}kab\n2. B -> S : {A}kas\n"
+    levels, roles = _levels_by_name(ctx_text, proto_text)
+    ctx = parse_context(ctx_text)
+    assert levels == {"?X": BOTTOM} and _assert_plain_levels(roles, ctx) == 0
+    assert {format_message(v) for v in sent_variables(roles)} == {"?X"}
+    assert analyze(parse_narration(proto_text, ctx), ctx).secrecy_passed
+    # a variable can stand for the receive's own atom: A's {Na.Na}kas fits
+    # B's {?X.Nb^i}kab only with ?X as Nb^i, so ?X joins Nb's level {A,B}
+    # with Na's {A,B,S}, which A's {Na.?Y}kab gives it
+    ctx_text = (
+        "principals A, B, S, I\nkey kab shared(A,B)\nkey kas shared(A,S)\n"
+        "nonce Na fresh(A) level {A,B,S}\nnonce Nb fresh(B) level {A,B}\n"
+    )
+    proto_text = (
+        "protocol Own\n1. B -> A : {Nb}kab\n2. A -> S : {Na.Na}kas\n"
+        "3. A -> B : {Na.Nb}kab\n4. B -> A : Na\n"
+    )
+    levels, roles = _levels_by_name(ctx_text, proto_text)
+    assert levels["?X"] == SecurityLevel.of("A", "B")
+    _assert_plain_levels(roles, parse_context(ctx_text))
+    # with Na public, {Na.Na}kas holds no secret of its own, yet its repeated
+    # Na still binds ?X to Nb^i: dropping such a term from the universe
+    # would leave ?X public and pass B sending Nb in the clear
+    ctx_text = ctx_text.replace("level {A,B,S}", "level public")
+    levels, roles = _levels_by_name(ctx_text, proto_text)
+    ctx = parse_context(ctx_text)
+    assert levels["?X"] == SecurityLevel.of("A", "B")
+    _assert_plain_levels(roles, ctx)
+    assert not analyze(parse_narration(proto_text, ctx), ctx).secrecy_passed
+
+
+def test_every_variable_of_a_sound_chain_is_secret_to_the_server():
+    # each variable received inside an encryption gets the join of every
+    # client's nonce level; the two the Woo-Lam tail receives in the clear
+    # get no level from the scan, so they stay public
+    gen = perfbench_gen()
+    for steps, clear in ((32, {"?T2", "?V3"}), (64, {"?R5", "?T4"})):
+        case = gen.synth_chain(0, steps, sound=True)
+        levels, roles = _levels_by_name(case.context, case.protocol)
+        sent = {format_message(v) for v in sent_variables(roles)}
+        assert {levels[x] for x in sent - clear} == {SecurityLevel.of("S")}
+        assert clear <= sent and clear.isdisjoint(levels)
+
+
 def test_one_unification_scan_per_send(mod, monkeypatch):
     import wfcheck.witness as witness
 
     ctx, roles, patterns = mod
+    levels = variable_levels(roles, ctx)
     calls = []
     real_unify = witness.unify
     monkeypatch.setattr(witness, "unify", lambda *terms: calls.append(terms) or real_unify(*terms))
-    checks = check_step(roles[5], Evaluation(Variant.MAX, ctx), patterns)  # {U.{A.V}kbs}kbs
+    checks = check_step(roles[5], Evaluation(Variant.MAX, ctx), patterns, levels)  # {U.{A.V}kbs}kbs
     assert len(checks) == 4
     assert len(calls) == len(patterns)
 
 
-def test_one_unification_per_send_shape_and_pattern(monkeypatch):
+def _unify_calls(case, monkeypatch) -> tuple[int, dict]:
+    """The unify calls of one secrecy check of ``case``, and the counts that
+    fix them: send shapes × patterns + receive shapes × universe terms."""
     import wfcheck.witness as witness
 
-    case = perfbench_gen().synth_chain(0, 64, sound=True)
     ctx = parse_context(case.context)
     roles, patterns = analyze_narration(parse_narration(case.protocol, ctx), ctx)
     calls = []
     real_unify = witness.unify
     monkeypatch.setattr(witness, "unify", lambda *terms: calls.append(terms) or real_unify(*terms))
     check_secrecy(roles, patterns, ctx, Variant.MAX)
+    monkeypatch.undo()
     sends = [
         role.final.payload for role in roles
         if role.final.direction is Direction.SEND and isinstance(role.final.payload, Enc)
@@ -458,9 +598,36 @@ def test_one_unification_per_send_shape_and_pattern(monkeypatch):
         names: dict = {}
         return map_leaves(m, lambda t: type(t)(f"#{names.setdefault(t, len(names))}"))
 
-    shapes = {renamed(r_plus) for r_plus in sends}
-    assert len(calls) == len(shapes) * len(patterns)
-    assert (len(sends), len(shapes), len(patterns)) == (67, 3, 43)
+    # the level scan: each receive shape once with the universe, its
+    # terms deduplicated modulo renaming
+    receives = receive_encryptions(roles)
+    nested = plain_universe(roles)
+    counts = dict(
+        sends=len(sends), shapes=len({renamed(r_plus) for r_plus in sends}),
+        patterns=len(patterns), receives=len(receives),
+        receive_shapes=len({renamed(enc) for enc in receives}),
+        nested=len(nested), universe=len({canonical_form(p) for p in nested}),
+    )
+    expected = counts["shapes"] * counts["patterns"]
+    expected += counts["receive_shapes"] * counts["universe"]
+    assert len(calls) == expected
+    return len(calls), counts
+
+
+def test_one_unification_per_send_shape_and_pattern(monkeypatch):
+    calls, counts = _unify_calls(perfbench_gen().synth_chain(0, 64, sound=True), monkeypatch)
+    assert calls == 258
+    assert counts == dict(
+        sends=67, shapes=3, patterns=43, receives=34, receive_shapes=3, nested=134, universe=43
+    )
+
+
+def test_one_unification_per_shape_and_universe_term_on_random_protocols(monkeypatch):
+    # the universe keeps one term per renaming, which the chain above never
+    # repeats; random protocols do
+    counts = [_unify_calls(case, monkeypatch)[1] for case in perfbench_gen().random_batch(1, 200)]
+    assert sum(c["receive_shapes"] for c in counts) > 0
+    assert sum(c["universe"] for c in counts) < sum(c["nested"] for c in counts)
 
 
 def test_each_distinct_message_is_walked_and_evaluated_once(monkeypatch):
@@ -499,8 +666,8 @@ def test_each_distinct_message_is_walked_and_evaluated_once(monkeypatch):
 
 def test_step_check_for_the_session_key_passes(mod):
     ctx, roles, patterns = mod
-    role = roles[1]
-    checks = {c.target: c for c in check_step(role, Evaluation(Variant.MAX, ctx), patterns)}
+    levels = variable_levels(roles, ctx)
+    checks = {c.target: c for c in check_step(roles[1], Evaluation(Variant.MAX, ctx), patterns, levels)}
     c = checks["kab^i"]
     assert c.received_bound == TOP
     assert c.declared == ABS
@@ -510,14 +677,16 @@ def test_step_check_for_the_session_key_passes(mod):
 
 def test_step_check_targets_every_atom_and_variable(mod):
     ctx, roles, patterns = mod
-    checks = check_step(roles[3], Evaluation(Variant.MAX, ctx), patterns)
+    levels = variable_levels(roles, ctx)
+    checks = check_step(roles[3], Evaluation(Variant.MAX, ctx), patterns, levels)
     assert [c.target for c in checks] == ["A", "Nb^i", "kbs", "?Y"]
     assert all(c.passed for c in checks)
 
 
 def test_public_nonce_passes_trivially(mod):
     ctx, roles, patterns = mod
-    checks = {c.target: c for c in check_step(roles[2], Evaluation(Variant.MAX, ctx), patterns)}
+    levels = variable_levels(roles, ctx)
+    checks = {c.target: c for c in check_step(roles[2], Evaluation(Variant.MAX, ctx), patterns, levels)}
     c = checks["Nb^i"]
     assert c.declared == BOTTOM and c.passed
 
