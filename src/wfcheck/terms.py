@@ -298,49 +298,38 @@ def unify(left: Message, right: Message) -> Optional[dict]:
     against a sent role message orients bindings pattern-to-message.
 
     Bindings are stored as found and may mention leaves bound later; a
-    popped pair is resolved only at its top, and every value is resolved
-    once, on return. While every binding maps a leaf to a leaf, no binding
-    can change the shape of a concatenation, so resolving a top only
-    follows a chain of bound leaves. The first variable bound to a compound
-    term switches the rest of the call to re-flattening each
-    popped top (``_head``) and resolving values through compound terms.
+    popped pair is resolved only at its top (``_head``: it follows bound
+    leaves and re-flattens a concatenation with bound parts), and every
+    value is resolved once, on return.
 
     Two concatenations of unequal length with a variable among their parts
     are deferred, not failed, since a later binding may make the lengths
-    equal. When the pairs run out, the deferred ones are retried if the
-    fast path is off and a binding was made since the first of them was
-    deferred; otherwise unification fails. So the answer does not depend
-    on the order of concatenation parts, but unification modulo
+    equal. When the pairs run out, the deferred ones are retried if a
+    binding was made since the first of them was deferred; otherwise
+    unification fails. Each round of retries needs a new binding and each
+    leaf is bound at most once, so the retries end. So the answer does not
+    depend on the order of concatenation parts, but unification modulo
     associativity stays incomplete: a variable is never split across
     parts, so ``?X.?Y`` against ``A.B.C`` fails.
     """
     sol: dict = {}
     stack: list[tuple[Message, Message]] = [(left, right)]
     deferred: list[tuple[Message, Message]] = []
-    leaf_to_leaf = True
     while stack or deferred:
         if not stack:  # retry only if a binding since the deferral can change a length
-            if leaf_to_leaf or len(sol) == bound_at_deferral:
+            if len(sol) == bound_at_deferral:
                 return None
             stack, deferred = deferred, []
             continue
         s, t = stack.pop()
-        if leaf_to_leaf:
-            while s in sol:
-                s = sol[s]
-            while t in sol:
-                t = sol[t]
-        else:
-            s, t = _head(s, sol), _head(t, sol)
+        s, t = _head(s, sol), _head(t, sol)
         if s == t:
             continue
         s_type, t_type = type(s), type(t)
         if s_type is Variable or t_type is Variable:
             var, term = (s, t) if s_type is Variable else (t, s)
-            if not isinstance(term, (Atom, Variable)):
-                if var in vars_of(_resolve(term, sol)):
-                    return None
-                leaf_to_leaf = False
+            if not isinstance(term, (Atom, Variable)) and var in vars_of(_resolve(term, sol)):
+                return None
             sol[var] = term
         elif s_type is Concat:
             if t_type is not Concat:
@@ -366,13 +355,7 @@ def unify(left: Message, right: Message) -> Optional[dict]:
             sol[t] = s
         else:
             return None
-    if not leaf_to_leaf:
-        return {k: _resolve(v, sol) for k, v in sol.items()}
-    for k, v in sol.items():
-        while v in sol:
-            v = sol[v]
-        sol[k] = v
-    return sol
+    return {k: _resolve(v, sol) for k, v in sol.items()}
 
 
 # ---------------------------------------------------------------------------

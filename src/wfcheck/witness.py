@@ -213,8 +213,8 @@ def variable_levels(
     with the encryptions of every payload, nested ones included, kept once
     per renaming. A term with no secret of its own still counts: a leaf it
     repeats can bind the variable to the receive's own secret. A shape
-    keeps, per variable, the join of the universe's secrets and its own
-    atoms among them, which each receive maps back."""
+    keeps, per variable, the leaves at body positions of what it is bound
+    to, and each receive joins their levels, its own leaves mapped back."""
     join = ctx.lattice.join
     steps = [step for role in full_roles(roles).values() for step in role.steps]
     sent = {v for step in steps if step.direction is Direction.SEND for v in vars_of(step.payload)}
@@ -228,23 +228,21 @@ def variable_levels(
     distinct = {canonical_form(enc): enc for enc in encs}.values()
     universe = [rename_apart(enc, tag) for tag, enc in enumerate(distinct, start=1)]
 
-    def summarize(unifiers: list) -> dict[Variable, tuple[SecurityLevel, frozenset]]:
-        summary: dict[Variable, tuple[SecurityLevel, frozenset]] = {}
+    def summarize(unifiers: list) -> dict[Variable, set]:
+        summary: dict[Variable, set] = {}
         for _, sigma in unifiers:
             for v, value in sigma.items():
                 if type(v) is Variable and v.copy is None:  # a shape variable
-                    body = [leaf for leaf, cs in occurrences(value).items() if cs]
-                    own, theirs = summary.get(v, (BOTTOM, frozenset()))
-                    own = reduce(join, [ctx.level_of(a) for a in body if a.copy is not None], own)
-                    summary[v] = own, theirs | {a for a in body if a.copy is None}
+                    body = summary.setdefault(v, set())
+                    body.update(a for a, cs in occurrences(value).items() if cs)
         return summary
 
     memo: dict = {}
     levels: dict[Variable, SecurityLevel] = {}
     for enc in received:
         summary, real = _scan(enc, universe, memo, summarize)
-        for v, (own, theirs) in summary.items():
-            found = [own, *(ctx.level_of(real[a]) for a in theirs)]
+        for v, body in summary.items():
+            found = (ctx.level_of(real.get(a, a)) for a in body)
             levels[real[v]] = reduce(join, found, levels.get(real[v], BOTTOM))
     return levels
 

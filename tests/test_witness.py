@@ -331,9 +331,9 @@ def test_unify_matches_the_reference_on_every_scanned_pair(woolam_mod, woolam_or
             sigma = unify(left, right)
             assert sigma == reference_unify(left, right), (left, right)
             pairs += 1
-            # a variable bound to a compound term switches the call to
-            # re-flattening; no scanned pair needs it to get its answer,
-            # test_terms' pins and the random-term law cover that
+            # some scanned pairs bind a variable to a compound term, so a
+            # popped concatenation's bound parts are re-flattened here, not
+            # only in test_terms' pins and the random-term law
             compound += sigma is not None and any(
                 not isinstance(v, (Atom, Variable)) for v in sigma.values()
             )
@@ -632,13 +632,23 @@ def test_one_unification_per_shape_and_universe_term_on_random_protocols(monkeyp
 
 def test_each_distinct_message_is_walked_and_evaluated_once(monkeypatch):
     import wfcheck.safefun as safefun
+    import wfcheck.witness as witness
 
     case = perfbench_gen().synth_chain(0, 64, sound=True)
     ctx = parse_context(case.context)
     roles, patterns = analyze_narration(parse_narration(case.protocol, ctx), ctx)
-    walks, asked, computed = Counter(), set(), []
-    real_walk, real_level, real_compute = safefun.occurrences, Evaluation.level, safefun._level
-    monkeypatch.setattr(safefun, "occurrences", lambda m: walks.update([m]) or real_walk(m))
+    walks, asked, computed, scanned = Counter(), set(), [], []
+    real_entry, real_level, real_compute = Evaluation._entry, Evaluation.level, safefun._level
+    real_scan_walk = witness.occurrences
+
+    def entry(self, m):  # a miss is the evaluation's walk of m
+        if m not in self._memo:
+            walks.update([m])
+        return real_entry(self, m)
+
+    monkeypatch.setattr(Evaluation, "_entry", entry)
+    # the level scan walks payloads and bound values, which are never evaluated
+    monkeypatch.setattr(witness, "occurrences", lambda m: scanned.append(m) or real_scan_walk(m))
     monkeypatch.setattr(
         Evaluation, "level",
         lambda self, target, m: asked.add((m, target)) or real_level(self, target, m),
@@ -660,6 +670,7 @@ def test_each_distinct_message_is_walked_and_evaluated_once(monkeypatch):
     assert len(computed) == len(asked)
     assert received <= set(walks)
     assert (len(walks), len(computed)) == (183, 1332)
+    assert len(scanned) == 281
 
 
 # -- step checks and the secrecy decision -------------------------------------
