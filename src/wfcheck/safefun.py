@@ -23,10 +23,10 @@ contain. A selection holds only identities and a decryption key, never a
 variable, so removing variables would change no level: ``f_prime``
 evaluates the message as it is.
 
-One walk of a message (``occurrences``) yields the occurrence chains of
-all its leaves at once. An :class:`Evaluation` keeps that walk and the
-levels computed from it per distinct message, so an analysis that asks
-about many targets, sources and receives walks each message once.
+One walk of a message (``occurrences``) maps its leaves, in first-occurrence
+order, to their occurrence chains. An :class:`Evaluation` keeps that walk
+(``walk``) and the levels computed from it per distinct message; it is the
+analysis's one walker of messages, so an analysis walks each one once.
 """
 
 from __future__ import annotations
@@ -124,10 +124,11 @@ def _level(
 class Evaluation:
     """``f_prime`` under one variant and context, memoized per message value.
 
-    Each distinct message is walked once (its ``occurrences``), and the
-    level of a target in it is computed the first time a caller asks for
-    it, never for a leaf nobody asks about. One analysis owns one
-    evaluation, so the memo holds only that analysis's messages.
+    Each distinct message is walked once (its ``occurrences``, which
+    ``walk`` returns), and the level of a target in it is computed the
+    first time a caller asks for it, never for a leaf nobody asks about.
+    One analysis owns one evaluation, so the memo holds only that
+    analysis's messages; its callers share the walks and only read them.
     """
 
     def __init__(self, variant: Variant, ctx: VerificationContext):
@@ -141,9 +142,9 @@ class Evaluation:
             entry = self._memo[m] = (occurrences(m), {})
         return entry
 
-    def occurs(self, target: Target, m: Message) -> bool:
-        """Whether the target occurs anywhere in ``m``, key positions included."""
-        return target in self._entry(m)[0]
+    def walk(self, m: Message) -> Occurrences:
+        """The ``occurrences`` of ``m``: its leaves in first-occurrence order."""
+        return self._entry(m)[0]
 
     def level(self, target: Target, m: Message) -> SecurityLevel:
         occs, levels = self._entry(m)

@@ -216,15 +216,6 @@ def vars_of(m: Message) -> frozenset[Variable]:
     return frozenset([t for t in leaves(m) if isinstance(t, Variable)])
 
 
-def ordered_atoms(m: Message) -> tuple[Atom, ...]:
-    """Atoms in first-occurrence order (used for deterministic reports)."""
-    return tuple(dict.fromkeys([t for t in leaves(m) if isinstance(t, Atom)]))
-
-
-def ordered_vars(m: Message) -> tuple[Variable, ...]:
-    return tuple(dict.fromkeys([t for t in leaves(m) if isinstance(t, Variable)]))
-
-
 def _erase_copy(t: Message) -> Message:
     return t._replace(copy=None) if t.copy is not None else t
 

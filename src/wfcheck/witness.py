@@ -44,8 +44,9 @@ from .protocol import (
     full_roles,
     generated_messages,
 )
-from .safefun import Evaluation, Variant, f_prime, occurrences
+from .safefun import Evaluation, Variant, f_prime
 from .terms import (
+    Atom,
     Concat,
     Enc,
     Message,
@@ -56,12 +57,10 @@ from .terms import (
     canonical_form,
     format_message,
     format_substitution,
+    leaves,
     map_leaves,
-    ordered_atoms,
-    ordered_vars,
     rename_apart,
     unify,
-    vars_of,
 )
 
 
@@ -205,7 +204,7 @@ def _encryptions(chains: Iterable[list[tuple[Enc, ...]]]) -> Iterable[Enc]:
 
 
 def variable_levels(
-    roles: Sequence[GeneralizedRole], ctx: VerificationContext
+    roles: Sequence[GeneralizedRole], evaluation: Evaluation
 ) -> dict[Variable, SecurityLevel]:
     """Per variable that a full role receives in an encryption and some role
     sends: the join of the declared levels of the nonces and keys at body
@@ -214,17 +213,20 @@ def variable_levels(
     per renaming. A term with no secret of its own still counts: a leaf it
     repeats can bind the variable to the receive's own secret. A shape
     keeps, per variable, the leaves at body positions of what it is bound
-    to, and each receive joins their levels, its own leaves mapped back."""
+    to, and each receive joins their levels, its own leaves mapped back.
+    Every message is walked through ``evaluation``; its variant is not read."""
+    ctx = evaluation.ctx
     join = ctx.lattice.join
     steps = [step for role in full_roles(roles).values() for step in role.steps]
-    sent = {v for step in steps if step.direction is Direction.SEND for v in vars_of(step.payload)}
+    walks = [(step.direction, evaluation.walk(step.payload)) for step in steps]
+    sent = {x for d, occs in walks if d is Direction.SEND for x in occs if isinstance(x, Variable)}
     received = [
-        enc for step in steps if step.direction is Direction.RECEIVE
-        for enc in _encryptions(cs for x, cs in occurrences(step.payload).items() if x in sent)
+        enc for d, occs in walks if d is Direction.RECEIVE
+        for enc in _encryptions(cs for x, cs in occs.items() if x in sent)
     ]
     if not received:  # no variable to give a level: the universe is not needed
         return {}
-    encs = (enc for step in steps for enc in _encryptions(occurrences(step.payload).values()))
+    encs = (enc for _, occs in walks for enc in _encryptions(occs.values()))
     distinct = {canonical_form(enc): enc for enc in encs}.values()
     universe = [rename_apart(enc, tag) for tag, enc in enumerate(distinct, start=1)]
 
@@ -234,7 +236,7 @@ def variable_levels(
             for v, value in sigma.items():
                 if type(v) is Variable and v.copy is None:  # a shape variable
                     body = summary.setdefault(v, set())
-                    body.update(a for a, cs in occurrences(value).items() if cs)
+                    body.update(a for a, cs in evaluation.walk(value).items() if cs)
         return summary
 
     memo: dict = {}
@@ -274,7 +276,7 @@ def lower_bound(
     ``sources`` are the candidate sources of ``r_plus``. Unencrypted sends
     have none; the target is evaluated on the sent message directly.
     """
-    if not evaluation.occurs(target, r_plus):
+    if target not in evaluation.walk(r_plus):
         raise AtomAbsent(
             f"{format_message(target)} does not occur in {format_message(r_plus)}"
         )
@@ -310,8 +312,8 @@ def check_step(
     r_plus = step.payload
     sources = candidate_sources(r_plus, patterns, scans) if isinstance(r_plus, Enc) else []
     checks: list[StepCheck] = []
-    targets: list[Target] = list(ordered_atoms(r_plus)) + list(ordered_vars(r_plus))
-    for target in targets:
+    # atoms, then variables, each in first-occurrence order
+    for target in sorted(evaluation.walk(r_plus), key=lambda t: isinstance(t, Variable)):
         received_bound = ctx.lattice.meet_all(evaluation.level(target, m) for m in received)
         declared = levels[target] if target in levels else ctx.level_of(target)
         lower, carriers = lower_bound(evaluation, target, r_plus, sources)
@@ -349,7 +351,7 @@ def check_secrecy(
     """
     evaluation = Evaluation(variant, ctx)
     scans: Scans = {}
-    levels = variable_levels(roles, ctx)
+    levels = variable_levels(roles, evaluation)
     checks: list[StepCheck] = []
     for role in roles:
         if role.steps and role.final.direction is Direction.SEND:
@@ -377,7 +379,7 @@ def challenge_check(
             f"step {challenge.step} is not a receive of verifier {challenge.verifier}"
         )
     target = next(
-        (a for a in ordered_atoms(step.payload) if a.name == challenge.challenge),
+        (a for a in leaves(step.payload) if isinstance(a, Atom) and a.name == challenge.challenge),
         None,
     )
     if target is None:

@@ -1,6 +1,7 @@
 """Message helpers that only tests use: reading printed terms back, erasing
-rename indices or session tags to compare terms by their source shape, and
-the rule that a rename index marks a renamed pattern leaf and nothing else."""
+rename indices or session tags to compare terms by their source shape, a
+send's targets in report order, and the rule that a rename index marks a
+renamed pattern leaf and nothing else."""
 
 from __future__ import annotations
 
@@ -27,6 +28,16 @@ from derivation import EMPTY, concat
 def erase_copies(m: Message) -> Message:
     """Drop every rename index, recovering the source shape of a pattern."""
     return map_leaves(m, _erase_copy)
+
+
+def ordered_atoms(m: Message) -> tuple[Atom, ...]:
+    """Atoms in first-occurrence order, the order of a send's atom targets."""
+    return tuple(dict.fromkeys([t for t in leaves(m) if isinstance(t, Atom)]))
+
+
+def ordered_vars(m: Message) -> tuple[Variable, ...]:
+    """Variables in first-occurrence order, after the atoms among the targets."""
+    return tuple(dict.fromkeys([t for t in leaves(m) if isinstance(t, Variable)]))
 
 
 def _strip_session(t: Message) -> Message:

@@ -48,14 +48,20 @@ from wfcheck import (
 )
 from wfcheck.protocol import Direction
 from wfcheck.safefun import Variant
-from wfcheck.terms import map_leaves, ordered_atoms, ordered_vars
+from wfcheck.terms import map_leaves
 
 from bounds import bound_ordering_check
 from deduction import intruder_knowledge, saturate
 from derivation import EMPTY, derive, derive_vars
 from derivation import concat as derived_concat
 from evaluation import psi, select
-from messages import assert_only_pattern_leaves_are_renamed, erase_copies, parse_message
+from messages import (
+    assert_only_pattern_leaves_are_renamed,
+    erase_copies,
+    ordered_atoms,
+    ordered_vars,
+    parse_message,
+)
 from unification import reference_unify
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
