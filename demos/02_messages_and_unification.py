@@ -14,7 +14,6 @@ from wfcheck import (
     SymKey,
     Variable,
     apply,
-    atoms_of,
     concat,
     format_message,
     format_substitution,
@@ -22,6 +21,7 @@ from wfcheck import (
     unify,
     vars_of,
 )
+from wfcheck.terms import leaves
 
 A, B = Identity("A"), Identity("B")
 kas = SymKey("kas")
@@ -31,7 +31,7 @@ Y = Variable("Y")
 
 sent = Enc(concat([B, kab_i]), kas)
 print("a sent message  :", format_message(sent))
-print("its atoms       :", sorted(map(format_message, atoms_of(sent))))
+print("its atoms       :", [format_message(t) for t in leaves(sent)])
 
 received = Enc(concat([A, nb_i, Y]), SymKey("kbs"))
 print("a received one  :", format_message(received))

@@ -37,7 +37,6 @@ from .terms import (
     SymKey,
     Variable,
     apply,
-    atoms_of,
     canonical_form,
     concat,
     format_message,

@@ -19,10 +19,14 @@ exchange through the intruder-controlled network, session-tags the values
 the participant generates freshly, and replaces the components it cannot
 verify in received messages by variables. One rule, ``_OwnerView._held``,
 decides possession: the participant holds the values it generated in this
-session and the long-term keys whose level admits it. A received atom it
-does not hold, or an encryption it cannot open with a held key, becomes one
-variable. Forwarded opaque components reuse the variable introduced when
-they arrived.
+session and the long-term keys whose level admits it. One recursion,
+``_OwnerView.abstract``, walks sends and receives alike; its ``Enc`` branch
+decides encryption rights (a send's key must be held) and decryption
+rights (a receive opens only under a held key the owner may use). A send
+of a nonce or key the participant does not hold is an error; a received
+one, or a received encryption it cannot open, becomes one variable.
+Forwarded opaque components reuse the variable introduced when they
+arrived.
 
 One role is emitted per send of the participant (the projection prefix up
 to that send), plus the full projection when it ends with a receive.
@@ -329,47 +333,36 @@ class _OwnerView:
             return a._replace(session=SESSION_TAG)
         return None
 
-    def abstract_receive(self, m: Message) -> Message:
+    def abstract(self, m: Message, sending: bool) -> Message:
+        """The owner's view of ``m``, sent when ``sending`` and received otherwise."""
         if m in self.memo:
             return self.memo[m]
         if isinstance(m, Identity):
             return m
         if isinstance(m, Concat):
-            return concat(self.abstract_receive(p) for p in m.parts)
-        if isinstance(m, (Nonce, SymKey)):
+            return concat(self.abstract(p, sending) for p in m.parts)
+        if isinstance(m, Enc):
+            if sending:
+                key = self.abstract(m.key, sending)
+                if isinstance(key, Variable):
+                    raise ParseError(
+                        f"{self.owner} cannot encrypt under a key it does not possess"
+                    )
+            else:
+                # possession, not mere authorization, opens an encryption
+                key = self._held(m.key) if self.ctx.knows_key(self.owner, m.key) else None
+            held = None if key is None else Enc(self.abstract(m.body, sending), key)
+        elif isinstance(m, (Nonce, SymKey)):
+            if sending and self.ctx.fresh_owner(m) == self.owner:
+                self.generated.add(m.name)
             held = self._held(m)
-        elif isinstance(m, Enc):
-            # possession, not mere authorization, opens an encryption
-            key = self._held(m.key) if self.ctx.knows_key(self.owner, m.key) else None
-            held = None if key is None else Enc(self.abstract_receive(m.body), key)
+            if held is None and sending:
+                raise ParseError(
+                    f"{self.owner} sends {format_message(m)!r} without ever learning it"
+                )
         else:
             raise ParseError(f"cannot abstract message component {format_message(m)!r}")
         return self.memo.setdefault(m, next(self.pool)) if held is None else held
-
-    def abstract_send(self, m: Message) -> Message:
-        if m in self.memo:
-            return self.memo[m]
-        if isinstance(m, Identity):
-            return m
-        if isinstance(m, Concat):
-            return concat(self.abstract_send(p) for p in m.parts)
-        if isinstance(m, Enc):
-            key = self.abstract_send(m.key)
-            if isinstance(key, Variable):
-                raise ParseError(
-                    f"{self.owner} cannot encrypt under a key it does not possess"
-                )
-            return Enc(self.abstract_send(m.body), key)
-        if isinstance(m, (Nonce, SymKey)):
-            if self.ctx.fresh_owner(m) == self.owner:
-                self.generated.add(m.name)
-            held = self._held(m)
-            if held is not None:
-                return held
-            raise ParseError(
-                f"{self.owner} sends {format_message(m)!r} without ever learning it"
-            )
-        raise ParseError(f"cannot abstract message component {format_message(m)!r}")
 
 
 def extract_roles(narration: Narration, ctx: VerificationContext) -> tuple[GeneralizedRole, ...]:
@@ -381,15 +374,13 @@ def extract_roles(narration: Narration, ctx: VerificationContext) -> tuple[Gener
         steps: list[RoleStep] = []
         for nstep in narration.steps:
             if nstep.sender == owner:
-                direction, partner, abstract = Direction.SEND, nstep.receiver, view.abstract_send
+                direction, partner = Direction.SEND, nstep.receiver
             elif nstep.receiver == owner:
-                direction, partner, abstract = (
-                    Direction.RECEIVE, nstep.sender, view.abstract_receive
-                )
+                direction, partner = Direction.RECEIVE, nstep.sender
             else:
                 continue
             try:
-                payload = abstract(nstep.payload)
+                payload = view.abstract(nstep.payload, direction is Direction.SEND)
             except ParseError as exc:
                 raise ParseError(str(exc), nstep.line) from None
             steps.append(

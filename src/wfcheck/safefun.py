@@ -36,7 +36,7 @@ from typing import Optional
 
 from .context import VerificationContext
 from .lattice import BOTTOM, TOP, SecurityLevel
-from .terms import Concat, Enc, Identity, Message, SymKey, Target, atoms_of, leaves
+from .terms import Concat, Enc, Identity, Message, SymKey, Target, leaves
 
 
 class Variant(Enum):
@@ -110,7 +110,7 @@ def _level(
             return BOTTOM
         node, key_level = protection
         if variant is not Variant.EK:
-            names.update(a.name for a in atoms_of(node.body) if isinstance(a, Identity))
+            names.update(a.name for a in leaves(node.body) if isinstance(a, Identity))
         if variant is not Variant.N:
             if key_level.is_bottom:
                 return BOTTOM

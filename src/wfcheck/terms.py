@@ -206,11 +206,6 @@ def map_leaves(m: Message, fn: Callable[[Message], Message]) -> Message:
     return m
 
 
-def atoms_of(m: Message) -> frozenset[Atom]:
-    """All atoms occurring anywhere in ``m``, including key positions."""
-    return frozenset([t for t in leaves(m) if isinstance(t, Atom)])
-
-
 def vars_of(m: Message) -> frozenset[Variable]:
     """All variables occurring in ``m``."""
     return frozenset([t for t in leaves(m) if isinstance(t, Variable)])

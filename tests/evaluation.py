@@ -25,9 +25,10 @@ from wfcheck.terms import (
     Message,
     SymKey,
     Target,
-    atoms_of,
     format_message,
 )
+
+from messages import atoms_of
 
 
 class Selection(NamedTuple):

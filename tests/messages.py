@@ -1,7 +1,7 @@
 """Message helpers that only tests use: reading printed terms back, erasing
 rename indices or session tags to compare terms by their source shape, a
-send's targets in report order, and the rule that a rename index marks a
-renamed pattern leaf and nothing else."""
+message's atoms, a send's targets in report order, and the rule that a
+rename index marks a renamed pattern leaf and nothing else."""
 
 from __future__ import annotations
 
@@ -28,6 +28,11 @@ from derivation import EMPTY, concat
 def erase_copies(m: Message) -> Message:
     """Drop every rename index, recovering the source shape of a pattern."""
     return map_leaves(m, _erase_copy)
+
+
+def atoms_of(m: Message) -> frozenset[Atom]:
+    """All atoms occurring anywhere in ``m``, including key positions."""
+    return frozenset([t for t in leaves(m) if isinstance(t, Atom)])
 
 
 def ordered_atoms(m: Message) -> tuple[Atom, ...]:

@@ -31,7 +31,6 @@ from wfcheck import (
     Variable,
     analyze_narration,
     apply,
-    atoms_of,
     candidate_sources,
     check_secrecy,
     concat,
@@ -57,6 +56,7 @@ from derivation import concat as derived_concat
 from evaluation import psi, select
 from messages import (
     assert_only_pattern_leaves_are_renamed,
+    atoms_of,
     erase_copies,
     ordered_atoms,
     ordered_vars,

@@ -26,7 +26,7 @@ from wfcheck import (
 from wfcheck.protocol import MAX_NESTING
 
 from conftest import CORPUS, perfbench_gen
-from messages import assert_only_pattern_leaves_are_renamed, strip_sessions
+from messages import assert_only_pattern_leaves_are_renamed, atoms_of, strip_sessions
 
 
 def role_map(roles):
@@ -169,6 +169,19 @@ def test_a_key_held_without_possession_rights_opens_nothing():
     }
 
 
+def test_an_encryption_the_receiver_cannot_open_is_forwarded_as_its_variable():
+    ctx = parse_context(
+        "principals A, B, S, I\nkey kas shared(A,S)\nkey kbs shared(B,S)\n"
+        "key kab fresh(A) level {A,B,S}\nnonce Na fresh(A) level {A,B}\n"
+    )
+    narr = parse_narration("protocol P\n1. A -> B : {Na}kas\n2. B -> S : {Na}kas\n", ctx)
+    got = {
+        role.label: [format_message(s.payload) for s in role.steps]
+        for role in extract_roles(narr, ctx)
+    }
+    assert got == {"A.1": ["{Na^i}kas"], "B.1": ["?X", "?X"], "S.1": ["{?Y}kas"]}
+
+
 # A parsed narration names declared atoms only; one built by hand may hold a
 # variable. B appears first in the second narration, so its receive of ?X is
 # abstracted before A's send of it.
@@ -230,7 +243,7 @@ def test_generated_messages_listing_and_multiplicity(woolam_mod):
     bare_identities = [m for m in msgs if canonical_form(m) == "A"]
     assert len(bare_identities) == 2
     # messages are renamed apart pairwise
-    from wfcheck import atoms_of, vars_of
+    from wfcheck import vars_of
 
     for i, m1 in enumerate(msgs):
         for m2 in msgs[i + 1:]:

@@ -166,6 +166,10 @@ ROLE_ERROR_CTX = (
 
 @pytest.mark.parametrize("steps, message", [
     ("1. A -> B : {Na}kas\n2. S -> B : {Na}kbs\n", "line 3: S sends 'Na' without ever learning it"),
+    # a send must hold its key: a long-term key the sender is not authorized
+    # for, or another principal's fresh key it never received
+    ("1. A -> B : {A}kbs\n", "line 2: A sends 'kbs' without ever learning it"),
+    ("1. A -> B : A\n2. B -> A : {B}kab\n", "line 3: B sends 'kab' without ever learning it"),
     (
         "1. A -> B : {kab}kas\n# B learns kab only as an unknown\n"
         "2. A -> B : kab\n3. B -> A : {B}kab\n",
@@ -182,7 +186,8 @@ ROLE_ERROR_CTX = (
     ("1. A -> B : {A}kab_1\n", "line 2, column 19: unexpected character '_'"),
     ("1. A_1 -> B : A\n", "line 2, column 5: unexpected character '_'"),
 ], ids=[
-    "unlearned-send", "key-not-possessed", "empty-payload",
+    "unlearned-send", "unauthorized-long-term-key", "unreceived-fresh-key",
+    "key-not-possessed", "empty-payload",
     "variable-without-index", "variable-with-bad-index", "empty-part", "empty-body",
     "rename-index-in-name", "session-tag-in-name", "rename-index-in-key",
     "rename-index-in-principal",
@@ -196,6 +201,39 @@ def test_role_extraction_errors_name_the_step_line(steps, message, tmp_path, cap
     assert code == 3 and out == ""
     assert err == f"wfcheck: error: {message}\n"
     assert "Traceback" not in err
+
+
+# Needham-Schroeder shared key (Needham and Schroeder 1978; its step 5,
+# {Nb-1}kab, needs a function the term algebra lacks) and Yahalom (Clark and
+# Jacob 1997, 6.3.6). S hands out kab, and a received key is never held, so
+# the first send under kab is rejected. ROADMAP item 4 (received keys)
+# changes these diagnostics on purpose.
+RECEIVED_KEY_CTX = (
+    "principals A, B, S, I\n"
+    "key kas shared(A,S)\nkey kbs shared(B,S)\nkey kab fresh(S) level {A,B,S}\n"
+    "nonce Na fresh(A) level public\nnonce Nb fresh(B) level {A,B,S}\n"
+)
+NSSK = (
+    "protocol NSSK\n1. A -> S : A.B.Na\n2. S -> A : {Na.B.kab.{kab.A}kbs}kas\n"
+    "3. A -> B : {kab.A}kbs\n4. B -> A : {Nb}kab\n"
+)
+YAHALOM = (
+    "protocol Yahalom\n1. A -> B : A.Na\n2. B -> S : B.{A.Na.Nb}kbs\n"
+    "3. S -> A : {B.kab.Na.Nb}kas.{A.kab}kbs\n4. A -> B : {A.kab}kbs.{Nb}kab\n"
+)
+
+
+@pytest.mark.parametrize("narration, message", [
+    (NSSK, "line 5: B cannot encrypt under a key it does not possess"),
+    (YAHALOM, "line 5: A cannot encrypt under a key it does not possess"),
+], ids=["nssk", "yahalom"])
+def test_a_received_session_key_is_not_held(narration, message, tmp_path, capsys):
+    ctx_file = tmp_path / "keys.ctx"
+    ctx_file.write_text(RECEIVED_KEY_CTX)
+    proto = tmp_path / "keys.proto"
+    proto.write_text(narration)
+    code, out, err = run_cli(["--protocol", str(proto), "--context", str(ctx_file)], capsys)
+    assert (code, out, err) == (3, "", f"wfcheck: error: {message}\n")
 
 
 def test_a_context_leaking_a_secret_to_the_intruder_is_an_input_error(tmp_path, capsys):

@@ -13,7 +13,6 @@ from wfcheck import (
     SymKey,
     Variable,
     apply,
-    atoms_of,
     canonical_form,
     concat,
     format_message,
@@ -25,7 +24,7 @@ from wfcheck.protocol import tokenize
 from wfcheck.terms import format_substitution
 
 from derivation import EMPTY
-from messages import erase_copies, parse_message, strip_sessions
+from messages import atoms_of, erase_copies, parse_message, strip_sessions
 
 A, B, S = Identity("A"), Identity("B"), Identity("S")
 KAS, KBS = SymKey("kas"), SymKey("kbs")
