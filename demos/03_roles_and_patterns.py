@@ -3,8 +3,11 @@
 Role extraction projects the protocol onto each participant, routes the
 messages through the intruder-controlled network, and replaces whatever a
 participant cannot verify in a received message by a variable. The
-encryption-rooted payloads of all roles, renamed apart, form the pattern
-set that the lower bound later searches for candidate sources.
+encryption-rooted payloads of the full roles, one per canonical form and
+renamed apart with the tag of their first step, form the pattern set that
+the lower bound later searches for candidate sources; the level scan
+searches the same patterns, plus any nested encryption of a form no
+pattern has.
 """
 
 import pathlib
@@ -13,10 +16,10 @@ from wfcheck import (
     encryption_patterns,
     extract_roles,
     format_message,
-    generated_messages,
     load_context,
     load_narration,
 )
+from wfcheck.protocol import full_roles
 
 corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 ctx = load_context(corpus / "woolam_modified.ctx")
@@ -35,13 +38,13 @@ for role in roles:
         print("    ", line)
 print()
 
-msgs = generated_messages(roles)
-print("generated messages (renamed apart, duplicates kept):")
-for m in msgs:
-    print("  ", format_message(m))
+print("full-role payloads (each owner's longest role; duplicates kept):")
+steps = [step for role in full_roles(roles).values() for step in role.steps]
+for tag, step in enumerate(steps, 1):
+    print(f"   {tag:2}: {format_message(step.payload)}")
 print()
 
-patterns = encryption_patterns(msgs)
-print("encryption patterns (deduplicated candidate-source universe):")
-for i, p in enumerate(patterns, 1):
-    print(f"   P{i}: {format_message(p)}")
+patterns = encryption_patterns(roles)
+print("encryption patterns (one per canonical form, renamed with its first step's tag):")
+for i, (p, form) in enumerate(patterns.items(), 1):
+    print(f"   P{i}: {format_message(p):36} form {form}")

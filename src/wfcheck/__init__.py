@@ -21,7 +21,6 @@ from .protocol import (
     RoleStep,
     encryption_patterns,
     extract_roles,
-    generated_messages,
     load_narration,
     parse_narration,
 )

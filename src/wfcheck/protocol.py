@@ -30,6 +30,12 @@ arrived.
 
 One role is emitted per send of the participant (the projection prefix up
 to that send), plus the full projection when it ends with a receive.
+
+The encryption patterns are the encrypted payloads of the full roles, one
+per canonical form, each renamed apart with the tag of its first step.
+``renamed_by_form`` builds them, and builds the level scan's nested
+encryptions of the other forms, so each distinct encryption is put in
+canonical form once per analysis and only the kept ones are renamed.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from itertools import count
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Container, Iterable, Iterator, NamedTuple, Optional
 
 from .context import VerificationContext
 from .errors import ParseError, UndeclaredAtom, UnknownAtom
@@ -409,19 +415,31 @@ def full_roles(roles: Iterable[GeneralizedRole]) -> dict[str, GeneralizedRole]:
     return longest
 
 
-def generated_messages(roles: Iterable[GeneralizedRole]) -> list[Message]:
-    """Renamed copies of every step payload, one per step of each owner's
-    full role; each payload is renamed apart with its own tag, and
-    duplicates survive with multiplicity."""
-    payloads = [step.payload for role in full_roles(roles).values() for step in role.steps]
-    return [rename_apart(payload, tag) for tag, payload in enumerate(payloads, start=1)]
+def renamed_by_form(
+    tagged: Iterable[tuple[int, Enc]], known: Container[str] = ()
+) -> dict[Enc, str]:
+    """The first encryption of each canonical form not in ``known``, renamed
+    apart with its tag, mapped to that form, in first-occurrence order.
+
+    Each distinct encryption (by ``==``) is put in canonical form once, and
+    only the kept ones are renamed."""
+    first: dict[Enc, int] = {}
+    for tag, enc in tagged:
+        first.setdefault(enc, tag)
+    kept: dict[str, tuple[int, Enc]] = {}
+    for enc, tag in first.items():
+        form = canonical_form(enc)
+        if form not in known:
+            kept.setdefault(form, (tag, enc))
+    return {rename_apart(enc, tag): form for form, (tag, enc) in kept.items()}
 
 
-def encryption_patterns(msgs: Iterable[Message]) -> tuple[Enc, ...]:
-    """Encryption-rooted messages, deduplicated modulo renaming: the
-    candidate-source universe."""
-    kept: dict[str, Enc] = {}
-    for m in msgs:
-        if isinstance(m, Enc):
-            kept.setdefault(canonical_form(m), m)
-    return tuple(kept.values())
+def encryption_patterns(roles: Iterable[GeneralizedRole]) -> dict[Enc, str]:
+    """The candidate-source universe: the encrypted payloads of the owners'
+    full roles, deduplicated modulo renaming, each renamed apart with the
+    tag of its first step (its position in the full roles' step listing),
+    and mapped to its canonical form. Iterating gives the patterns."""
+    payloads = (step.payload for role in full_roles(roles).values() for step in role.steps)
+    return renamed_by_form(
+        (tag, payload) for tag, payload in enumerate(payloads, start=1) if isinstance(payload, Enc)
+    )

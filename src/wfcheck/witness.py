@@ -12,8 +12,10 @@ the sent message itself, so that source's instance is the send, and every
 such source shares the send's evaluation.
 
 A sent variable's declared level is the join of the secrets that the
-encryptions it arrived in can put in its place (``variable_levels``). One
-scan serves both universes: a term's shape, its leaves renamed by first
+encryptions it arrived in can put in its place (``variable_levels``). Its
+universe is the patterns, extended by the nested encryptions of the forms
+no pattern has, so the analysis builds each encryption once. One scan
+serves sends and receives: a term's shape, its leaves renamed by first
 occurrence, is unified with each universe term once per analysis, and each
 term maps the summary back to its own leaves and subterms.
 
@@ -30,7 +32,7 @@ received message, strictly above the public level.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .context import AuthChallenge, VerificationContext
 from .errors import AtomAbsent, ChallengeAtomAbsent, ChallengeNotReceived, NoSource
@@ -42,7 +44,7 @@ from .protocol import (
     encryption_patterns,
     extract_roles,
     full_roles,
-    generated_messages,
+    renamed_by_form,
 )
 from .safefun import Evaluation, Variant, f_prime
 from .terms import (
@@ -54,12 +56,10 @@ from .terms import (
     Target,
     Variable,
     apply,
-    canonical_form,
     format_message,
     format_substitution,
     leaves,
     map_leaves,
-    rename_apart,
     unify,
 )
 
@@ -156,7 +156,7 @@ def shape_of(term: Message) -> tuple[Message, dict[Message, Message]]:
     return shaped(term), real
 
 
-def _scan(term: Message, universe: Sequence[Enc], memo: dict, summarize: Callable) -> tuple:
+def _scan(term: Message, universe: Collection[Enc], memo: dict, summarize: Callable) -> tuple:
     """The analysis's one unification scan: ``summarize`` of the unifiers of
     every universe term with the term's shape, in universe order, kept in
     ``memo`` per shape; with the map back from the shape to the term."""
@@ -173,7 +173,7 @@ Scans = dict[Message, list[tuple[Enc, Substitution]]]
 
 
 def candidate_sources(
-    r_plus: Message, patterns: Sequence[Enc], scans: Optional[Scans] = None
+    r_plus: Message, patterns: Collection[Enc], scans: Optional[Scans] = None
 ) -> list[CandidateSource]:
     """Patterns unifiable with the sent message, in declaration order.
 
@@ -204,17 +204,19 @@ def _encryptions(chains: Iterable[list[tuple[Enc, ...]]]) -> Iterable[Enc]:
 
 
 def variable_levels(
-    roles: Sequence[GeneralizedRole], evaluation: Evaluation
+    roles: Sequence[GeneralizedRole], evaluation: Evaluation, patterns: Mapping[Enc, str]
 ) -> dict[Variable, SecurityLevel]:
     """Per variable that a full role receives in an encryption and some role
     sends: the join of the declared levels of the nonces and keys at body
     positions of every term that its receive encryptions bind it to, unified
     with the encryptions of every payload, nested ones included, kept once
-    per renaming. A term with no secret of its own still counts: a leaf it
-    repeats can bind the variable to the receive's own secret. A shape
-    keeps, per variable, the leaves at body positions of what it is bound
-    to, and each receive joins their levels, its own leaves mapped back.
-    Every message is walked through ``evaluation``; its variant is not read."""
+    per renaming: ``patterns``, then the nested encryptions of the forms no
+    pattern has, built only when some variable needs a level. A term with
+    no secret of its own still counts: a leaf it repeats can bind the
+    variable to the receive's own secret. A shape keeps, per variable, the
+    leaves at body positions of what it is bound to, and each receive joins
+    their levels, its own leaves mapped back. Every message is walked
+    through ``evaluation``; its variant is not read."""
     ctx = evaluation.ctx
     join = ctx.lattice.join
     steps = [step for role in full_roles(roles).values() for step in role.steps]
@@ -226,9 +228,13 @@ def variable_levels(
     ]
     if not received:  # no variable to give a level: the universe is not needed
         return {}
-    encs = (enc for _, occs in walks for enc in _encryptions(occs.values()))
-    distinct = {canonical_form(enc): enc for enc in encs}.values()
-    universe = [rename_apart(enc, tag) for tag, enc in enumerate(distinct, start=1)]
+    # an encrypted payload has a pattern's form: only the nested ones may not
+    payloads = {step.payload for step in steps}
+    nested = (
+        (tag, enc) for tag, (_, occs) in enumerate(walks, start=1)
+        for enc in _encryptions(occs.values()) if enc not in payloads
+    )
+    universe = [*patterns, *renamed_by_form(nested, set(patterns.values()))]
 
     def summarize(unifiers: list) -> dict[Variable, set]:
         summary: dict[Variable, set] = {}
@@ -297,7 +303,7 @@ def lower_bound(
 def check_step(
     role: GeneralizedRole,
     evaluation: Evaluation,
-    patterns: Sequence[Enc],
+    patterns: Collection[Enc],
     levels: Mapping[Variable, SecurityLevel],
     scans: Optional[Scans] = None,
 ) -> list[StepCheck]:
@@ -337,7 +343,7 @@ def check_step(
 
 def check_secrecy(
     roles: Sequence[GeneralizedRole],
-    patterns: Sequence[Enc],
+    patterns: Mapping[Enc, str],
     ctx: VerificationContext,
     variant: Variant,
 ) -> list[StepCheck]:
@@ -351,7 +357,7 @@ def check_secrecy(
     """
     evaluation = Evaluation(variant, ctx)
     scans: Scans = {}
-    levels = variable_levels(roles, evaluation)
+    levels = variable_levels(roles, evaluation, patterns)
     checks: list[StepCheck] = []
     for role in roles:
         if role.steps and role.final.direction is Direction.SEND:
@@ -398,7 +404,7 @@ def challenge_check(
 
 
 def analyze_narration(narration: Narration, ctx: VerificationContext):
-    """Convenience: the roles and the pattern set of a parsed narration."""
+    """Convenience: the roles and the patterns of a parsed narration, each
+    pattern mapped to its canonical form."""
     roles = extract_roles(narration, ctx)
-    patterns = encryption_patterns(generated_messages(roles))
-    return roles, patterns
+    return roles, encryption_patterns(roles)

@@ -1,14 +1,17 @@
 """Message helpers that only tests use: reading printed terms back, erasing
 rename indices or session tags to compare terms by their source shape, a
-message's atoms, a send's targets in report order, and the rule that a
-rename index marks a renamed pattern leaf and nothing else."""
+message's atoms, a send's targets in report order, the renamed listing of
+every payload that the encryption patterns must equal after deduplication,
+and the rule that a rename index marks a renamed pattern leaf and nothing
+else."""
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from wfcheck import Direction, GeneralizedRole, ParseError
+from wfcheck.protocol import full_roles
 from wfcheck.terms import (
     Atom,
     Enc,
@@ -17,8 +20,10 @@ from wfcheck.terms import (
     SymKey,
     Variable,
     _erase_copy,
+    canonical_form,
     leaves,
     map_leaves,
+    rename_apart,
     vars_of,
 )
 
@@ -43,6 +48,24 @@ def ordered_atoms(m: Message) -> tuple[Atom, ...]:
 def ordered_vars(m: Message) -> tuple[Variable, ...]:
     """Variables in first-occurrence order, after the atoms among the targets."""
     return tuple(dict.fromkeys([t for t in leaves(m) if isinstance(t, Variable)]))
+
+
+def generated_messages(roles: Iterable[GeneralizedRole]) -> list[Message]:
+    """Renamed copies of every step payload, one per step of each owner's
+    full role; each payload is renamed apart with its own tag, and
+    duplicates survive with multiplicity."""
+    payloads = [step.payload for role in full_roles(roles).values() for step in role.steps]
+    return [rename_apart(payload, tag) for tag, payload in enumerate(payloads, start=1)]
+
+
+def reference_patterns(msgs: Iterable[Message]) -> tuple[Enc, ...]:
+    """The encryption-rooted messages, the first of each ``canonical_form``:
+    what ``encryption_patterns`` gives, iterated, for ``generated_messages``."""
+    kept: dict[str, Enc] = {}
+    for m in msgs:
+        if isinstance(m, Enc):
+            kept.setdefault(canonical_form(m), m)
+    return tuple(kept.values())
 
 
 def _strip_session(t: Message) -> Message:

@@ -25,7 +25,6 @@ from wfcheck import (
     extract_roles,
     f_prime,
     format_message,
-    generated_messages,
     lower_bound,
     parse_context,
     render,
@@ -122,7 +121,7 @@ def test_criterion_2_role_extraction_fidelity(woolam_mod):
     assert shapes["B.1"] == shapes["B.3"][:2]
     assert shapes["B.2"] == shapes["B.3"][:4]
 
-    patterns = encryption_patterns(generated_messages(roles))
+    patterns = encryption_patterns(roles)
     assert [canonical_form(p) for p in patterns] == [
         "{B.kab^i}kas",
         "{A.Nb^i.?V_0}kbs",

@@ -18,15 +18,20 @@ from wfcheck import (
     encryption_patterns,
     extract_roles,
     format_message,
-    generated_messages,
     parse_context,
     parse_narration,
     render,
 )
 from wfcheck.protocol import MAX_NESTING
 
-from conftest import CORPUS, perfbench_gen
-from messages import assert_only_pattern_leaves_are_renamed, atoms_of, strip_sessions
+from conftest import CORPUS, CORPUS_STEMS, perfbench_gen
+from messages import (
+    assert_only_pattern_leaves_are_renamed,
+    atoms_of,
+    generated_messages,
+    reference_patterns,
+    strip_sessions,
+)
 
 
 def role_map(roles):
@@ -266,15 +271,25 @@ EXPECTED_PATTERNS = [
 
 def test_pattern_set_matches_modulo_renaming(woolam_mod):
     narr, ctx = woolam_mod
-    patterns = encryption_patterns(generated_messages(extract_roles(narr, ctx)))
+    patterns = encryption_patterns(extract_roles(narr, ctx))
     assert [canonical_form(p) for p in patterns] == EXPECTED_PATTERNS
+    # each pattern is mapped to its form, and renamed with its first step's tag
+    assert list(patterns.values()) == EXPECTED_PATTERNS
+    assert [format_message(p) for p in patterns] == [
+        "{B_3.kab_3^i}kas_3",
+        "{A_7.Nb_7^i.?Y_7}kbs_7",
+        "{Nb_8^i.{A_8.?Z_8}kbs_8}kbs_8",
+        "{A_9.?U_9.{B_9.?V_9}kas_9}kbs_9",
+        "{?U_10.{A_10.?V_10}kbs_10}kbs_10",
+    ]
 
 
 def test_patterns_drop_non_encryptions_and_duplicates(woolam_mod):
     narr, ctx = woolam_mod
-    msgs = generated_messages(extract_roles(narr, ctx))
-    assert len(encryption_patterns(msgs + msgs)) == 5
-    assert len(encryption_patterns([Identity("A"), Variable("X")])) == 0
+    roles = extract_roles(narr, ctx)
+    assert len(encryption_patterns(roles + roles)) == 5
+    plain = parse_narration("protocol Plain\n1. A -> B : A\n2. B -> A : Nb\n", ctx)
+    assert encryption_patterns(extract_roles(plain, ctx)) == {}
 
 
 def test_zero_step_narration_is_allowed(woolam_mod):
@@ -285,11 +300,11 @@ def test_zero_step_narration_is_allowed(woolam_mod):
 
 
 def _corpus_texts():
-    for name in ("woolam_modified", "woolam_original"):
+    for name in CORPUS_STEMS:
         yield (CORPUS / f"{name}.ctx").read_text(), (CORPUS / f"{name}.proto").read_text()
 
 
-@pytest.mark.parametrize(
+PROTOCOL_SETS = pytest.mark.parametrize(
     "texts",
     [
         _corpus_texts,
@@ -299,13 +314,29 @@ def _corpus_texts():
     ],
     ids=["corpus", "synth-chain", "random-batch"],
 )
-def test_a_rename_index_marks_renamed_pattern_leaves_only(texts):
+
+
+def _roles_of(texts):
     for context_text, protocol_text in texts():
         ctx = parse_context(context_text)
-        roles = extract_roles(parse_narration(protocol_text, ctx), ctx)
-        assert_only_pattern_leaves_are_renamed(
-            roles, encryption_patterns(generated_messages(roles))
-        )
+        yield extract_roles(parse_narration(protocol_text, ctx), ctx)
+
+
+@PROTOCOL_SETS
+def test_a_rename_index_marks_renamed_pattern_leaves_only(texts):
+    for roles in _roles_of(texts):
+        assert_only_pattern_leaves_are_renamed(roles, encryption_patterns(roles))
+
+
+@PROTOCOL_SETS
+def test_patterns_print_as_the_deduplicated_renamed_listing(texts):
+    # the patterns rename only the first payload of each form; the reference
+    # renames every payload, then keeps the first encryption of each form
+    for roles in _roles_of(texts):
+        patterns = encryption_patterns(roles)
+        reference = reference_patterns(generated_messages(roles))
+        assert [format_message(p) for p in patterns] == [format_message(p) for p in reference]
+        assert list(patterns.values()) == [canonical_form(p) for p in reference]
 
 
 def test_role_variables_past_the_tenth_get_numbered_names():

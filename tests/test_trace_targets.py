@@ -3,15 +3,18 @@
 ``perfbench/tracing.py`` (imported read-only) wraps each ``(module,
 attribute)`` of its ``TARGETS`` in ``wfcheck.<module>`` and skips one that
 is missing without a word, so a renamed or moved function would make its
-per-layer metric read 0. One target is known to be stale:
-``report.check_authentication`` no longer exists.
+per-layer metric read 0. Two targets are known to be stale:
+``report.check_authentication`` no longer exists, and ``witness`` no
+longer looks up ``generated_messages``, because ``encryption_patterns``
+reads the roles and renames only the payloads it keeps (the renamed
+listing moved to ``tests/messages.py``), so that span reads 0.
 """
 
 import importlib
 
 from conftest import perfbench_module
 
-KNOWN_STALE = {("report", "check_authentication")}
+KNOWN_STALE = {("report", "check_authentication"), ("witness", "generated_messages")}
 
 
 def test_every_trace_target_but_the_known_stale_one_is_a_function():

@@ -31,7 +31,6 @@ from wfcheck import (
     encryption_patterns,
     format_message,
     format_substitution,
-    generated_messages,
     lower_bound,
     parse_context,
     parse_narration,
@@ -59,7 +58,7 @@ from levels import (
     receive_encryptions,
     sent_variables,
 )
-from messages import ordered_atoms, ordered_vars
+from messages import generated_messages, ordered_atoms, ordered_vars, reference_patterns
 from test_properties import protocol_cases
 from unification import associative_unifiers, reference_unify
 
@@ -103,7 +102,7 @@ def test_server_send_has_two_sources(mod):
     ctx, roles, patterns = mod
     r_plus = roles[5].final.payload  # {U.{A.V}kbs}kbs
     sources = candidate_sources(r_plus, patterns)
-    assert [patterns.index(s.pattern) for s in sources] == [2, 4]
+    assert [list(patterns).index(s.pattern) for s in sources] == [2, 4]
     for src in sources:
         assert apply(src.mgu, src.pattern) == apply(src.mgu, r_plus)
 
@@ -348,12 +347,12 @@ def test_a_send_past_the_tenth_role_variable_keeps_every_source():
     ctx = parse_context(case.context)
     roles, patterns = analyze_narration(parse_narration(case.protocol, ctx), ctx)
     r_plus = next(r for r in roles if r.label == "S.17").final.payload
-    retagged = encryption_patterns(
+    retagged = reference_patterns(
         rename_apart(m, tag) for tag, m in enumerate(generated_messages(roles), start=1000)
     )
     sources = candidate_sources(r_plus, patterns)
     assert len(sources) == 28
-    assert [patterns.index(s.pattern) for s in sources] == [
+    assert [list(patterns).index(s.pattern) for s in sources] == [
         retagged.index(s.pattern) for s in candidate_sources(r_plus, retagged)
     ]
 
@@ -390,8 +389,8 @@ def test_variable_sources_exclude_pinning_unifiers(mod):
     # carry it as an unknown: only the server's own pattern remains
     ctx, roles, patterns = mod
     sources = candidate_sources(roles[5].final.payload, patterns)
-    assert [patterns.index(s.pattern) for s, _ in sources_for_target(U, sources)] == [4]
-    assert [patterns.index(s.pattern) for s, _ in sources_for_target(V, sources)] == [2, 4]
+    assert [list(patterns).index(s.pattern) for s, _ in sources_for_target(U, sources)] == [4]
+    assert [list(patterns).index(s.pattern) for s, _ in sources_for_target(V, sources)] == [2, 4]
     # unify binds the pattern side, so a carried variable stands for itself
     assert [t for _, t in sources_for_target(V, sources)] == [V, V]
     assert [t for _, t in sources_for_target(A, sources)] == [A, A]
@@ -423,7 +422,7 @@ def test_sources_that_unify_misses_change_no_check():
     for ctx, narration, variant in _missed_unifier_runs():
         roles, patterns = analyze_narration(narration, ctx)
         evaluation = Evaluation(variant, ctx)
-        levels = variable_levels(roles, evaluation)
+        levels = variable_levels(roles, evaluation, patterns)
         for role in roles:
             r_plus = role.final.payload
             if role.final.direction is not Direction.SEND or not isinstance(r_plus, Enc):
@@ -460,8 +459,9 @@ def _assert_plain_levels(roles, ctx, unifiers=most_general) -> int:
     evaluation = Evaluation(Variant.MAX, ctx)
     plain = plain_variable_levels(roles, ctx, unifiers)
     assert set(plain) == sent_variables(roles)
+    patterns = encryption_patterns(roles)
     for _ in range(2):
-        got = variable_levels(roles, evaluation)
+        got = variable_levels(roles, evaluation, patterns)
         assert {x: got.get(x, BOTTOM) for x in plain} == plain
     return sum(not level.is_bottom for level in plain.values())
 
@@ -506,8 +506,8 @@ def _roles(narration, ctx):
 
 def _levels_by_name(context_text, protocol_text):
     ctx = parse_context(context_text)
-    roles = _roles(parse_narration(protocol_text, ctx), ctx)
-    levels = variable_levels(roles, Evaluation(Variant.MAX, ctx))
+    roles, patterns = analyze_narration(parse_narration(protocol_text, ctx), ctx)
+    levels = variable_levels(roles, Evaluation(Variant.MAX, ctx), patterns)
     return {format_message(v): level for v, level in levels.items()}, roles
 
 
@@ -573,7 +573,7 @@ def test_one_unification_scan_per_send(mod, monkeypatch):
     import wfcheck.witness as witness
 
     ctx, roles, patterns = mod
-    levels = variable_levels(roles, Evaluation(Variant.MAX, ctx))
+    levels = variable_levels(roles, Evaluation(Variant.MAX, ctx), patterns)
     calls = []
     real_unify = witness.unify
     monkeypatch.setattr(witness, "unify", lambda *terms: calls.append(terms) or real_unify(*terms))
@@ -680,11 +680,60 @@ def test_each_distinct_message_is_walked_and_evaluated_once(monkeypatch):
     assert (len(walks), len(computed)) == (261, 1332)
 
 
+def _formed_and_renamed(case, monkeypatch) -> tuple:
+    """The roles and patterns of one analysis of ``case``, with the terms it
+    puts in canonical form and the terms it renames apart, in call order."""
+    import wfcheck.protocol as protocol
+    import wfcheck.witness as witness
+
+    formed, renamed = [], []
+    real_form, real_rename = protocol.canonical_form, protocol.rename_apart
+    monkeypatch.setattr(protocol, "canonical_form", lambda m: formed.append(m) or real_form(m))
+    monkeypatch.setattr(
+        protocol, "rename_apart", lambda m, tag: renamed.append(m) or real_rename(m, tag)
+    )
+    ctx = parse_context(case.context)
+    roles, patterns = analyze_narration(parse_narration(case.protocol, ctx), ctx)
+    check_secrecy(roles, patterns, ctx, Variant(case.variant))
+    monkeypatch.undo()
+    # the level scan forms and renames nothing itself
+    assert not hasattr(witness, "canonical_form") and not hasattr(witness, "rename_apart")
+    return roles, patterns, formed, renamed
+
+
+@pytest.mark.parametrize("steps, forms, renames", [(16, 38, 19), (32, 70, 27), (64, 134, 43)])
+def test_each_distinct_encryption_is_formed_and_renamed_once(steps, forms, renames, monkeypatch):
+    # the patterns form each distinct encrypted payload and rename one per
+    # form; the level scan reuses them and forms only the other nested
+    # encryptions (75/139/267 forms and 61/101/181 renames before)
+    case = perfbench_gen().synth_chain(0, steps, sound=True)
+    assert Variant(case.variant) is Variant.MAX
+    _, _, formed, renamed = _formed_and_renamed(case, monkeypatch)
+    assert (len(formed), len(renamed)) == (forms, renames)
+    assert len(set(formed)) == len(formed)
+    assert len({canonical_form(m) for m in renamed}) == len(renamed)
+
+
+def test_a_protocol_with_no_received_variable_renames_only_its_patterns(monkeypatch):
+    # the level scan's universe is built only when a variable needs a level
+    lazy = spared = 0
+    for case in perfbench_gen().random_batch(1, 200):
+        roles, patterns, _, renamed = _formed_and_renamed(case, monkeypatch)
+        if receive_encryptions(roles):
+            continue
+        lazy += 1
+        assert len(renamed) == len(patterns)
+        # an eager build would also rename the nested encryptions of forms no pattern has
+        forms = {canonical_form(enc) for enc in plain_universe(roles)}
+        spared += bool(forms - set(patterns.values()))
+    assert lazy > 0 and spared > 0
+
+
 # -- step checks and the secrecy decision -------------------------------------
 
 def test_step_check_for_the_session_key_passes(mod):
     ctx, roles, patterns = mod
-    levels = variable_levels(roles, Evaluation(Variant.MAX, ctx))
+    levels = variable_levels(roles, Evaluation(Variant.MAX, ctx), patterns)
     checks = {c.target: c for c in check_step(roles[1], Evaluation(Variant.MAX, ctx), patterns, levels)}
     c = checks["kab^i"]
     assert c.received_bound == TOP
@@ -695,7 +744,7 @@ def test_step_check_for_the_session_key_passes(mod):
 
 def test_step_check_targets_every_atom_and_variable(mod):
     ctx, roles, patterns = mod
-    levels = variable_levels(roles, Evaluation(Variant.MAX, ctx))
+    levels = variable_levels(roles, Evaluation(Variant.MAX, ctx), patterns)
     checks = check_step(roles[3], Evaluation(Variant.MAX, ctx), patterns, levels)
     assert [c.target for c in checks] == ["A", "Nb^i", "kbs", "?Y"]
     assert all(c.passed for c in checks)
@@ -703,7 +752,7 @@ def test_step_check_targets_every_atom_and_variable(mod):
 
 def test_public_nonce_passes_trivially(mod):
     ctx, roles, patterns = mod
-    levels = variable_levels(roles, Evaluation(Variant.MAX, ctx))
+    levels = variable_levels(roles, Evaluation(Variant.MAX, ctx), patterns)
     checks = {c.target: c for c in check_step(roles[2], Evaluation(Variant.MAX, ctx), patterns, levels)}
     c = checks["Nb^i"]
     assert c.declared == BOTTOM and c.passed
@@ -809,7 +858,7 @@ def test_unrelated_pattern_leaves_bounds_unchanged(mod):
                 Identity("B", copy=99), Variable("W", copy=99)]),
         SymKey("kxx", copy=99),
     )
-    padded = patterns + (extra,)
+    padded = [*patterns, extra]
     for role in roles:
         if role.final.direction.value != "send":
             continue
