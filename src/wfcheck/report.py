@@ -11,6 +11,7 @@ verdict against its levels. Identical inputs render byte-identically.
 from __future__ import annotations
 
 from functools import cache
+from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 from . import witness
@@ -299,43 +300,83 @@ def _decoder(tp) -> Callable:
     raise TypeError(f"no JSON decoder for {tp!r}")
 
 
-def _write_json(put: Callable, quote: Callable, value, pad: str) -> None:
-    """Put ``value`` at indent ``pad`` as ``json.dumps(value, indent=2, ensure_ascii=False)``."""
-    kind = type(value)
-    if kind is str:
-        return put(quote(value))
-    if value is None or kind is bool:
-        return put("null" if value is None else "true" if value else "false")
-    if kind is int:
-        return put(int.__repr__(value))
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if kind is tuple:
-        lead = "[\n" + inner
-        for v in value:
-            put(lead)
-            _write_json(put, quote, v, inner)
-            lead = sep
-        return put("\n" + pad + "]" if value else "[]")
-    if kind is SecurityLevel and (value.is_bottom or value.is_top):
-        pairs = [("kind", "bottom" if value.is_bottom else "top")]
-    elif kind is SecurityLevel:  # a set level lists its members after its kind
-        pairs = [("kind", "set"), ("members", value.members())]
-    else:  # a record: its fields, then the verdicts derived from them
-        pairs = [(k, getattr(value, k)) for k in kind._fields + getattr(kind, "_derived", ())]
-    lead = "{\n" + inner
-    for k, v in pairs:
-        put(f'{lead}"{k}": ')  # keys are field names, which need no escaping
-        _write_json(put, quote, v, inner)
-        lead = sep
-    put("\n" + pad + "}")
+@cache
+def _encoder(tp, pad: str) -> Callable:
+    """The function putting a value of the declared type ``tp`` at indent ``pad``
+    as ``json.dumps(value, indent=2, ensure_ascii=False)`` would write it.
+
+    It mirrors :func:`_decoder`: a record writes its fields, then the verdicts
+    derived from them, each typed by its property's return annotation. Every
+    piece is put as written, so no large partial string is built.
+    """
+    inner, close = pad + "  ", "\n" + pad + "}"
+    if tp in (str, bool, int):
+        try:  # json.dumps's C string encoder: loading json would add its reader
+            from _json import encode_basestring
+        except ImportError:  # an interpreter without the C module
+            from json.encoder import encode_basestring
+        bools = {True: "true", False: "false"}
+        text = {str: encode_basestring, bool: bools.get, int: int.__repr__}[tp]
+        return lambda put, value: put(text(value))
+    if get_origin(tp) is Union:
+        some = _encoder(get_args(tp)[0], pad)  # Optional[X] is Union[X, None]
+        return lambda put, value: put("null") if value is None else some(put, value)
+    if get_origin(tp) is tuple:
+        item = _encoder(get_args(tp)[0], inner)
+        first, sep, end = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
+
+        def items(put, value):
+            if not value:
+                return put("[]")
+            lead = first
+            for v in value:
+                put(lead)
+                item(put, v)
+                lead = sep
+            put(end)
+
+        return items
+    if tp is SecurityLevel:  # a set level lists its members after its kind
+        members = _encoder(tuple[str, ...], inner)
+        head = "{\n" + inner + '"kind": '
+        bottom, top = (f'{head}"{kind}"{close}' for kind in ("bottom", "top"))
+        listed = f'{head}"set",\n{inner}"members": '
+
+        def level(put, value):
+            if value.is_bottom or value.is_top:
+                return put(bottom if value.is_bottom else top)
+            put(listed)
+            members(put, value.members())
+            put(close)
+
+        return level
+    if hasattr(tp, "_fields"):  # keys are field names, which need no escaping
+        hints = get_type_hints(tp)
+        derived = getattr(tp, "_derived", ())
+        hints.update({name: get_type_hints(getattr(tp, name).fget)["return"] for name in derived})
+        names = tp._fields + derived
+        leads = ["{"] + [","] * (len(names) - 1)
+        fields = [
+            (f'{lead}\n{inner}"{name}": ', attrgetter(name), _encoder(hints[name], inner))
+            for lead, name in zip(leads, names)
+        ]
+
+        def record(put, value):
+            for lead, get, write in fields:
+                put(lead)
+                write(put, get(value))
+            put(close)
+
+        return record
+    raise TypeError(f"no JSON encoder for {tp!r}")
 
 
 def render_json(report: AnalysisReport) -> str:
-    """The report as JSON in one pass: records as objects, tuples as arrays."""
-    from json.encoder import encode_basestring  # imported here so text runs never load json
+    """The report as JSON in one pass, through the writer compiled for its
+    type: records as objects, tuples as arrays. Text runs never compile it,
+    and no run loads ``json`` to write."""
     out: list[str] = []  # small pieces joined once: no large partial strings to copy
-    _write_json(out.append, encode_basestring, report, "")
+    _encoder(AnalysisReport, "")(out.append, report)
     out.append("\n")
     return "".join(out)
 

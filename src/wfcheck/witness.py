@@ -15,9 +15,11 @@ A sent variable's declared level is the join of the secrets that the
 encryptions it arrived in can put in its place (``variable_levels``). Its
 universe is the patterns, extended by the nested encryptions of the forms
 no pattern has, so the analysis builds each encryption once. One scan
-serves sends and receives: a term's shape, its leaves renamed by first
-occurrence, is unified with each universe term once per analysis, and each
-term maps the summary back to its own leaves and subterms.
+serves sends and receives: terms of one shape, equal once their leaves are
+renamed by first occurrence, unify alike, so each shape is unified with
+each universe term once per analysis. One walk of a term gives its shape,
+as a token key, and its subterms; the scan keeps what it found by position,
+so each term of the shape maps it back by list indexing.
 
 A protocol is accepted for secrecy when, for every target of every send,
 the lower bound dominates the meet of the declared level with the upper
@@ -67,15 +69,18 @@ from .terms import (
 class CandidateSource(NamedTuple):
     """A generated pattern unifiable with a sent message, with its unifier.
 
-    ``mgu`` is the unifier with the sent message, mapped back from the
-    unifier with its shape. ``instance`` is the pattern under the unifier.
-    When the unifier binds no leaf of the sent message, that is the sent
-    message itself (the very object), since a unifier maps the pattern and
-    the message to one term. ``description`` is the line a report lists for
-    the source: the printed pattern and its unifier. ``candidate_sources``
+    ``mgu`` is the unifier with the sent message, or, for a later send of a
+    shape, the first send's unifier mapped back by position. ``instance`` is
+    the pattern under the unifier. When the unifier binds no leaf of the sent message, that is
+    the sent message itself (the very object), since a unifier maps the
+    pattern and the message to one term. ``description`` is the line a
+    report lists for the source: the printed pattern and its unifier, with
+    the bindings in the order of their printed keys. ``candidate_sources``
     computes it when it builds the source: every encrypted send has its key
     as an atom target, which every source carries, so every description is
-    read.
+    read. Whether the instance is the send, and the order of the
+    bindings when the keys alone fix it, are found once per shape and
+    pattern.
     """
 
     pattern: Message
@@ -123,53 +128,105 @@ class AuthCheck(NamedTuple):
         return self.claimant_present and self.above_bottom
 
 
-def shape_of(term: Message) -> tuple[Message, dict[Message, Message]]:
-    """The term with each leaf but its parameters renamed, by first occurrence,
-    to ``#0``, ``#1``, … of its own class; with a map from each subterm of that
-    shape back to the subterm of the term it stands for.
+def shape_of(term: Message) -> tuple[tuple, list[Message]]:
+    """The term's shape as a flat token key, and its subterms in preorder
+    (body before key), from one walk. The key has a token per subterm: a
+    concatenation's arity, ``Enc``, each parameter as it is, and each other
+    leaf as its class and first-occurrence index among those leaves.
 
-    ``unify`` sees only a leaf's class, equality and whether it has a rename
-    index. No parsed or renamed leaf is named ``#i``, and the shape keeps the
-    term's parameters, the only leaves it can share with a renamed-apart
-    universe; so the renaming is injective, fixes every universe leaf, and a
-    universe term unifies with the shape exactly as with the term, up to the
-    renaming. A renamed leaf loses its session tag with its name, so terms
-    that differ only in their tags share a shape.
+    Terms have one key exactly when renaming their leaves but the
+    parameters by first occurrence makes them equal, session tags dropped.
+    ``unify`` sees only a leaf's class, equality and rename index, and a
+    renamed-apart universe shares no leaf with a term but its parameters;
+    so a universe term unifies with such terms alike, up to the renaming,
+    which maps one term's subterm at each preorder position to the other's.
     """
-    renamed: dict[Message, Message] = {}
-    real: dict[Message, Message] = {}
-
-    def shaped(m: Message) -> Message:
-        if isinstance(m, Concat):
-            s = Concat(tuple(map(shaped, m.parts)))
-        elif isinstance(m, Enc):
-            s = Enc(shaped(m.body), shaped(m.key))
+    key: list = []
+    subterms: list[Message] = []
+    renamed: dict[Message, int] = {}
+    stack = [term]
+    while stack:
+        m = stack.pop()
+        subterms.append(m)
+        kind = type(m)
+        if kind is Concat:
+            key.append(len(m.parts))
+            stack.extend(reversed(m.parts))
+        elif kind is Enc:
+            key.append(Enc)
+            stack += (m.key, m.body)
         elif m.copy is not None:
-            s = m
+            key.append(m)
         else:
-            s = renamed.get(m)
-            if s is None:
-                s = renamed[m] = type(m)(f"#{len(renamed)}")
-        real[s] = m
-        return s
-
-    return shaped(term), real
+            key.append((kind, renamed.setdefault(m, len(renamed))))
+    return tuple(key), subterms
 
 
 def _scan(term: Message, universe: Collection[Enc], memo: dict, summarize: Callable) -> tuple:
-    """The analysis's one unification scan: ``summarize`` of the unifiers of
-    every universe term with the term's shape, in universe order, kept in
-    ``memo`` per shape; with the map back from the shape to the term."""
-    shape, real = shape_of(term)
-    summary = memo.get(shape)
-    if summary is None:
-        unifiers = ((p, unify(p, shape)) for p in universe)
-        summary = memo[shape] = summarize([(p, sg) for p, sg in unifiers if sg is not None])
-    return summary, real
+    """The analysis's one unification scan: the unifiers of every universe
+    term with the term, in universe order, kept in ``memo`` per shape
+    (``shape_of``). Only a shape's first term is unified; it gets its own
+    unifiers and no table (``None``). A later term gets ``summarize(unifiers,
+    place)`` of them, made once, and its table. ``place`` puts a subterm of
+    the first term at its negative preorder position, where the table ends
+    with each term's own subterms, and any other term among the constants
+    before them; a term mixing both kinds of leaves has no place (``None``).
+    """
+    key, subterms = shape_of(term)
+    entry = memo.get(key)
+    if entry is None:
+        unifiers = ((p, unify(p, term)) for p in universe)
+        memo[key] = [[(p, sg) for p, sg in unifiers if sg is not None], subterms, None]
+        return memo[key][0], None
+    unifiers, first, placed = entry
+    if placed is None:
+        # equal subterms of a term stand at the same positions in every term of its shape
+        places = dict(zip(first, range(-len(first), 0)))
+        constants: list[Message] = []
+
+        def place(t: Message) -> Optional[int]:
+            at = places.get(t)
+            if at is None:
+                if type(t) in (Concat, Enc) and any(places.get(a, 0) < 0 for a in leaves(t)):
+                    return None
+                at = places[t] = len(constants)
+                constants.append(t)
+            return at
+
+        placed = entry[2] = summarize(unifiers, place), constants
+    summary, constants = placed
+    return summary, constants + subterms
 
 
-#: The unifiers of each send shape with the patterns, in declaration order.
-Scans = dict[Message, list[tuple[Enc, Substitution]]]
+def _sources_by_place(unifiers: list, place: Callable) -> list[tuple]:
+    """Per unifier of a send with a pattern: the pattern, its bindings by
+    ``_scan`` place, the values mixing send and pattern leaves with the
+    places of their leaves, whether the instance is the send (no key is a
+    leaf of the send), the description's head, and the order of its
+    bindings when pattern leaves with texts of their own are the keys."""
+    rows = []
+    for pattern, sigma in unifiers:
+        bindings = [(place(k), place(v)) for k, v in sigma.items()]
+        is_send = all(k >= 0 for k, _ in bindings)
+        mixed = [
+            (k, v, {a: place(a) for a in leaves(v)})
+            for (k, at), v in zip(bindings, sigma.values()) if at is None
+        ]
+        order = None
+        if mixed:
+            bindings = [(k, at) for k, at in bindings if at is not None]
+        elif is_send:
+            texts = [format_message(k) for k in sigma]
+            if len(set(texts)) == len(texts):
+                order = [(f"{text} -> ", at) for text, (_, at) in sorted(zip(texts, bindings))]
+        rows.append((pattern, bindings, mixed, is_send, f"{format_message(pattern)} via ", order))
+    return rows
+
+
+#: Per send shape: the unifiers of its first send with the patterns, in
+#: declaration order, that send's subterms, and, once a second send asks,
+#: the unifiers by place (``_sources_by_place``) with the constants they place.
+Scans = dict[tuple, list]
 
 
 def candidate_sources(
@@ -178,22 +235,30 @@ def candidate_sources(
     """Patterns unifiable with the sent message, in declaration order.
 
     The patterns, renamed apart as ``encryption_patterns`` makes them, are
-    unified with the send's shape (``_scan``) and each unifier is mapped
-    back to the send. ``scans`` keeps those unifiers per shape for one pattern
+    unified with the send (``_scan``), and each unifier is mapped back to it
+    by position. ``scans`` keeps those unifiers per shape for one pattern
     set, so a later send of the same shape unifies nothing; without it the
     call scans afresh.
     """
-    scan, real = _scan(r_plus, patterns, {} if scans is None else scans, list)
-
-    def unshaped(t: Message) -> Message:  # a term mixing pattern and shape leaves
-        return map_leaves(t, lambda leaf: real.get(leaf, leaf))
-
+    rows, table = _scan(r_plus, patterns, {} if scans is None else scans, _sources_by_place)
     out: list[CandidateSource] = []
-    for pattern, sigma in scan:
-        # a key is a leaf; a value is most often a subterm of the shape
-        mgu = {real.get(k, k): real.get(v) or unshaped(v) for k, v in sigma.items()}
-        instance = r_plus if real.keys().isdisjoint(sigma) else apply(mgu, pattern)
-        description = f"{format_message(pattern)} via {format_substitution(mgu)}"
+    if table is None:  # the shape's first send: the unifiers are its own
+        own = set(leaves(r_plus))
+        for pattern, mgu in rows:
+            instance = r_plus if own.isdisjoint(mgu) else apply(mgu, pattern)
+            description = f"{format_message(pattern)} via {format_substitution(mgu)}"
+            out.append(CandidateSource(pattern, mgu, instance, description))
+        return out
+    for pattern, bindings, mixed, is_send, head, order in rows:
+        mgu = {table[k]: table[v] for k, v in bindings}
+        for k, v, spots in mixed:
+            mgu[table[k]] = map_leaves(v, lambda a: table[spots[a]])
+        instance = r_plus if is_send else apply(mgu, pattern)
+        if order is None:
+            description = head + format_substitution(mgu)
+        else:
+            pairs = [arrow + format_message(table[v]) for arrow, v in order]
+            description = head + "{" + ", ".join(pairs) + "}"
         out.append(CandidateSource(pattern, mgu, instance, description))
     return out
 
@@ -236,22 +301,28 @@ def variable_levels(
     )
     universe = [*patterns, *renamed_by_form(nested, set(patterns.values()))]
 
-    def summarize(unifiers: list) -> dict[Variable, set]:
-        summary: dict[Variable, set] = {}
+    def summarize(unifiers: list, place: Callable) -> dict[int, set[int]]:
+        summary: dict[int, set[int]] = {}
         for _, sigma in unifiers:
             for v, value in sigma.items():
-                if type(v) is Variable and v.copy is None:  # a shape variable
-                    body = summary.setdefault(v, set())
-                    body.update(a for a, cs in evaluation.walk(value).items() if cs)
+                if type(v) is Variable and v.copy is None:  # a variable of the receive
+                    body = summary.setdefault(place(v), set())
+                    body.update(place(a) for a, cs in evaluation.walk(value).items() if cs)
         return summary
+
+    def itself(t: Message) -> Message:
+        return t
 
     memo: dict = {}
     levels: dict[Variable, SecurityLevel] = {}
     for enc in received:
-        summary, real = _scan(enc, universe, memo, summarize)
+        summary, table = _scan(enc, universe, memo, summarize)
+        look = itself if table is None else table.__getitem__
+        if table is None:  # the shape's first receive: its unifiers are its own
+            summary = summarize(summary, itself)
         for v, body in summary.items():
-            found = (ctx.level_of(real.get(a, a)) for a in body)
-            levels[real[v]] = reduce(join, found, levels.get(real[v], BOTTOM))
+            found = (ctx.level_of(look(a)) for a in body)
+            levels[look(v)] = reduce(join, found, levels.get(look(v), BOTTOM))
     return levels
 
 
@@ -279,8 +350,10 @@ def lower_bound(
     """Meet of the derivative evaluations over the sources carrying the target,
     with those sources, each paired with the term standing for the target.
 
-    ``sources`` are the candidate sources of ``r_plus``. Unencrypted sends
-    have none; the target is evaluated on the sent message directly.
+    ``sources`` are the candidate sources of ``r_plus``. Every source carries
+    an atom, so for an atom one source per distinct instance gives the same
+    bound. Unencrypted sends have none; the target is evaluated on the sent
+    message directly.
     """
     if target not in evaluation.walk(r_plus):
         raise AtomAbsent(
@@ -309,7 +382,10 @@ def check_step(
 ) -> list[StepCheck]:
     """Bound comparisons for every atom and every variable of the role's final send;
     ``levels`` is the analysis's ``variable_levels``, where a variable missing
-    is public, and ``scans`` its memo of unifiers per send shape."""
+    is public, and ``scans`` its memo of unifiers per send shape. The send's
+    descriptions and distinct instances are found once: every source carries
+    an atom, whose check shares both, and a variable's check shares the
+    descriptions when every source carries it."""
     step = role.final
     if step.direction is not Direction.SEND:
         raise ValueError(f"step {step.step_id} of {role.label} is not a send")
@@ -317,12 +393,20 @@ def check_step(
     received = role.received
     r_plus = step.payload
     sources = candidate_sources(r_plus, patterns, scans) if isinstance(r_plus, Enc) else []
+    every = tuple(source.description for source in sources)
+    distinct = list({source.instance: source for source in sources}.values())
     checks: list[StepCheck] = []
     # atoms, then variables, each in first-occurrence order
     for target in sorted(evaluation.walk(r_plus), key=lambda t: isinstance(t, Variable)):
         received_bound = ctx.lattice.meet_all(evaluation.level(target, m) for m in received)
         declared = levels[target] if target in levels else ctx.level_of(target)
-        lower, carriers = lower_bound(evaluation, target, r_plus, sources)
+        if isinstance(target, Variable):
+            lower, carriers = lower_bound(evaluation, target, r_plus, sources)
+            listed = every if len(carriers) == len(sources) else tuple(
+                source.description for source, _ in carriers
+            )
+        else:
+            lower, listed = lower_bound(evaluation, target, r_plus, distinct)[0], every
         required = ctx.lattice.meet(declared, received_bound)
         checks.append(
             StepCheck(
@@ -333,7 +417,7 @@ def check_step(
                 received_bound=received_bound,
                 declared=declared,
                 lower_bound=lower,
-                sources=tuple(source.description for source, _ in carriers),
+                sources=listed,
                 from_patterns=isinstance(r_plus, Enc),
                 passed=ctx.lattice.leq(required, lower),
             )

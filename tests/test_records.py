@@ -205,6 +205,17 @@ def test_importing_the_cli_does_not_load_json():
     assert _loaded_after_importing_the_cli(["json"]) == []
 
 
+def test_a_json_cli_run_writes_without_loading_json():
+    # the writer takes json.dumps's C string encoder alone; only reading needs json
+    args = ["--protocol", str(CORPUS / "woolam_modified.proto"),
+            "--context", str(CORPUS / "woolam_modified.ctx"), "--format", "json", "--out"]
+    probe = (
+        "import os, sys, wfcheck.cli\n"
+        f"print(wfcheck.cli.main({args!r} + [os.devnull]), 'json' in sys.modules)"
+    )
+    assert _printed_by_a_fresh_interpreter(probe) == ["0", "False"]
+
+
 def test_a_cli_run_in_text_and_json_loads_only_the_standard_library():
     # the package is stdlib-only: after one run in each format, every module
     # held is the probe itself, wfcheck's or the standard library's

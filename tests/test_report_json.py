@@ -1,9 +1,12 @@
-"""The one-pass JSON writer against the encoder it replaced.
+"""The compiled JSON writer against the encoder it replaced.
 
-``render_json`` writes a report without building a dict tree first. The
-reference law kept here is the old two-step path: ``_to_json`` turns the
-report into JSON data and ``json.dumps(..., indent=2, ensure_ascii=False)``
-indents it. The writer must give the same bytes on every report.
+``render_json`` writes a report without building a dict tree first,
+through a writer compiled once per declared record type and indent from
+the type hints, the verdicts a record derives typed by their properties'
+return annotations. The reference law kept here is the old two-step path:
+``_to_json`` turns the report into JSON data, dispatching on each value's
+type, and ``json.dumps(..., indent=2, ensure_ascii=False)`` indents it. The
+writer must give the same bytes on every report.
 """
 
 import json

@@ -11,6 +11,7 @@ from wfcheck import (
     CandidateSource,
     ChallengeAtomAbsent,
     ChallengeNotReceived,
+    Concat,
     Enc,
     Evaluation,
     Identity,
@@ -236,6 +237,152 @@ def test_a_shared_scan_memo_changes_no_source_on_random_protocols(case):
     _scans_through_one_memo(*analyze_narration(narr, ctx))
 
 
+def test_a_shared_scan_memo_changes_no_source_on_the_corpus_and_a_random_batch():
+    # every corpus protocol, and 300 random protocols, few of whose sends
+    # repeat a shape: each send maps the unifiers back by position
+    sends = sum(
+        _scans_through_one_memo(*analyze_narration(narr, ctx))[0]
+        for ctx, narr in (_parsed(*_corpus_texts(stem)) for stem in CORPUS_STEMS)
+    )
+    assert sends > 0
+    batch = perfbench_gen().random_batch(7, 300)
+    counts = [_scans_through_one_memo(*_roles_and_patterns(case)) for case in batch]
+    assert sum(sends for sends, _ in counts) > sum(shapes for _, shapes in counts) > 0
+
+
+def _parsed(context_text, protocol_text):
+    ctx = parse_context(context_text)
+    return ctx, parse_narration(protocol_text, ctx)
+
+
+def _placed_row(scans):
+    """The one memo row of a one-pattern scan that a second send of the shape
+    placed: (pattern, bindings, mixed values, whether the instance is the
+    send, head, description order)."""
+    ((_, _, (rows, _)),) = scans.values()
+    (row,) = rows
+    return row
+
+
+def _twin(r_plus):
+    """A send of the same shape with other leaves but its parameters."""
+    swap = {A: S, Y: U, KAS: KBS, KBS: KAS}
+    return map_leaves(r_plus, lambda t: swap.get(t, t))
+
+
+def _both_scans(r_plus, patterns):
+    """The sources of a send, scanned first, then of its twin through the
+    same memo, each checked against the direct scan; with the memo."""
+    scans: dict = {}
+    twin = _twin(r_plus)
+    assert twin != r_plus
+    found = []
+    for send in (r_plus, twin):
+        found.append(candidate_sources(send, patterns, scans))
+        _assert_same_sources(found[-1], _direct_sources(send, patterns), send)
+    assert len(scans) == 1
+    return found, scans
+
+
+def test_each_fallback_of_the_positional_scan_matches_the_direct_scan():
+    nonce, key = Nonce("N", copy=1), SymKey("kas", copy=1)
+    w = Variable("W", copy=1)
+    # a unifier that binds a send parameter: the instance is not the send,
+    # and the send's B_2 is a key, so the description is fully sorted
+    bound = (Enc(concat([A, Identity("B", 2)]), KAS), rename_apart(Enc(concat([A, A]), KAS), 1))
+    # ?W_1 takes {?Y}kas, where ?Y takes {N_1}kas_1: a value mixing send
+    # and pattern leaves, rebuilt leaf by leaf
+    mixed = (
+        Enc(concat([Enc(Y, KAS), Y]), KBS),
+        Enc(concat([w, Enc(nonce, key)]), SymKey("kbs", copy=1)),
+    )
+    # a send variable as a key: the description is fully sorted
+    keyed = (Enc(concat([A, Y]), KAS), Enc(concat([Identity("A", 1), Enc(nonce, KBS)]), key))
+    paths = []
+    for r_plus, pattern in (bound, mixed, keyed):
+        (first, second), scans = _both_scans(r_plus, [pattern])
+        _, _, values, is_send, _, order = _placed_row(scans)
+        assert not is_send and first[0].instance is not r_plus
+        assert order is None
+        paths.append(len(values))
+    assert paths == [0, 1, 0]
+    (_, (source,)), _ = _both_scans(*mixed[:1], [mixed[1]])
+    assert format_message(source.mgu[w]) == "{{N_1}kas_1}kbs"
+    assert source.description == (
+        "{?W_1.{N_1}kas_1}kbs_1 via {?U -> {N_1}kas_1, ?W_1 -> {{N_1}kas_1}kbs, kbs_1 -> kas}"
+    )
+    # pattern keys with their own texts: the description order is fixed once
+    (_, (source,)), scans = _both_scans(
+        Enc(concat([A, NB_I]), KAS), [rename_apart(Enc(concat([A, Y]), KAS), 2)]
+    )
+    _, _, _, is_send, _, order = _placed_row(scans)
+    assert is_send and [arrow for arrow, _ in order] == ["?Y_2 -> ", "A_2 -> ", "kas_2 -> "]
+    assert source.description == "{A_2.?Y_2}kas_2 via {?Y_2 -> Nb^i, A_2 -> S, kas_2 -> kbs}"
+
+
+def _reference_shape(term):
+    """The term with each leaf but its parameters renamed, by first
+    occurrence, to ``#0``, ``#1``, … of its own class."""
+    names: dict = {}
+
+    def renamed(leaf):
+        if leaf.copy is not None:
+            return leaf
+        return type(leaf)(f"#{names.setdefault(leaf, len(names))}")
+
+    return map_leaves(term, renamed)
+
+
+def _subterms(term):
+    """The subterms of ``term`` in preorder, body before key."""
+    if isinstance(term, Concat):
+        parts = term.parts
+    else:
+        parts = (term.body, term.key) if isinstance(term, Enc) else ()
+    return [term] + [s for part in parts for s in _subterms(part)]
+
+
+@given(case=protocol_cases())
+@settings(max_examples=40)
+def test_equal_shape_keys_are_equal_shapes(case):
+    ctx, narr = case
+    roles, patterns = analyze_narration(narr, ctx)
+    # the subterms of every step of the roles, and the patterns
+    terms = {s for role in roles for step in role.steps for s in _subterms(step.payload)}
+    terms = [*terms, *patterns]
+    keys, shapes = {}, {}
+    for term in terms:
+        key, subterms = shape_of(term)
+        assert subterms == _subterms(term) and len(key) == len(subterms)
+        keys[term], shapes[term] = key, _reference_shape(term)
+    for left in terms:
+        for right in terms:
+            assert (keys[left] == keys[right]) == (shapes[left] == shapes[right])
+            if keys[left] == keys[right]:
+                # the renaming that maps one to the other maps each subterm
+                # to the one at its position
+                back = dict(zip(leaves(left), leaves(right)))
+                assert [apply(back, t) for t in _subterms(left)] == _subterms(right)
+
+
+@pytest.mark.parametrize("steps, sends", [(32, 35), (64, 67)])
+def test_each_send_is_walked_once_and_each_shape_unified_once(steps, sends, monkeypatch):
+    import wfcheck.witness as witness
+
+    roles, patterns = _roles_and_patterns(perfbench_gen().synth_chain(0, steps, sound=True))
+    walked, unified = [], []
+    real_shape, real_unify = witness.shape_of, witness.unify
+    monkeypatch.setattr(witness, "shape_of", lambda term: walked.append(term) or real_shape(term))
+    monkeypatch.setattr(witness, "unify", lambda p, t: unified.append(t) or real_unify(p, t))
+    scans: dict = {}
+    for role in roles:
+        if role.final.direction is Direction.SEND and isinstance(role.final.payload, Enc):
+            candidate_sources(role.final.payload, patterns, scans)
+    # three shapes: only the first send of each is unified, with every pattern
+    assert (len(walked), len(scans)) == (sends, 3)
+    assert len(unified) == 3 * len(patterns) and len(set(unified)) == 3
+
+
 def test_a_send_keeps_its_parameters_in_its_shape(monkeypatch):
     import wfcheck.witness as witness
 
@@ -301,11 +448,10 @@ def test_a_unifier_whose_keys_print_alike_still_has_the_send_as_instance():
 
 
 def test_unify_matches_the_reference_on_every_scanned_pair(woolam_mod, woolam_orig):
-    # every (pattern, send shape) pair the send scans try, and every (pattern,
-    # send) pair, each also with its sides swapped; and every (universe term,
-    # receive shape) pair the level scan can try, with the plain universe, a
-    # superset of the scan's; on the corpus, a 32-step chain and 200 random
-    # protocols
+    # every (pattern, send) pair the send scans can try, also with its sides
+    # swapped, and every (universe term, receive encryption) pair the level
+    # scan can try, with the plain universe, a superset of the scan's; on
+    # the corpus, a 32-step chain and 200 random protocols
     gen = perfbench_gen()
     scans = [analyze_narration(narr, ctx) for narr, ctx in (woolam_mod, woolam_orig)]
     cases = [gen.synth_chain(0, 32, sound=True)] + gen.random_batch(1, 200)
@@ -317,13 +463,11 @@ def test_unify_matches_the_reference_on_every_scanned_pair(woolam_mod, woolam_or
             r_plus = role.final.payload
             if role.final.direction is not Direction.SEND or not isinstance(r_plus, Enc):
                 continue
-            shape, _ = shape_of(r_plus)
             for pattern in patterns:
-                tried += [(pattern, shape), (pattern, r_plus), (r_plus, pattern)]
+                tried += [(pattern, r_plus), (r_plus, pattern)]
         universe = plain_universe(roles)
         for enc in receive_encryptions(roles):
-            shape, _ = shape_of(enc)
-            tried += [(p, shape) for p in universe]
+            tried += [(p, enc) for p in universe]
             received += len(universe)
         for left, right in tried:
             sigma = unify(left, right)
