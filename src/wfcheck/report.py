@@ -5,7 +5,9 @@ target of a send step it shows the upper bound computed on the receives,
 the candidate sources with their unifiers, the lower bound on the send and
 the comparison. Reports store a step's verdict beside its levels and derive
 every other verdict from them; reading a JSON report checks each stored
-verdict against its levels. Identical inputs render byte-identically.
+verdict against its levels. Each declared type has one JSON codec, its
+writer and reader side by side, built from one read of its type hints.
+Identical inputs render byte-identically.
 """
 
 from __future__ import annotations
@@ -198,7 +200,7 @@ _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a bo
 
 
 class _Mismatch(ValueError):
-    """A JSON value unlike its declared type; enclosing decoders add the path."""
+    """A JSON value unlike its declared type; enclosing readers add the path."""
 
     def __init__(self, expected: str, got):
         super().__init__()
@@ -221,93 +223,31 @@ class _Mismatch(ValueError):
         return f"malformed report: {where} must be {self.expected}, not {got}"
 
 
-@cache
-def _decoder(tp) -> Callable:
-    """The function turning JSON data back into a value of the declared type ``tp``.
+def _unknown(data: dict, known) -> _Mismatch:
+    """The first key of the object ``data`` that the writer never writes there."""
+    key = next(key for key in data if key not in known)
+    bad = _Mismatch("absent", data[key])
+    bad.path.append("." + key)  # not under(): a key such as "[0]" is no index
+    return bad
 
-    Every decoder checks what it reads and raises :class:`_Mismatch`, a
-    ``ValueError``, naming the path of the first value unlike its type.
-    """
-    if tp is SecurityLevel:
-        names = _decoder(tuple[str, ...])
 
-        def level(data):
-            if type(data) is not dict:
-                raise _Mismatch("an object", data)
-            kind = data.get("kind", _MISSING)
-            if kind == "bottom":
-                return BOTTOM
-            if kind == "top":
-                return TOP
-            if kind != "set":
-                raise _Mismatch('"bottom", "top" or "set"', kind).under("kind")
-            try:
-                return SecurityLevel.of(*names(data.get("members", _MISSING)))
-            except _Mismatch as bad:
-                raise bad.under("members")
-
-        return level
-    if get_origin(tp) is tuple:
-        item = _decoder(get_args(tp)[0])
-
-        def items(data):
-            if type(data) is not list:
-                raise _Mismatch("an array", data)
-            out = []
-            for i, value in enumerate(data):
-                try:
-                    out.append(item(value))
-                except _Mismatch as bad:
-                    raise bad.under(f"[{i}]")
-            return tuple(out)
-
-        return items
-    if get_origin(tp) is Union:
-        inner = _decoder(get_args(tp)[0])  # Optional[X] is Union[X, None]
-        return lambda data: None if data is None else inner(data)
-    if hasattr(tp, "_fields"):
-        import json  # reached only from report_from_json, which has loaded it
-        hints = get_type_hints(tp)
-        decoders = [(name, _decoder(hints[name])) for name in tp._fields]
-        derived = getattr(tp, "_derived", ())  # each stored value must be the derived one
-
-        def record(data):
-            if type(data) is not dict:
-                raise _Mismatch("an object", data)
-            values = []
-            for name, dec in decoders:
-                try:
-                    values.append(dec(data.get(name, _MISSING)))
-                except _Mismatch as bad:
-                    raise bad.under(name)
-            value = tp._make(values)
-            for name in derived:
-                stored, want = data.get(name, _MISSING), getattr(value, name)
-                if type(stored) is not type(want) or stored != want:
-                    raise _Mismatch(json.dumps(want), stored).under(name)
-            return value
-
-        return record
-    if tp in (str, int, bool):
-        expected = _JSON_KINDS[tp]
-
-        def scalar(data):
-            if type(data) is not tp:  # exact: a boolean is no integer here
-                raise _Mismatch(expected, data)
-            return data
-
-        return scalar
-    raise TypeError(f"no JSON decoder for {tp!r}")
+def _written(write: Callable, value) -> str:
+    """The text that ``write`` puts for ``value``."""
+    out: list[str] = []
+    write(out.append, value)
+    return "".join(out)
 
 
 @cache
-def _encoder(tp, pad: str) -> Callable:
-    """The function putting a value of the declared type ``tp`` at indent ``pad``
-    as ``json.dumps(value, indent=2, ensure_ascii=False)`` would write it.
+def _codec(tp, pad: str = "") -> tuple[Callable, Callable]:
+    """The writer and the reader of the declared type ``tp``, side by side.
 
-    It mirrors :func:`_decoder`: a record writes its fields, then the verdicts
-    derived from them, each typed by its property's return annotation. Every
-    piece is put as written, so no large partial string is built.
+    The writer ``write(put, value)`` puts the value at indent ``pad`` as
+    ``json.dumps(value, indent=2, ensure_ascii=False)`` would write it. Every
+    piece is put as written, so no large partial string is built. The reader
+    ``read(data)`` turns JSON data back into a value. It checks what it reads
+    and raises :class:`_Mismatch`, a ``ValueError``, naming the path of the
+    first value that the writer would not write.
     """
     inner, close = pad + "  ", "\n" + pad + "}"
     if tp in (str, bool, int):
@@ -317,77 +257,145 @@ def _encoder(tp, pad: str) -> Callable:
             from json.encoder import encode_basestring
         bools = {True: "true", False: "false"}
         text = {str: encode_basestring, bool: bools.get, int: int.__repr__}[tp]
-        return lambda put, value: put(text(value))
-    if get_origin(tp) is Union:
-        some = _encoder(get_args(tp)[0], pad)  # Optional[X] is Union[X, None]
-        return lambda put, value: put("null") if value is None else some(put, value)
+        expected = _JSON_KINDS[tp]
+
+        def scalar(data):
+            if type(data) is not tp:  # exact: a boolean is no integer here
+                raise _Mismatch(expected, data)
+            return data
+
+        return lambda put, value: put(text(value)), scalar
+    if get_origin(tp) is Union:  # Optional[X] is Union[X, None]
+        write, read = _codec(get_args(tp)[0], pad)
+        return (
+            lambda put, value: put("null") if value is None else write(put, value),
+            lambda data: None if data is None else read(data),
+        )
     if get_origin(tp) is tuple:
-        item = _encoder(get_args(tp)[0], inner)
+        write_item, read_item = _codec(get_args(tp)[0], inner)
         first, sep, end = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
 
-        def items(put, value):
+        def write(put, value):
             if not value:
                 return put("[]")
             lead = first
             for v in value:
                 put(lead)
-                item(put, v)
+                write_item(put, v)
                 lead = sep
             put(end)
 
-        return items
+        def read(data):
+            if type(data) is not list:
+                raise _Mismatch("an array", data)
+            out = []
+            for i, value in enumerate(data):
+                try:
+                    out.append(read_item(value))
+                except _Mismatch as bad:
+                    raise bad.under(f"[{i}]")
+            return tuple(out)
+
+        return write, read
     if tp is SecurityLevel:  # a set level lists its members after its kind
-        members = _encoder(tuple[str, ...], inner)
+        write_names, read_names = _codec(tuple[str, ...], inner)
         head = "{\n" + inner + '"kind": '
         bottom, top = (f'{head}"{kind}"{close}' for kind in ("bottom", "top"))
         listed = f'{head}"set",\n{inner}"members": '
 
-        def level(put, value):
+        def write(put, value):
             if value.is_bottom or value.is_top:
                 return put(bottom if value.is_bottom else top)
             put(listed)
-            members(put, value.members())
+            write_names(put, value.members())
             put(close)
 
-        return level
+        def read(data):
+            if type(data) is not dict:
+                raise _Mismatch("an object", data)
+            kind = data.get("kind", _MISSING)
+            if kind == "bottom" or kind == "top":
+                if len(data) > 1:
+                    raise _unknown(data, ("kind",))
+                return BOTTOM if kind == "bottom" else TOP
+            if kind != "set":
+                raise _Mismatch('"bottom", "top" or "set"', kind).under("kind")
+            try:
+                names = read_names(data.get("members", _MISSING))
+            except _Mismatch as bad:
+                raise bad.under("members")
+            authorized = frozenset(names)
+            if not authorized or tuple(sorted(authorized)) != names:  # empty is written as top
+                bad = _Mismatch("one or more distinct names in sorted order", list(names))
+                raise bad.under("members")
+            if len(data) > 2:
+                raise _unknown(data, ("kind", "members"))
+            return SecurityLevel(authorized)
+
+        return write, read
     if hasattr(tp, "_fields"):  # keys are field names, which need no escaping
+        # the fields, then the verdicts derived from them, typed by their properties
         hints = get_type_hints(tp)
         derived = getattr(tp, "_derived", ())
         hints.update({name: get_type_hints(getattr(tp, name).fget)["return"] for name in derived})
         names = tp._fields + derived
+        codecs = {name: _codec(hints[name], inner) for name in names}
         leads = ["{"] + [","] * (len(names) - 1)
-        fields = [
-            (f'{lead}\n{inner}"{name}": ', attrgetter(name), _encoder(hints[name], inner))
+        writers = [
+            (f'{lead}\n{inner}"{name}": ', attrgetter(name), codecs[name][0])
             for lead, name in zip(leads, names)
         ]
+        readers = [(name, codecs[name][1]) for name in tp._fields]
+        # each stored verdict must be the derived one, as its writer writes it
+        verdicts = [(name, codecs[name][0]) for name in derived]
 
-        def record(put, value):
-            for lead, get, write in fields:
+        def write(put, value):
+            for lead, get, write_field in writers:
                 put(lead)
-                write(put, get(value))
+                write_field(put, get(value))
             put(close)
 
-        return record
-    raise TypeError(f"no JSON encoder for {tp!r}")
+        def read(data):
+            if type(data) is not dict:
+                raise _Mismatch("an object", data)
+            values = []
+            for name, read_field in readers:
+                try:
+                    values.append(read_field(data.get(name, _MISSING)))
+                except _Mismatch as bad:
+                    raise bad.under(name)
+            value = tp._make(values)
+            for name, write_verdict in verdicts:
+                stored, want = data.get(name, _MISSING), getattr(value, name)
+                if type(stored) is not type(want) or stored != want:
+                    raise _Mismatch(_written(write_verdict, want), stored).under(name)
+            if len(data) > len(names):
+                raise _unknown(data, names)
+            return value
+
+        return write, read
+    raise TypeError(f"no JSON codec for {tp!r}")
 
 
 def render_json(report: AnalysisReport) -> str:
-    """The report as JSON in one pass, through the writer compiled for its
-    type: records as objects, tuples as arrays. Text runs never compile it,
-    and no run loads ``json`` to write."""
+    """The report as JSON in one pass, through the writer of its type's codec:
+    records as objects, tuples as arrays. Text runs never build it, and no
+    run loads ``json`` to write."""
     out: list[str] = []  # small pieces joined once: no large partial strings to copy
-    _encoder(AnalysisReport, "")(out.append, report)
+    _codec(AnalysisReport)[0](out.append, report)
     out.append("\n")
     return "".join(out)
 
 
 def report_from_json(text: str) -> AnalysisReport:
     """The report ``render_json`` wrote as ``text``; a ``ValueError`` names the path
-    of the first value the writer would not write: a wrong type, an unknown variant,
-    ``principals`` repeating a name or lacking ``I``, an ``auth`` claimant or verifier
-    not among them, a stored verdict unlike the derived one, a set level not a proper
-    subset of ``principals`` (the whole set is bottom), or a step verdict other than
-    lower ⊒ declared ⊓ received.
+    of the first value the writer would not write: a wrong type, a key that is no
+    field or verdict of its record, a ``bottom`` or ``top`` level with ``members``, set
+    ``members`` unsorted, repeated or empty (the empty set is ``top``), an unknown
+    variant, ``principals`` repeating a name or lacking ``I``, an ``auth`` claimant or
+    verifier not among them, a stored verdict unlike the derived one, a set level not a
+    proper subset of ``principals`` (the whole set is bottom), or a step verdict other
+    than lower ⊒ declared ⊓ received.
     """
     import json  # imported here so text runs never load it
     try:
@@ -396,7 +404,7 @@ def report_from_json(text: str) -> AnalysisReport:
         raise ValueError("malformed report: nested too deeply to read") from None
     if type(doc) is dict and doc.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report version {doc.get('version')!r}")
-    report = _decoder(AnalysisReport)(doc)
+    report = _codec(AnalysisReport)[1](doc)
     if report.variant not in [v.value for v in Variant]:
         raise _Mismatch('"max", "ek" or "n"', report.variant).under("variant")
     names = list(report.principals)
@@ -415,7 +423,8 @@ def report_from_json(text: str) -> AnalysisReport:
         for name in ("received_bound", "declared", "lower_bound"):
             proper(getattr(c, name), name, f"[{i}]", "checks")
         if c.passed != lattice.leq(lattice.meet(c.declared, c.received_bound), c.lower_bound):
-            raise _Mismatch(json.dumps(not c.passed), c.passed).under("passed", f"[{i}]", "checks")
+            want = _written(_codec(bool)[0], not c.passed)
+            raise _Mismatch(want, c.passed).under("passed", f"[{i}]", "checks")
     if report.auth is not None:
         for name in ("claimant", "verifier"):
             who = getattr(report.auth, name)

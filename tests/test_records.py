@@ -216,6 +216,22 @@ def test_a_json_cli_run_writes_without_loading_json():
     assert _printed_by_a_fresh_interpreter(probe) == ["0", "False"]
 
 
+def test_one_codec_reads_each_record_type_hints_once():
+    # 4 record types and the 6 verdicts two of them derive: one read serves
+    # the writer and the reader of each, since typing keeps no cache of them
+    probe = (
+        "import typing\n"
+        "calls, real = [], typing.get_type_hints\n"
+        "typing.get_type_hints = lambda *a, **k: calls.append(a[0]) or real(*a, **k)\n"
+        "from wfcheck import analyze, load_context, load_narration, render_json, report_from_json\n"
+        f"ctx = load_context({str(CORPUS / 'woolam_modified.ctx')!r})\n"
+        f"narration = load_narration({str(CORPUS / 'woolam_modified.proto')!r}, ctx)\n"
+        "report = analyze(narration, ctx)\n"
+        "print(report_from_json(render_json(report)) == report, len(calls))"
+    )
+    assert _printed_by_a_fresh_interpreter(probe) == ["True", "10"]
+
+
 def test_a_cli_run_in_text_and_json_loads_only_the_standard_library():
     # the package is stdlib-only: after one run in each format, every module
     # held is the probe itself, wfcheck's or the standard library's

@@ -1,12 +1,14 @@
-"""The compiled JSON writer against the encoder it replaced.
+"""The JSON codec against the encoder it replaced, and its reader's refusals.
 
-``render_json`` writes a report without building a dict tree first,
-through a writer compiled once per declared record type and indent from
-the type hints, the verdicts a record derives typed by their properties'
-return annotations. The reference law kept here is the old two-step path:
+``render_json`` writes a report without building a dict tree first, and
+``report_from_json`` reads it back, through one codec per declared type and
+indent: its writer and reader side by side, built from one read of the type
+hints, the verdicts a record derives typed by their properties' return
+annotations. The reference law kept here is the old two-step path:
 ``_to_json`` turns the report into JSON data, dispatching on each value's
 type, and ``json.dumps(..., indent=2, ensure_ascii=False)`` indents it. The
-writer must give the same bytes on every report.
+writer must give the same bytes on every report, and the reader must refuse,
+naming the path, every document that the writer would not give.
 """
 
 import json
@@ -75,15 +77,19 @@ def test_corpus_reports_match_the_reference(name, variant, check):
     assert report_from_json(render_json(report)) == report
 
 
-def _corpus_doc() -> dict:
+def _corpus_doc(check="all") -> dict:
     ctx = load_context(CORPUS / "woolam_modified.ctx")
     narration = load_narration(CORPUS / "woolam_modified.proto", ctx)
-    return json.loads(render_json(analyze(narration, ctx, Variant.MAX, "all")))
+    return json.loads(render_json(analyze(narration, ctx, Variant.MAX, check)))
+
+
+#: the value ``_with`` writes as an explicit ``null``
+NULL = object()
 
 
 def _with(path, value, text=None):
     """The document ``text`` (by default the corpus one) with the value at
-    ``path`` replaced, or removed if ``None``."""
+    ``path`` replaced, removed if ``None``, or set to null if ``NULL``."""
     doc = json.loads(text) if text else _corpus_doc()
     *outer, last = path
     node = doc
@@ -92,7 +98,7 @@ def _with(path, value, text=None):
     if value is None:
         del node[last]
     else:
-        node[last] = value
+        node[last] = None if value is NULL else value
     return json.dumps(doc)
 
 
@@ -137,6 +143,11 @@ def test_malformed_reports_are_refused_naming_the_field(text, message):
     ),
     (_with(["secrecy_passed"], False), "secrecy_passed must be true, not a boolean (False)"),
     (_with(["auth_passed"], False), "auth_passed must be true, not a boolean (False)"),
+    (_with(["auth_passed"], NULL), "auth_passed must be true, not null"),
+    (
+        _with(["auth_passed"], False, json.dumps(_corpus_doc("secrecy"))),
+        "auth_passed must be null, not a boolean (False)",
+    ),
     (_with(["overall"], "no-decision"), "overall must be \"pass\", not a string ('no-decision')"),
     (_with(["overall"], None), "overall is missing"),
     (
@@ -157,9 +168,39 @@ def test_malformed_reports_are_refused_naming_the_field(text, message):
         _with(["checks", 1, "declared"], {"kind": "set", "members": ["A", "Z"]}),
         "checks[1].declared.members must be a proper subset of the principals, not an array",
     ),
+    (_with(["zzz"], 1), "zzz must be absent, not an integer (1)"),
+    (_with(["checks", 0, "sourcez"], []), "checks[0].sourcez must be absent, not an array"),
+    (_with(["checks", 0, "[1]"], 1), "checks[0].[1] must be absent, not an integer (1)"),
+    (
+        _with(["checks", 0, "declared", "members"], ["A"]),
+        "checks[0].declared.members must be absent, not an array",
+    ),
+    (
+        _with(["checks", 0, "received_bound", "members"], []),
+        "checks[0].received_bound.members must be absent, not an array",
+    ),
+    (
+        _with(["checks", 1, "lower_bound", "members"], ["B", "A", "S"]),
+        "checks[1].lower_bound.members must be one or more distinct names in sorted order, "
+        "not an array",
+    ),
+    (
+        _with(["checks", 1, "lower_bound", "members"], ["A", "B", "B", "S"]),
+        "checks[1].lower_bound.members must be one or more distinct names in sorted order, "
+        "not an array",
+    ),
+    (
+        # the writer writes the empty set as top
+        _with(["checks", 1, "lower_bound", "members"], []),
+        "checks[1].lower_bound.members must be one or more distinct names in sorted order, "
+        "not an array",
+    ),
 ], ids=[
-    "step-verdict", "secrecy-verdict", "auth-verdict", "overall", "overall-missing",
+    "step-verdict", "secrecy-verdict", "auth-verdict", "auth-verdict-null",
+    "secrecy-only-auth-verdict", "overall", "overall-missing",
     "claimant-present", "above-bottom", "auth-passed", "universe-level", "stray-member",
+    "unknown-key", "unknown-check-key", "index-like-key", "bottom-with-members", "top-with-members",
+    "unsorted-members", "repeated-members", "empty-members",
 ])
 def test_reading_refuses_verdicts_and_levels_the_writer_never_writes(text, message):
     with pytest.raises(ValueError) as err:
