@@ -68,16 +68,18 @@ class Lattice(NamedTuple):
         return cls(frozenset(names))
 
     def canon(self, level: SecurityLevel) -> SecurityLevel:
-        """Normalize: a set covering the universe collapses to bottom."""
+        """Normalize: a proper subset of the universe is kept after one test,
+        a set covering the universe collapses to bottom, and a set naming a
+        principal outside the universe is an error."""
         if level.authorized is None:
             return BOTTOM
+        if level.authorized < self.universe:
+            return level
         stray = level.authorized - self.universe
         if stray:
             names = ", ".join(sorted(stray))
             raise ValueError(f"level names principals outside the universe: {names}")
-        if level.authorized >= self.universe:
-            return BOTTOM
-        return level
+        return BOTTOM
 
     def leq(self, a: SecurityLevel, b: SecurityLevel) -> bool:
         """a is below-or-equal b: b's authorized set is contained in a's."""

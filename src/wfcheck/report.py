@@ -144,6 +144,18 @@ def _final_lines(report: AnalysisReport) -> list[str]:
 
 
 def render_text(report: AnalysisReport) -> str:
+    """The text report. Each distinct level is printed once and each distinct
+    list of candidate sources once; their texts are kept for this call only."""
+    @cache
+    def shown(level: SecurityLevel) -> str:
+        return str(level)
+
+    @cache
+    def listed(sources: tuple[str, ...]) -> str:
+        if not sources:
+            return "         candidate sources: (none carry this target)"
+        return "\n           ".join(("         candidate sources:",) + sources)
+
     out: list[str] = []
     out.append(f"protocol {report.protocol}")
     out.append(f"function variant: {report.variant}")
@@ -163,25 +175,18 @@ def render_text(report: AnalysisReport) -> str:
     out.append("secrecy checks (one per target of each send step):")
     if not report.checks:
         out.append("  (none: the protocol has no send steps)")
+    direct = "         candidate sources: (unencrypted send, evaluated directly)"
     for c in report.checks:
         flag = "pass" if c.passed else "FAIL"
         kind = "variable" if c.target_is_variable else "atom"
-        out.append(f"  [{flag}] role {c.role} step {c.step} {kind} {c.target}")
-        out.append(f"         upper bound on receives F' = {c.received_bound}")
-        out.append(f"         declared level = {c.declared}")
-        if c.from_patterns:
-            if c.sources:
-                out.append("         candidate sources:")
-                for s in c.sources:
-                    out.append(f"           {s}")
-            else:
-                out.append("         candidate sources: (none carry this target)")
-        else:
-            out.append("         candidate sources: (unencrypted send, evaluated directly)")
-        out.append(f"         lower bound on send = {c.lower_bound}")
+        upper, declared, lower = shown(c.received_bound), shown(c.declared), shown(c.lower_bound)
         out.append(
-            f"         check: {c.lower_bound} ⊒ {c.declared} ⊓ {c.received_bound}: "
-            + ("pass" if c.passed else "FAIL")
+            f"  [{flag}] role {c.role} step {c.step} {kind} {c.target}\n"
+            f"         upper bound on receives F' = {upper}\n"
+            f"         declared level = {declared}\n"
+            f"{listed(c.sources) if c.from_patterns else direct}\n"
+            f"         lower bound on send = {lower}\n"
+            f"         check: {lower} ⊒ {declared} ⊓ {upper}: {flag}"
         )
     out.append("")
     out.append(_secrecy_line(report))
@@ -195,8 +200,26 @@ def render_text(report: AnalysisReport) -> str:
 # JSON rendering
 
 _MISSING = object()
+_VARIANTS = tuple(v.value for v in Variant)
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
                int: "an integer", float: "a number", type(None): "null"}
+
+
+class _Repeated(NamedTuple):
+    """An object that holds ``key`` more than once, as ``json.loads`` reads it
+    (``_object``). No reader's type test accepts it, so the first reader to
+    meet it refuses it, and its mismatch names the key."""
+
+    key: str
+
+
+def _object(pairs: list) -> Union[dict, _Repeated]:
+    """An object as ``json.loads`` reads it: its dict, or the first key it repeats."""
+    data = dict(pairs)
+    if len(data) == len(pairs):
+        return data
+    seen: set = set()
+    return _Repeated(next(key for key, _ in pairs if key in seen or seen.add(key)))
 
 
 class _Mismatch(ValueError):
@@ -206,7 +229,8 @@ class _Mismatch(ValueError):
         super().__init__()
         self.expected = expected
         self.got = got
-        self.path: list[str] = []  # innermost part first
+        # innermost part first; a repeated key is the part at fault
+        self.path: list[str] = ["." + got.key] if type(got) is _Repeated else []
 
     def under(self, *parts: str) -> "_Mismatch":
         """The same mismatch, inside the fields or ``[index]``es named, innermost first."""
@@ -217,6 +241,8 @@ class _Mismatch(ValueError):
         where = "".join(reversed(self.path)).lstrip(".") or "the document"
         if self.got is _MISSING:
             return f"malformed report: {where} is missing"
+        if type(self.got) is _Repeated:
+            return f"malformed report: {where} is repeated"
         got = _JSON_KINDS.get(type(self.got), "a value")
         if type(self.got) in (str, bool, int, float):
             got += f" ({self.got!r})"
@@ -234,64 +260,86 @@ def _unknown(data: dict, known) -> _Mismatch:
 def _written(write: Callable, value) -> str:
     """The text that ``write`` puts for ``value``."""
     out: list[str] = []
-    write(out.append, value)
+    write(out.append, value, {})
     return "".join(out)
+
+
+def _string_text() -> Callable[[str], str]:
+    """json.dumps's C string encoder; loading json would add its reader."""
+    try:
+        from _json import encode_basestring
+    except ImportError:  # an interpreter without the C module
+        from json.encoder import encode_basestring
+    return encode_basestring
 
 
 @cache
 def _codec(tp, pad: str = "") -> tuple[Callable, Callable]:
     """The writer and the reader of the declared type ``tp``, side by side.
 
-    The writer ``write(put, value)`` puts the value at indent ``pad`` as
+    The writer ``write(put, value, memo)`` puts the value at indent ``pad`` as
     ``json.dumps(value, indent=2, ensure_ascii=False)`` would write it. Every
     piece is put as written, so no large partial string is built. The reader
-    ``read(data)`` turns JSON data back into a value. It checks what it reads
-    and raises :class:`_Mismatch`, a ``ValueError``, naming the path of the
-    first value that the writer would not write.
+    ``read(data, memo)`` turns JSON data back into a value. It checks what it
+    reads and raises :class:`_Mismatch`, a ``ValueError``, naming the path of
+    the first value that the writer would not write. ``memo`` is a dict that
+    one call makes for all its writes or all its reads: a set level or an
+    array of strings is written once per indent and value (a level never
+    equals a tuple of strings), and a set level is read and checked once
+    per member list.
     """
     inner, close = pad + "  ", "\n" + pad + "}"
     if tp in (str, bool, int):
-        try:  # json.dumps's C string encoder: loading json would add its reader
-            from _json import encode_basestring
-        except ImportError:  # an interpreter without the C module
-            from json.encoder import encode_basestring
         bools = {True: "true", False: "false"}
-        text = {str: encode_basestring, bool: bools.get, int: int.__repr__}[tp]
+        text = {str: _string_text(), bool: bools.get, int: int.__repr__}[tp]
         expected = _JSON_KINDS[tp]
 
-        def scalar(data):
+        def scalar(data, memo):
             if type(data) is not tp:  # exact: a boolean is no integer here
                 raise _Mismatch(expected, data)
             return data
 
-        return lambda put, value: put(text(value)), scalar
+        return lambda put, value, memo: put(text(value)), scalar
     if get_origin(tp) is Union:  # Optional[X] is Union[X, None]
         write, read = _codec(get_args(tp)[0], pad)
         return (
-            lambda put, value: put("null") if value is None else write(put, value),
-            lambda data: None if data is None else read(data),
+            lambda put, value, memo: put("null") if value is None else write(put, value, memo),
+            lambda data, memo: None if data is None else read(data, memo),
         )
     if get_origin(tp) is tuple:
-        write_item, read_item = _codec(get_args(tp)[0], inner)
+        item = get_args(tp)[0]
+        write_item, read_item = _codec(item, inner)
         first, sep, end = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
+        strings = _string_text() if item is str else None
 
-        def write(put, value):
+        def write(put, value, memo):
             if not value:
                 return put("[]")
+            if strings is not None:  # one join, over the C string encoder, per distinct list
+                text = memo.get((pad, value))
+                if text is None:
+                    text = memo[pad, value] = first + sep.join(map(strings, value)) + end
+                return put(text)
             lead = first
             for v in value:
                 put(lead)
-                write_item(put, v)
+                write_item(put, v, memo)
                 lead = sep
             put(end)
 
-        def read(data):
+        def read(data, memo):
             if type(data) is not list:
                 raise _Mismatch("an array", data)
+            if strings is not None:
+                try:
+                    "".join(data)  # one C-level test that every item is a string
+                    return tuple(data)
+                except TypeError:
+                    pass  # the item loop names the first item that is not
             out = []
             for i, value in enumerate(data):
                 try:
-                    out.append(read_item(value))
+                    out.append(read_item(value, memo))
                 except _Mismatch as bad:
                     raise bad.under(f"[{i}]")
             return tuple(out)
@@ -303,14 +351,15 @@ def _codec(tp, pad: str = "") -> tuple[Callable, Callable]:
         bottom, top = (f'{head}"{kind}"{close}' for kind in ("bottom", "top"))
         listed = f'{head}"set",\n{inner}"members": '
 
-        def write(put, value):
-            if value.is_bottom or value.is_top:
-                return put(bottom if value.is_bottom else top)
-            put(listed)
-            write_names(put, value.members())
-            put(close)
+        def write(put, value, memo):
+            if not value.authorized:  # bottom (None) or top (empty)
+                return put(bottom if value.authorized is None else top)
+            text = memo.get((pad, value))
+            if text is None:
+                text = memo[pad, value] = listed + _written(write_names, value.members()) + close
+            put(text)
 
-        def read(data):
+        def read(data, memo):
             if type(data) is not dict:
                 raise _Mismatch("an object", data)
             kind = data.get("kind", _MISSING)
@@ -321,16 +370,19 @@ def _codec(tp, pad: str = "") -> tuple[Callable, Callable]:
             if kind != "set":
                 raise _Mismatch('"bottom", "top" or "set"', kind).under("kind")
             try:
-                names = read_names(data.get("members", _MISSING))
+                names = read_names(data.get("members", _MISSING), memo)
             except _Mismatch as bad:
                 raise bad.under("members")
-            authorized = frozenset(names)
-            if not authorized or tuple(sorted(authorized)) != names:  # empty is written as top
-                bad = _Mismatch("one or more distinct names in sorted order", list(names))
-                raise bad.under("members")
+            level = memo.get(names)
+            if level is None:
+                authorized = frozenset(names)
+                if not authorized or tuple(sorted(authorized)) != names:  # empty is written as top
+                    bad = _Mismatch("one or more distinct names in sorted order", list(names))
+                    raise bad.under("members")
+                level = memo[names] = SecurityLevel(authorized)
             if len(data) > 2:
                 raise _unknown(data, ("kind", "members"))
-            return SecurityLevel(authorized)
+            return level
 
         return write, read
     if hasattr(tp, "_fields"):  # keys are field names, which need no escaping
@@ -345,25 +397,31 @@ def _codec(tp, pad: str = "") -> tuple[Callable, Callable]:
             (f'{lead}\n{inner}"{name}": ', attrgetter(name), codecs[name][0])
             for lead, name in zip(leads, names)
         ]
-        readers = [(name, codecs[name][1]) for name in tp._fields]
+        readers = [
+            (name, codecs[name][1], hints[name] if hints[name] in (str, bool, int) else None)
+            for name in tp._fields
+        ]
         # each stored verdict must be the derived one, as its writer writes it
         verdicts = [(name, codecs[name][0]) for name in derived]
 
-        def write(put, value):
+        def write(put, value, memo):
             for lead, get, write_field in writers:
                 put(lead)
-                write_field(put, get(value))
+                write_field(put, get(value), memo)
             put(close)
 
-        def read(data):
+        def read(data, memo):
             if type(data) is not dict:
                 raise _Mismatch("an object", data)
             values = []
-            for name, read_field in readers:
-                try:
-                    values.append(read_field(data.get(name, _MISSING)))
-                except _Mismatch as bad:
-                    raise bad.under(name)
+            for name, read_field, scalar in readers:
+                value = data.get(name, _MISSING)
+                if type(value) is not scalar:  # a scalar of its exact type needs no reading
+                    try:
+                        value = read_field(value, memo)
+                    except _Mismatch as bad:
+                        raise bad.under(name)
+                values.append(value)
             value = tp._make(values)
             for name, write_verdict in verdicts:
                 stored, want = data.get(name, _MISSING), getattr(value, name)
@@ -382,30 +440,30 @@ def render_json(report: AnalysisReport) -> str:
     records as objects, tuples as arrays. Text runs never build it, and no
     run loads ``json`` to write."""
     out: list[str] = []  # small pieces joined once: no large partial strings to copy
-    _codec(AnalysisReport)[0](out.append, report)
+    _codec(AnalysisReport)[0](out.append, report, {})
     out.append("\n")
     return "".join(out)
 
 
 def report_from_json(text: str) -> AnalysisReport:
     """The report ``render_json`` wrote as ``text``; a ``ValueError`` names the path
-    of the first value the writer would not write: a wrong type, a key that is no
-    field or verdict of its record, a ``bottom`` or ``top`` level with ``members``, set
-    ``members`` unsorted, repeated or empty (the empty set is ``top``), an unknown
-    variant, ``principals`` repeating a name or lacking ``I``, an ``auth`` claimant or
-    verifier not among them, a stored verdict unlike the derived one, a set level not a
-    proper subset of ``principals`` (the whole set is bottom), or a step verdict other
-    than lower ⊒ declared ⊓ received.
+    of the first value the writer would not write: a wrong type, a key repeated in
+    one object, a key that is no field or verdict of its record, a ``bottom`` or
+    ``top`` level with ``members``, set ``members`` unsorted, repeated or empty (the
+    empty set is ``top``), an unknown variant, ``principals`` repeating a name or
+    lacking ``I``, an ``auth`` claimant or verifier not among them, a stored verdict
+    unlike the derived one, a set level not a proper subset of ``principals`` (the
+    whole set is bottom), or a step verdict other than lower ⊒ declared ⊓ received.
     """
     import json  # imported here so text runs never load it
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except RecursionError:
         raise ValueError("malformed report: nested too deeply to read") from None
     if type(doc) is dict and doc.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report version {doc.get('version')!r}")
-    report = _codec(AnalysisReport)[1](doc)
-    if report.variant not in [v.value for v in Variant]:
+    report = _codec(AnalysisReport)[1](doc, {})
+    if report.variant not in _VARIANTS:
         raise _Mismatch('"max", "ek" or "n"', report.variant).under("variant")
     names = list(report.principals)
     if len(set(names)) != len(names):
@@ -419,10 +477,18 @@ def report_from_json(text: str) -> AnalysisReport:
             bad = _Mismatch("a proper subset of the principals", list(level.members()))
             raise bad.under("members", *path)
 
+    bounds = ("received_bound", "declared", "lower_bound")
+    verdicts: dict[tuple, bool] = {}  # each distinct triple of levels is checked once
     for i, c in enumerate(report.checks):
-        for name in ("received_bound", "declared", "lower_bound"):
-            proper(getattr(c, name), name, f"[{i}]", "checks")
-        if c.passed != lattice.leq(lattice.meet(c.declared, c.received_bound), c.lower_bound):
+        triple = (c.received_bound, c.declared, c.lower_bound)
+        passed = verdicts.get(triple)
+        if passed is None:
+            for name, level in zip(bounds, triple):
+                proper(level, name, f"[{i}]", "checks")
+            passed = verdicts[triple] = lattice.leq(
+                lattice.meet(c.declared, c.received_bound), c.lower_bound
+            )
+        if c.passed != passed:
             want = _written(_codec(bool)[0], not c.passed)
             raise _Mismatch(want, c.passed).under("passed", f"[{i}]", "checks")
     if report.auth is not None:

@@ -128,13 +128,15 @@ class Evaluation:
     ``walk`` returns), and the level of a target in it is computed the
     first time a caller asks for it, never for a leaf nobody asks about.
     One analysis owns one evaluation, so the memo holds only that
-    analysis's messages; its callers share the walks and only read them.
+    analysis's messages, and the upper bounds only its receive prefixes;
+    its callers share the walks and the bounds and only read them.
     """
 
     def __init__(self, variant: Variant, ctx: VerificationContext):
         self.variant = variant
         self.ctx = ctx
         self._memo: dict[Message, tuple[Occurrences, dict[Target, SecurityLevel]]] = {}
+        self._bounds: dict[tuple[Message, ...], dict[Target, SecurityLevel]] = {(): {}}
 
     def _entry(self, m: Message) -> tuple[Occurrences, dict[Target, SecurityLevel]]:
         entry = self._memo.get(m)
@@ -152,6 +154,25 @@ class Evaluation:
         if level is None:
             level = levels[target] = _level(self.variant, target, occs.get(target, []), self.ctx)
         return level
+
+    def upper_bounds(self, received: tuple[Message, ...]) -> dict[Target, SecurityLevel]:
+        """Per leaf at a body position of the messages ``received``, the meet of
+        its levels in them; a target missing from the map is ⊤, the meet of
+        none. Each prefix's map extends the previous one's with the levels of
+        one message, so the prefix roles of an owner share their meets."""
+        known = len(received)
+        while received[:known] not in self._bounds:
+            known -= 1
+        bounds = self._bounds[received[:known]]
+        meet = self.ctx.lattice.meet
+        for end in range(known + 1, len(received) + 1):
+            m, bounds = received[end - 1], dict(bounds)
+            for target, chains in self.walk(m).items():
+                if chains:
+                    level = self.level(target, m)
+                    bounds[target] = meet(bounds[target], level) if target in bounds else level
+            self._bounds[received[:end]] = bounds
+        return bounds
 
 
 def f_prime(

@@ -38,7 +38,7 @@ from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional
 
 from .context import AuthChallenge, VerificationContext
 from .errors import AtomAbsent, ChallengeAtomAbsent, ChallengeNotReceived, NoSource
-from .lattice import BOTTOM, SecurityLevel
+from .lattice import BOTTOM, TOP, SecurityLevel
 from .protocol import (
     Direction,
     GeneralizedRole,
@@ -321,7 +321,7 @@ def variable_levels(
         if table is None:  # the shape's first receive: its unifiers are its own
             summary = summarize(summary, itself)
         for v, body in summary.items():
-            found = (ctx.level_of(look(a)) for a in body)
+            found = {ctx.level_of(look(a)) for a in body}  # each distinct level joined once
             levels[look(v)] = reduce(join, found, levels.get(look(v), BOTTOM))
     return levels
 
@@ -382,7 +382,9 @@ def check_step(
 ) -> list[StepCheck]:
     """Bound comparisons for every atom and every variable of the role's final send;
     ``levels`` is the analysis's ``variable_levels``, where a variable missing
-    is public, and ``scans`` its memo of unifiers per send shape. The send's
+    is public, and ``scans`` its memo of unifiers per send shape. A target's
+    upper bound is read from ``evaluation.upper_bounds`` of the role's
+    receives, ⊤ when it is at no body position of them. The send's
     descriptions and distinct instances are found once: every source carries
     an atom, whose check shares both, and a variable's check shares the
     descriptions when every source carries it."""
@@ -390,7 +392,7 @@ def check_step(
     if step.direction is not Direction.SEND:
         raise ValueError(f"step {step.step_id} of {role.label} is not a send")
     ctx = evaluation.ctx
-    received = role.received
+    upper = evaluation.upper_bounds(role.received)
     r_plus = step.payload
     sources = candidate_sources(r_plus, patterns, scans) if isinstance(r_plus, Enc) else []
     every = tuple(source.description for source in sources)
@@ -398,7 +400,7 @@ def check_step(
     checks: list[StepCheck] = []
     # atoms, then variables, each in first-occurrence order
     for target in sorted(evaluation.walk(r_plus), key=lambda t: isinstance(t, Variable)):
-        received_bound = ctx.lattice.meet_all(evaluation.level(target, m) for m in received)
+        received_bound = upper.get(target, TOP)
         declared = levels[target] if target in levels else ctx.level_of(target)
         if isinstance(target, Variable):
             lower, carriers = lower_bound(evaluation, target, r_plus, sources)
@@ -437,7 +439,9 @@ def check_secrecy(
     the receives accumulated before it. One evaluation serves every check,
     so a payload that several prefix roles receive is evaluated once; one
     memo of unifiers serves every send, so each send shape is unified with
-    the patterns once; the variables' levels are computed once.
+    the patterns once; the variables' levels are computed once. The
+    evaluation keeps one running meet per receive prefix, so each receive
+    of an owner is met into its upper bounds once.
     """
     evaluation = Evaluation(variant, ctx)
     scans: Scans = {}

@@ -11,7 +11,9 @@ writer must give the same bytes on every report, and the reader must refuse,
 naming the path, every document that the writer would not give.
 """
 
+import dataclasses
 import json
+import re
 
 import pytest
 
@@ -26,6 +28,7 @@ from wfcheck import (
     parse_context,
     parse_narration,
     render_json,
+    render_text,
     report_from_json,
 )
 from wfcheck.report import SCHEMA_VERSION
@@ -102,6 +105,13 @@ def _with(path, value, text=None):
     return json.dumps(doc)
 
 
+def _repeating(key, value):
+    """The corpus document with ``value`` under ``key`` written again, just
+    before the first ``key`` of the document."""
+    text = json.dumps(_corpus_doc())
+    return text.replace(f'"{key}": ', f'"{key}": {json.dumps(value)}, "{key}": ', 1)
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"version": 1}', "protocol is missing"),
     ("[1]", "the document must be an object, not an array"),
@@ -123,10 +133,22 @@ def _with(path, value, text=None):
         "auth.level.members[1] must be a string, not an integer (2)",
     ),
     (_with(["variant"], "zzz"), 'variant must be "max", "ek" or "n", not a string (\'zzz\')'),
+    # an array of strings is accepted after one test; the item loop names the bad item
+    (
+        _with(["checks", 0, "sources"], ["{A}k via {}", 3]),
+        "checks[0].sources[1] must be a string, not an integer (3)",
+    ),
+    (_with(["roles", 0, "steps", 0], 3), "roles[0].steps[0] must be a string, not an integer (3)"),
+    (_with(["patterns", 0], 3), "patterns[0] must be a string, not an integer (3)"),
+    (_repeating("protocol", "X"), "protocol is repeated"),
+    (_repeating("role", "A.1"), "checks[0].role is repeated"),
+    (_repeating("kind", "top"), "checks[0].received_bound.kind is repeated"),
+    (_repeating("claimant", "A"), "auth.claimant is repeated"),
 ], ids=[
     "version-only", "array", "protocol-and-secrecy", "check-passed",
     "step-bool", "roles-object", "steps-missing", "kind-missing", "kind-unknown", "member-int",
-    "variant-unknown",
+    "variant-unknown", "source-int", "role-step-int", "pattern-int",
+    "repeated-protocol", "repeated-check-role", "repeated-level-kind", "repeated-claimant",
 ])
 def test_malformed_reports_are_refused_naming_the_field(text, message):
     with pytest.raises(ValueError) as err:
@@ -285,3 +307,91 @@ def test_escapes_and_empty_fields_match_the_reference():
     )
     _assert_law(report)
     assert report_from_json(render_json(report)) == report
+
+
+# -- memo scope ---------------------------------------------------------------
+# a call keeps each distinct level's text, and each list of sources, by value
+# and for that call only
+
+def _reports(cases, check="all"):
+    for case in cases:
+        ctx = parse_context(case.context)
+        yield analyze(parse_narration(case.protocol, ctx), ctx, Variant(case.variant), check)
+
+
+def _unshared(report: AnalysisReport) -> AnalysisReport:
+    """The report with every check's levels and sources equal but not shared."""
+    def copy(level):
+        return SecurityLevel(None if level.is_bottom else frozenset(set(level.authorized)))
+
+    checks = tuple(
+        c._replace(
+            received_bound=copy(c.received_bound), declared=copy(c.declared),
+            lower_bound=copy(c.lower_bound), sources=tuple(list(c.sources)),
+        )
+        for c in report.checks
+    )
+    return report._replace(checks=checks)
+
+
+def test_equal_values_render_alike_whether_shared_or_not():
+    # the analysis hands a send's checks one tuple of sources, and the reader
+    # one level per member list; copies of them must print and read alike
+    shared = 0
+    for report in _reports(gen.synth_chain_cases(1, 32, 2) + gen.random_batch(1, 50)):
+        checks = report.checks
+        shared += sum(a.sources is b.sources for a, b in zip(checks, checks[1:]) if a.sources)
+        unshared = _unshared(report)
+        assert unshared == report
+        assert render_text(unshared) == render_text(report)
+        assert render_json(unshared) == render_json(report) == _reference(report)
+        assert render_text(report_from_json(render_json(unshared))) == render_text(report)
+    assert shared > 0
+
+
+def test_an_earlier_report_changes_no_later_one():
+    # each golden report, rendered and read after other reports whose levels,
+    # principals and sources overlap and differ, keeps its golden bytes
+    earlier = list(_reports(gen.synth_chain_cases(3, 16, 3) + gen.random_batch(3, 30)))
+    for golden in sorted((CORPUS / "expected").glob("*.json")):
+        text = golden.read_text(encoding="utf-8")
+        for report in earlier:
+            report_from_json(render_json(report))
+            render_text(report)
+            back = report_from_json(text)
+            assert render_json(back) == text, golden.name
+            assert render_text(back) == golden.with_suffix(".txt").read_text(encoding="utf-8")
+
+
+def test_no_module_container_grows_over_many_reports():
+    from wfcheck import report as module
+
+    def sizes():
+        out = {}
+        for name, value in vars(module).items():
+            if isinstance(value, (dict, list, set, frozenset, tuple)):
+                out[name] = len(value)
+            elif hasattr(value, "cache_info"):
+                out[name] = value.cache_info().currsize
+        return out
+
+    # each cycle renames the principals but the intruder apart, so a memo
+    # that outlived its call would meet new levels and sources every cycle
+    def renamed(text, cycle):
+        return re.sub(r"\b([A-HJ-Z])\b", rf"\g<1>x{cycle}", text)
+
+    cases = [
+        dataclasses.replace(
+            case, context=renamed(case.context, i), protocol=renamed(case.protocol, i)
+        )
+        for i, case in enumerate(gen.random_batch(1, 1000))
+    ]
+    for report in _reports(cases[:1]):  # the first call builds the codec
+        report_from_json(render_json(report))
+    before = sizes()
+    assert "_codec" in before
+    for report in _reports(cases):
+        back = report_from_json(render_json(report))
+        assert back == report and render_text(back) == render_text(report)
+    assert report.principals[0].endswith("x999")
+    assert sizes() == before

@@ -50,7 +50,7 @@ from wfcheck.terms import (
 )
 from wfcheck.witness import shape_of, sources_for_target
 
-from bounds import bound_ordering_check
+from bounds import bound_ordering_check, received_bound
 from conftest import CORPUS, CORPUS_STEMS, perfbench_gen
 from levels import (
     most_general,
@@ -248,6 +248,34 @@ def test_a_shared_scan_memo_changes_no_source_on_the_corpus_and_a_random_batch()
     batch = perfbench_gen().random_batch(7, 300)
     counts = [_scans_through_one_memo(*_roles_and_patterns(case)) for case in batch]
     assert sum(sends for sends, _ in counts) > sum(shapes for _, shapes in counts) > 0
+
+
+def test_received_bounds_match_the_plain_rule():
+    # the analysis meets each receive into a running bound per prefix; the
+    # plain rule meets every receive of the role afresh, on an evaluation
+    # of its own
+    texts = [_corpus_texts(stem) for stem in CORPUS_STEMS]
+    cases = perfbench_gen().synth_chain_cases(1, 32, 16) + perfbench_gen().random_batch(1, 600)
+    texts += [(case.context, case.protocol) for case in cases]
+    checked = below_top = 0
+    for ctx, narration in (_parsed(*pair) for pair in texts):
+        roles, patterns = analyze_narration(narration, ctx)
+        sends = [role for role in roles if role.final.direction is Direction.SEND]
+        for variant in Variant:
+            checks = iter(check_secrecy(roles, patterns, ctx, variant))
+            plain = Evaluation(variant, ctx)
+            for role in sends:
+                targets = plain.walk(role.final.payload)
+                for target in sorted(targets, key=lambda t: isinstance(t, Variable)):
+                    check = next(checks)
+                    assert (check.role, check.target) == (role.label, format_message(target))
+                    assert check.received_bound == received_bound(plain, target, role), (
+                        narration.name, variant, role.label, check.target
+                    )
+                    checked += 1
+                    below_top += check.received_bound != TOP
+            assert next(checks, None) is None
+    assert checked > below_top > 0
 
 
 def _parsed(context_text, protocol_text):
@@ -817,11 +845,13 @@ def test_each_distinct_message_is_walked_and_evaluated_once(monkeypatch):
     # a payload that several prefix roles receive is evaluated once; the
     # per-target walk walked a message for each of 7,681 evaluations here.
     # The level scan also walks payloads and bound values never evaluated.
+    # The upper bounds evaluate only the leaves at body positions of the
+    # receives, not every send target in every receive.
     assert max(walks.values()) == 1
     assert set(walks) >= {m for m, _ in asked}
     assert len(computed) == len(asked)
     assert received <= set(walks)
-    assert (len(walks), len(computed)) == (261, 1332)
+    assert (len(walks), len(computed)) == (261, 450)
 
 
 def _formed_and_renamed(case, monkeypatch) -> tuple:
