@@ -199,38 +199,22 @@ def render_text(report: AnalysisReport) -> str:
 # ---------------------------------------------------------------------------
 # JSON rendering
 
-_MISSING = object()
+_MISSING, _REPEATED = object(), object()  # a value that is absent, or a key written again
 _VARIANTS = tuple(v.value for v in Variant)
-_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+# ``json.loads`` hands each object over as its tuple of (key, value) pairs
+_JSON_KINDS = {tuple: "an object", list: "an array", str: "a string", bool: "a boolean",
                int: "an integer", float: "a number", type(None): "null"}
 
 
-class _Repeated(NamedTuple):
-    """An object that holds ``key`` more than once, as ``json.loads`` reads it
-    (``_object``). No reader's type test accepts it, so the first reader to
-    meet it refuses it, and its mismatch names the key."""
-
-    key: str
-
-
-def _object(pairs: list) -> Union[dict, _Repeated]:
-    """An object as ``json.loads`` reads it: its dict, or the first key it repeats."""
-    data = dict(pairs)
-    if len(data) == len(pairs):
-        return data
-    seen: set = set()
-    return _Repeated(next(key for key, _ in pairs if key in seen or seen.add(key)))
-
-
 class _Mismatch(ValueError):
-    """A JSON value unlike its declared type; enclosing readers add the path."""
+    """A JSON value unlike its declared type, or absent, or under a repeated key;
+    enclosing readers add the path."""
 
     def __init__(self, expected: str, got):
         super().__init__()
         self.expected = expected
         self.got = got
-        # innermost part first; a repeated key is the part at fault
-        self.path: list[str] = ["." + got.key] if type(got) is _Repeated else []
+        self.path: list[str] = []  # innermost part first
 
     def under(self, *parts: str) -> "_Mismatch":
         """The same mismatch, inside the fields or ``[index]``es named, innermost first."""
@@ -241,7 +225,7 @@ class _Mismatch(ValueError):
         where = "".join(reversed(self.path)).lstrip(".") or "the document"
         if self.got is _MISSING:
             return f"malformed report: {where} is missing"
-        if type(self.got) is _Repeated:
+        if self.got is _REPEATED:
             return f"malformed report: {where} is repeated"
         got = _JSON_KINDS.get(type(self.got), "a value")
         if type(self.got) in (str, bool, int, float):
@@ -249,12 +233,17 @@ class _Mismatch(ValueError):
         return f"malformed report: {where} must be {self.expected}, not {got}"
 
 
-def _unknown(data: dict, known) -> _Mismatch:
-    """The first key of the object ``data`` that the writer never writes there."""
-    key = next(key for key in data if key not in known)
-    bad = _Mismatch("absent", data[key])
-    bad.path.append("." + key)  # not under(): a key such as "[0]" is no index
-    return bad
+def _unknown(pairs: tuple, known) -> _Mismatch:
+    """The first of an object's ``pairs``, in document order, whose key repeats an
+    earlier one or is a key the writer never writes there. Readers ask once they
+    have read every key they know and found more pairs than that."""
+    seen: set = set()
+    for key, value in pairs:
+        if key not in known or key in seen:
+            bad = _Mismatch("absent", _REPEATED if key in seen else value)
+            bad.path.append("." + key)  # not under(): a key such as "[0]" is no index
+            return bad
+        seen.add(key)
 
 
 def _written(write: Callable, value) -> str:
@@ -280,9 +269,10 @@ def _codec(tp, pad: str = "") -> tuple[Callable, Callable]:
     The writer ``write(put, value, memo)`` puts the value at indent ``pad`` as
     ``json.dumps(value, indent=2, ensure_ascii=False)`` would write it. Every
     piece is put as written, so no large partial string is built. The reader
-    ``read(data, memo)`` turns JSON data back into a value. It checks what it
-    reads and raises :class:`_Mismatch`, a ``ValueError``, naming the path of
-    the first value that the writer would not write. ``memo`` is a dict that
+    ``read(data, memo)`` turns JSON data, each object a tuple of its (key, value)
+    pairs, back into a value. It checks what it reads and raises :class:`_Mismatch`,
+    a ``ValueError``, naming the path of the first value that the writer would not
+    write (:func:`_unknown` names a repeated or unknown key). ``memo`` is a dict that
     one call makes for all its writes or all its reads: a set level or an
     array of strings is written once per indent and value (a level never
     equals a tuple of strings), and a set level is read and checked once
@@ -359,13 +349,14 @@ def _codec(tp, pad: str = "") -> tuple[Callable, Callable]:
                 text = memo[pad, value] = listed + _written(write_names, value.members()) + close
             put(text)
 
-        def read(data, memo):
-            if type(data) is not dict:
-                raise _Mismatch("an object", data)
+        def read(pairs, memo):
+            if type(pairs) is not tuple:
+                raise _Mismatch("an object", pairs)
+            data = dict(pairs)
             kind = data.get("kind", _MISSING)
             if kind == "bottom" or kind == "top":
-                if len(data) > 1:
-                    raise _unknown(data, ("kind",))
+                if len(pairs) > 1:
+                    raise _unknown(pairs, ("kind",))
                 return BOTTOM if kind == "bottom" else TOP
             if kind != "set":
                 raise _Mismatch('"bottom", "top" or "set"', kind).under("kind")
@@ -380,8 +371,8 @@ def _codec(tp, pad: str = "") -> tuple[Callable, Callable]:
                     bad = _Mismatch("one or more distinct names in sorted order", list(names))
                     raise bad.under("members")
                 level = memo[names] = SecurityLevel(authorized)
-            if len(data) > 2:
-                raise _unknown(data, ("kind", "members"))
+            if len(pairs) > 2:
+                raise _unknown(pairs, ("kind", "members"))
             return level
 
         return write, read
@@ -410,9 +401,10 @@ def _codec(tp, pad: str = "") -> tuple[Callable, Callable]:
                 write_field(put, get(value), memo)
             put(close)
 
-        def read(data, memo):
-            if type(data) is not dict:
-                raise _Mismatch("an object", data)
+        def read(pairs, memo):
+            if type(pairs) is not tuple:
+                raise _Mismatch("an object", pairs)
+            data = dict(pairs)
             values = []
             for name, read_field, scalar in readers:
                 value = data.get(name, _MISSING)
@@ -427,8 +419,8 @@ def _codec(tp, pad: str = "") -> tuple[Callable, Callable]:
                 stored, want = data.get(name, _MISSING), getattr(value, name)
                 if type(stored) is not type(want) or stored != want:
                     raise _Mismatch(_written(write_verdict, want), stored).under(name)
-            if len(data) > len(names):
-                raise _unknown(data, names)
+            if len(pairs) > len(names):  # a key repeated, or one the writer never writes
+                raise _unknown(pairs, names)
             return value
 
         return write, read
@@ -454,14 +446,16 @@ def report_from_json(text: str) -> AnalysisReport:
     lacking ``I``, an ``auth`` claimant or verifier not among them, a stored verdict
     unlike the derived one, a set level not a proper subset of ``principals`` (the
     whole set is bottom), or a step verdict other than lower ⊒ declared ⊓ received.
+    ``json.loads`` hands each object over as its tuple of pairs, through no Python
+    hook, so a repeated key reaches the object's reader, which counts the pairs.
     """
     import json  # imported here so text runs never load it
     try:
-        doc = json.loads(text, object_pairs_hook=_object)
+        doc = json.loads(text, object_pairs_hook=tuple)
     except RecursionError:
         raise ValueError("malformed report: nested too deeply to read") from None
-    if type(doc) is dict and doc.get("version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported report version {doc.get('version')!r}")
+    if type(doc) is tuple and (version := dict(doc).get("version")) != SCHEMA_VERSION:
+        raise ValueError(f"unsupported report version {version!r}")
     report = _codec(AnalysisReport)[1](doc, {})
     if report.variant not in _VARIANTS:
         raise _Mismatch('"max", "ek" or "n"', report.variant).under("variant")

@@ -34,7 +34,7 @@ def intruder_knowledge(ctx: VerificationContext) -> tuple[Atom, ...]:
     return identities + tuple(ctx.resolve_atom(n) for n in ctx.intruder_knows)
 
 
-def _decompose(known: set[Message], ctx: VerificationContext) -> None:
+def decompose(known: set[Message], ctx: VerificationContext) -> None:
     """Close under unpairing and decryption with held keys (free operations)."""
     changed = True
     while changed:
@@ -65,7 +65,7 @@ def saturate(
         if vars_of(m):
             raise ValueError(f"knowledge sets hold ground messages only: {format_message(m)}")
         known.add(m)
-    _decompose(known, ctx)
+    decompose(known, ctx)
     for _ in range(depth):
         snapshot = list(known)
         keys = [k for k in snapshot if isinstance(k, SymKey)]
@@ -75,7 +75,7 @@ def saturate(
         for body, key in product(snapshot, keys):
             new.add(Enc(body, key))
         known |= new
-        _decompose(known, ctx)
+        decompose(known, ctx)
     return frozenset(known)
 
 

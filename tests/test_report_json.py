@@ -105,10 +105,10 @@ def _with(path, value, text=None):
     return json.dumps(doc)
 
 
-def _repeating(key, value):
-    """The corpus document with ``value`` under ``key`` written again, just
-    before the first ``key`` of the document."""
-    text = json.dumps(_corpus_doc())
+def _repeating(key, value, text=None):
+    """The document ``text`` (by default the corpus one) with ``value`` under
+    ``key`` written again, just before the first ``key`` of the document."""
+    text = text or json.dumps(_corpus_doc())
     return text.replace(f'"{key}": ', f'"{key}": {json.dumps(value)}, "{key}": ', 1)
 
 
@@ -144,11 +144,24 @@ def _repeating(key, value):
     (_repeating("role", "A.1"), "checks[0].role is repeated"),
     (_repeating("kind", "top"), "checks[0].received_bound.kind is repeated"),
     (_repeating("claimant", "A"), "auth.claimant is repeated"),
+    # an object's reader counts its pairs only once its fields are read
+    (
+        _repeating("role", "A.1", _with(["checks", 0, "step"], 3)),
+        "checks[0].step must be a string, not an integer (3)",
+    ),
+    ('{"version": 2, "version": 1}', "protocol is missing"),
+    (
+        json.dumps(_corpus_doc()).replace('"WooLamMod"', '{"a": 1, "a": 2}', 1),
+        "protocol must be a string, not an object",
+    ),
+    (_repeating("zzz", 2, _with(["zzz"], 1)), "zzz must be absent, not an integer (2)"),
 ], ids=[
     "version-only", "array", "protocol-and-secrecy", "check-passed",
     "step-bool", "roles-object", "steps-missing", "kind-missing", "kind-unknown", "member-int",
     "variant-unknown", "source-int", "role-step-int", "pattern-int",
     "repeated-protocol", "repeated-check-role", "repeated-level-kind", "repeated-claimant",
+    "repeated-role-bad-step", "repeated-version", "repeated-key-for-a-string",
+    "repeated-unknown-key",
 ])
 def test_malformed_reports_are_refused_naming_the_field(text, message):
     with pytest.raises(ValueError) as err:
@@ -230,6 +243,17 @@ def test_reading_refuses_verdicts_and_levels_the_writer_never_writes(text, messa
     assert str(err.value) == f"malformed report: {message}"
 
 
+@pytest.mark.parametrize("text, version", [
+    ('{"version": 2}', 2),
+    ('{"version": 1, "version": 2}', 2),
+    ('{"protocol": "P"}', None),
+])
+def test_other_versions_are_refused_before_reading(text, version):
+    with pytest.raises(ValueError) as err:
+        report_from_json(text)
+    assert str(err.value) == f"unsupported report version {version!r}"
+
+
 def _unclaimed(doc_text):
     """The document with the verdicts a claimant outside every level derives."""
     for path, value in (
@@ -266,9 +290,10 @@ def test_reading_refuses_principals_the_context_never_declares(text, message):
 
 @pytest.mark.parametrize("text", [
     "[" * 100_000,
+    '{"a": ' * 100_000,
     # the corpus report with its protocol name replaced by arrays nested 5,000 deep
     json.dumps(_corpus_doc()).replace('"WooLamMod"', "[" * 5_000 + "]" * 5_000, 1),
-], ids=["open-brackets", "deep-protocol"])
+], ids=["open-brackets", "open-objects", "deep-protocol"])
 def test_deeply_nested_documents_are_malformed_reports(text):
     with pytest.raises(ValueError) as err:
         report_from_json(text)
