@@ -234,7 +234,8 @@ def test_one_codec_reads_each_record_type_hints_once():
 
 def test_a_cli_run_in_text_and_json_loads_only_the_standard_library():
     # the package is stdlib-only: after one run in each format, every module
-    # held is the probe itself, wfcheck's or the standard library's
+    # held is the probe itself, wfcheck's or the standard library's; and the
+    # flags are read without argparse and the gettext and locale it loads
     args = ["--protocol", str(CORPUS / "woolam_modified.proto"),
             "--context", str(CORPUS / "woolam_modified.ctx"), "--out"]
     probe = (
@@ -242,6 +243,7 @@ def test_a_cli_run_in_text_and_json_loads_only_the_standard_library():
         "for fmt in ('text', 'json'):\n"
         f"    print(wfcheck.cli.main({args!r} + [os.devnull, '--format', fmt]))\n"
         "top = {name.partition('.')[0] for name in sys.modules} - {'__main__', 'wfcheck'}\n"
-        "print(*sorted(top - sys.stdlib_module_names))"
+        "print(*sorted(top - sys.stdlib_module_names))\n"
+        "print(*sorted({'argparse', 'gettext', 'locale'} & top))"
     )
     assert _printed_by_a_fresh_interpreter(probe) == ["0", "0"]

@@ -1,11 +1,16 @@
 """Report rendering, JSON round-trip, CLI behavior and exit codes."""
 
+import contextlib
+import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wfcheck import (
     ChallengeNotReceived,
@@ -15,10 +20,11 @@ from wfcheck import (
     render,
     report_from_json,
 )
-from wfcheck.cli import main
+from wfcheck.cli import HELP, OPTIONS, USAGE, main, read_options
 from wfcheck.report import render_json, render_text
 from wfcheck.safefun import Variant
 
+from cli_reference import build_parser
 from conftest import CORPUS, CORPUS_STEMS
 
 MOD = [str(CORPUS / "woolam_modified.proto"), str(CORPUS / "woolam_modified.ctx")]
@@ -370,3 +376,145 @@ def test_cli_subprocess_smoke():
     )
     assert proc.returncode == 2
     assert "no decision" in proc.stdout
+
+
+def _run_module(args, stdout):
+    return subprocess.run(
+        [sys.executable, "-m", "wfcheck", *args], stdout=stdout, stderr=subprocess.PIPE, text=True
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("args", [["--protocol", MOD[0], "--context", MOD[1]], ["--help"]])
+def test_a_write_to_a_full_device_is_an_input_error(args):
+    with open("/dev/full", "w") as full:
+        proc = _run_module(args, full)
+    assert proc.returncode == 3
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("wfcheck: error: ")
+
+
+def test_a_write_to_a_pipe_nobody_reads_is_an_input_error():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_module(["--protocol", MOD[0], "--context", MOD[1]], write_end)
+    finally:
+        os.close(write_end)
+    # one line: no traceback, and no "Exception ignored" from the flush at exit
+    assert proc.returncode == 3
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("wfcheck: error: ")
+
+
+def test_help_names_every_option_and_choice(capsys):
+    code, out, err = run_cli(["--help"], capsys)
+    assert (code, out, err) == (0, HELP, "")
+    usage, _, rows = HELP.partition("options:")
+    for name, (choices, _, text) in OPTIONS.items():
+        for word in (name, *(choices or ())):
+            assert word in usage and word in rows
+        assert text in rows
+
+
+@pytest.mark.parametrize("argv, read", [
+    # an error up to 3.12, help in 3.13.0
+    (["-hx"], "error"),
+    # help up to 3.12, an error in 3.13.0
+    (["-h=h"], "error"),
+    # an empty list up to 3.12, so that --protocol=-- crashed; "--" in 3.13.0
+    (["--protocol", "p", "--context", "c", "--out=--"], "--"),
+])
+def test_argvs_argparse_versions_disagree_on(argv, read):
+    if read == "error":
+        with pytest.raises(ValueError):
+            read_options(argv)
+    else:
+        assert read_options(argv)["out"] == read
+
+
+REFERENCE = build_parser()
+# Left out, as argparse reads them differently across Python versions:
+# "-h" followed by letters other than "h", "-h=", and "--" as a value.
+# test_argvs_argparse_versions_disagree_on pins how they are read here.
+_VALUES = st.sampled_from(
+    [*(value for choices, _, _ in OPTIONS.values() for value in choices or ()),
+     "MAX", "p.proto", "", "-x", "-1", "-0.5", "-", "--x", "a b", "-x y", "-h", "--out"]
+)
+
+
+def _pairs(names, values):
+    """An option's name cut to a prefix, and a value: one of ``values``
+    or, for an option with choices, one of its own."""
+    return st.sampled_from(names).flatmap(lambda name: st.tuples(
+        st.integers(3, len(name)).map(lambda n: name[:n]),
+        st.one_of(values, st.sampled_from(OPTIONS.get(name, ((),))[0] or ["p.proto"])),
+    ))
+
+
+def _argv(starts, pairs, loose):
+    """One of ``starts``, then chunks: an option and its value, an
+    option=value word, or a loose word."""
+    chunks = st.one_of(
+        pairs.map(list),
+        pairs.map(lambda pair: ["=".join(pair)]),
+        loose.map(lambda word: [word]),
+    )
+    return st.tuples(st.sampled_from(starts), st.lists(chunks, max_size=4)).map(
+        lambda parts: parts[0] + [word for chunk in parts[1] for word in chunk]
+    )
+
+
+_ANY_PAIR = _pairs(["--help", *OPTIONS], _VALUES)
+_JUNK = st.sampled_from(["--", "-h", "--help", "-hh", "-q", "---", "--=x", "junk"])
+_REQUIRED_ARGS = ["--protocol", "p", "--context", "c"]
+_ARGV = st.one_of(
+    _argv(
+        [[], _REQUIRED_ARGS],
+        _ANY_PAIR,
+        st.one_of(_ANY_PAIR.map(lambda pair: pair[0]), _VALUES, _JUNK),
+    ),
+    # mostly accepted: no help, no loose word, fewer bad values
+    _argv(
+        [_REQUIRED_ARGS],
+        _pairs(list(OPTIONS), st.sampled_from(["-1", "-0.5", "-x y", ""])),
+        st.nothing(),
+    ),
+)
+
+
+def _reference_outcome(argv):
+    """The reference's values for ``argv``, or "help" or "error" where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(REFERENCE.parse_args(argv))
+    except SystemExit as exc:
+        return "error" if exc.code else "help"
+
+
+@given(argv=_ARGV)
+@settings(max_examples=1000)
+@example(argv=["--proto", "p", "--cont=c", "--fo", "json", "--format=text"])
+@example(argv=["--protocol", "p", "--context", "c", "--out", "-1"])
+@example(argv=["--protocol", "p", "--context", "c", "--out=-x"])
+@example(argv=["--protocol", "p", "--context", "c", "--out", "-x y"])
+@example(argv=["--protocol", "p", "--context", "c", "--out", "-x"])
+@example(argv=["--protocol", "p", "--c", "c"])
+@example(argv=["-h", "--c"])
+@example(argv=["-h", "--", "--c"])
+@example(argv=["--function", "foo", "-h"])
+@example(argv=["--protocol", "p", "--context", "c", "--"])
+def test_options_agree_with_the_argparse_reference(argv):
+    expected = _reference_outcome(argv)
+    if isinstance(expected, dict):
+        assert read_options(argv) == expected
+        return
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if expected == "help":
+        assert (code, out.getvalue(), err.getvalue()) == (0, HELP, "")
+    else:
+        assert code == 3 and out.getvalue() == ""
+        usage, _, error = err.getvalue().rpartition("wfcheck: error: ")
+        assert usage == USAGE and "\n" not in error.rstrip("\n")
