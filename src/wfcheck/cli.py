@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 when every requested check passes, 2 when some check fails
-(the method gives no decision), 3 on unusable input. The distinct
-no-decision code keeps CI pipelines from confusing inconclusiveness with
-crashes.
+(the method gives no decision), 3 on unusable input or unwritable output.
+The distinct no-decision code keeps CI pipelines from confusing
+inconclusiveness with crashes.
 
 The flags are read from one option table, without ``argparse``: importing
 it, and its ``gettext`` and ``locale`` lookups, took about 4 ms of every
@@ -16,10 +16,10 @@ holds a space.
 
 from __future__ import annotations
 
-import os
+import contextlib
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from .context import load_context
 from .errors import AnalysisError
@@ -134,31 +134,22 @@ def read_options(argv: Sequence[str]) -> Optional[dict[str, Optional[str]]]:
     return {name[2:]: value for name, value in values.items()}
 
 
-def _write_stdout(text: str) -> None:
-    """Write ``text`` to stdout and flush it; a failed write raises ``OSError``."""
-    try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone: point stdout at devnull, as Python's signal
-        # documentation advises, so that no later write or flush at exit
-        # can fail on it again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        raise
+def _write(stream: Optional[TextIO], text: str) -> None:
+    """Write ``text`` to ``stream`` and flush it. A failed write raises
+    ``OSError``, as does a stream that was closed at start-up (None)."""
+    if stream is None:
+        raise OSError("cannot write: the output stream is closed")
+    stream.write(text)
+    stream.flush()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    usage = USAGE  # goes with an error only while the argv is read
     try:
         options = read_options(sys.argv[1:] if argv is None else argv)
-    except ValueError as exc:
-        sys.stderr.write(f"{USAGE}wfcheck: error: {exc}\n")
-        return EXIT_INPUT_ERROR
-
-    try:
+        usage = ""
         if options is None:
-            _write_stdout(HELP)
+            _write(sys.stdout, HELP)
             return EXIT_PASS
         ctx = load_context(options["context"])
         narration = load_narration(options["protocol"], ctx)
@@ -166,11 +157,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         rendered = render(report, options["format"])
         if options["out"]:
             with open(options["out"], "w", encoding="utf-8") as fh:
-                fh.write(rendered)
+                _write(fh, rendered)
         else:
-            _write_stdout(rendered)
+            _write(sys.stdout, rendered)
     except (AnalysisError, OSError, ValueError) as exc:
-        print(f"wfcheck: error: {exc}", file=sys.stderr)
+        # when stderr cannot be written either, the exit code says it alone
+        with contextlib.suppress(OSError):
+            _write(sys.stderr, f"{usage}wfcheck: error: {exc}\n")
         return EXIT_INPUT_ERROR
     return EXIT_PASS if report.overall_passed else EXIT_NO_DECISION
 

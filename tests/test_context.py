@@ -193,6 +193,9 @@ def test_comments_and_blank_lines_are_ignored(ctx):
         "key kbs", "# mid comment\nkey kbs"
     )
     assert parse_context(with_comments).decls.keys() == ctx.decls.keys()
+    with pytest.raises(ParseError) as err:
+        parse_context("# preamble\n\n# mid comment\n")
+    assert str(err.value) == "context declares no principals"
 
 
 # Characters that str.splitlines ends a line at; only "\n" ends one, as in a

@@ -49,6 +49,7 @@ from wfcheck.protocol import Direction
 from wfcheck.safefun import Variant
 from wfcheck.terms import map_leaves
 
+import intruder
 from bounds import bound_ordering_check
 from deduction import intruder_knowledge, saturate
 from derivation import EMPTY, derive, derive_vars
@@ -681,7 +682,25 @@ def law_secrecy_pass_leaks_nothing_to_the_intruder(case):
     CASES["soundness"] += 1
 
 
+@given(case=protocol_cases())
+@settings(max_examples=200)
+def law_secrecy_pass_survives_the_active_intruder(case):
+    # the same acceptance against an intruder that also forges and replays
+    # (tests/intruder.py): one session of every role, within 5,000 states
+    ctx, narr = case
+    roles, patterns = analyze_narration(narr, ctx)
+    if not any(all(c.passed for c in check_secrecy(roles, patterns, ctx, v)) for v in Variant):
+        return
+    found = intruder.search(narr, ctx, sessions=1, max_states=5_000)
+    assert found.leaked is None, (
+        f"{format_message(found.leaked)} leaks by {found.trace} from: "
+        + "; ".join(str(step) for step in narr.steps)
+    )
+    CASES["active"] += 1
+
+
 SOUNDNESS_SUITE = [law_secrecy_pass_leaks_nothing_to_the_intruder]
+ACTIVE_SUITE = [law_secrecy_pass_survives_the_active_intruder]
 
 
 #: suite name -> (properties, minimum number of checked cases)
@@ -694,6 +713,7 @@ ALL_SUITES = {
     "invariance": (INVARIANCE_SUITE, 500),
     "deduction": (DEDUCTION_SUITE, 60),
     "soundness": (SOUNDNESS_SUITE, 20),
+    "active": (ACTIVE_SUITE, 20),
 }
 
 
@@ -708,7 +728,7 @@ def run_suite(name):
 
 # The six randomized suites run once, in test_acceptance's criterion 5,
 # which gates their case counts and their total time.
-@pytest.mark.parametrize("name", ["deduction", "soundness"])
+@pytest.mark.parametrize("name", ["deduction", "soundness", "active"])
 def test_property_suite(name):
     checked = run_suite(name)
     assert checked >= ALL_SUITES[name][1], f"suite {name} covered only {checked} cases"

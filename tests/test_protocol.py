@@ -50,6 +50,11 @@ def test_parse_rejects_empty_input(woolam_mod):
     _, ctx = woolam_mod
     with pytest.raises(ParseError):
         parse_narration("", ctx)
+    # text that stops mid-declaration is reported at its last line
+    for text, line in [("protocol", 1), ("protocol P\n1. A -> B :", 2)]:
+        with pytest.raises(ParseError) as err:
+            parse_narration(text, ctx)
+        assert str(err.value) == f"line {line}: unexpected end of input"
 
 
 @pytest.mark.parametrize("name", ["Woo_Lam", "NS^v2"])

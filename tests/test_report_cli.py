@@ -62,6 +62,19 @@ def test_missing_context_file_is_an_input_error(capsys):
     assert "error" in err
 
 
+def test_a_challenge_received_in_the_clear_is_no_decision(tmp_path, capsys):
+    ctx_file = tmp_path / "clear.ctx"
+    ctx_file.write_text(
+        "principals A, B, I\nnonce Nb fresh(B) level public\n"
+        "challenge auth verifier=B claimant=A step=2 challenge=Nb\n"
+    )
+    proto = tmp_path / "clear.proto"
+    proto.write_text("protocol Clear\n1. B -> A : Nb\n2. A -> B : Nb\n")
+    code, out, err = run_cli(["--protocol", str(proto), "--context", str(ctx_file)], capsys)
+    assert (code, err) == (2, "")
+    assert out.splitlines()[-1] == "verdict: no decision (the challenge is received in a public state)"
+
+
 def test_check_auth_without_a_challenge_is_an_input_error(tmp_path, capsys):
     ctx_file = tmp_path / "plain.ctx"
     ctx_file.write_text("principals A, B, I\nnonce Na fresh(A) level public\n")
@@ -395,16 +408,44 @@ def test_a_write_to_a_full_device_is_an_input_error(args):
 
 
 def test_a_write_to_a_pipe_nobody_reads_is_an_input_error():
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = _run_module(["--protocol", MOD[0], "--context", MOD[1]], write_end)
-    finally:
-        os.close(write_end)
-    # one line: no traceback, and no "Exception ignored" from the flush at exit
+    # the help is a small write that waits in the buffer for its flush; were
+    # it kept there after the flush failed, the flush at exit would fail again
+    for args in (["--protocol", MOD[0], "--context", MOD[1]], ["--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _run_module(args, write_end)
+        finally:
+            os.close(write_end)
+        # one line: no traceback, and no "Exception ignored" from the flush at exit
+        assert proc.returncode == 3
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("wfcheck: error: ")
+
+
+def _run_redirected(redirect, args):
+    """``python -m wfcheck`` on ``args``, with a shell redirection applied."""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$0" -m wfcheck "$@" {redirect}', sys.executable, *args],
+        stderr=subprocess.PIPE, text=True,
+    )
+
+
+@pytest.mark.parametrize("redirect, args", [
+    ("2>/dev/full", ["--protocol", MOD[0], "--context", MOD[1], "--bogus"]),
+    ("2>/dev/full", ["--protocol", MOD[0], "--context", "/nonexistent.ctx"]),
+    ("2>&-", ["--bogus"]),
+    (">&-", ["--protocol", MOD[0], "--context", MOD[1]]),
+], ids=["bad-argv-full-stderr", "missing-context-full-stderr", "closed-stderr", "closed-stdout"])
+def test_a_stream_that_cannot_be_written_still_ends_in_exit_3(redirect, args):
+    if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
+    proc = _run_redirected(redirect, args)
     assert proc.returncode == 3
-    [line] = proc.stderr.splitlines()
-    assert line.startswith("wfcheck: error: ")
+    # an error line that cannot be written is dropped; else it is the one line
+    lines = proc.stderr.splitlines()
+    assert len(lines) == (0 if redirect.startswith("2>") else 1)
+    assert all(line.startswith("wfcheck: error: ") for line in lines)
 
 
 def test_help_names_every_option_and_choice(capsys):

@@ -230,12 +230,16 @@ def test_malformed_reports_are_refused_naming_the_field(text, message):
         "checks[1].lower_bound.members must be one or more distinct names in sorted order, "
         "not an array",
     ),
+    (
+        _with(["checks", 1, "lower_bound", "zzz"], 1),
+        "checks[1].lower_bound.zzz must be absent, not an integer (1)",
+    ),
 ], ids=[
     "step-verdict", "secrecy-verdict", "auth-verdict", "auth-verdict-null",
     "secrecy-only-auth-verdict", "overall", "overall-missing",
     "claimant-present", "above-bottom", "auth-passed", "universe-level", "stray-member",
     "unknown-key", "unknown-check-key", "index-like-key", "bottom-with-members", "top-with-members",
-    "unsorted-members", "repeated-members", "empty-members",
+    "unsorted-members", "repeated-members", "empty-members", "set-level-extra-key",
 ])
 def test_reading_refuses_verdicts_and_levels_the_writer_never_writes(text, message):
     with pytest.raises(ValueError) as err:

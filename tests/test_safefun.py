@@ -202,6 +202,19 @@ def test_f_prime_variable_in_the_server_receive(ctx):
     assert f_prime(Variant.MAX, U, m, ctx) == SecurityLevel.of("A", "B", "S")
 
 
+def test_f_prime_under_a_public_key():
+    # the key protects a public target but its level admits everyone: the
+    # key's level is bottom, and under N the selection holds no identity
+    ctx = parse_context("principals A, B, I\nkey kp fresh(A) level public\n"
+                        "nonce Nb fresh(B) level public\n")
+    m = Enc(NB_I, SymKey("kp"))
+    expected = {Variant.MAX: BOTTOM, Variant.EK: BOTTOM, Variant.N: TOP}
+    for variant, level in expected.items():
+        assert f_prime(variant, NB_I, m, ctx) == level
+        assert psi(select(variant, NB_I, m, ctx), ctx) == level
+    assert select(Variant.N, NB_I, m, ctx).atoms == frozenset()
+
+
 def test_f_prime_multiple_occurrences_combine_by_meet(ctx):
     # one protected occurrence, one exposed occurrence: the meet is bottom
     m = concat([NB_I, Enc(concat([NB_I, A]), KBS)])
