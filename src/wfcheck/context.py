@@ -49,6 +49,9 @@ class AuthChallenge(NamedTuple):
 
 
 INTRUDER_NAME = "I"
+#: A step number of more digits is refused, in a narration and in a challenge:
+#: ``int`` refuses such a number on Python 3.11 and later.
+MAX_STEP_DIGITS = 4300
 _NO_INTRUDER = f"the principal universe must include the intruder {INTRUDER_NAME!r}"
 
 
@@ -65,9 +68,13 @@ class VerificationContext:
             raise ParseError(_NO_INTRUDER)
         self.principals = principals
         self.lattice = Lattice.over(*principals)
-        # levels are stored canonical, so every level_of result is canonical
+        # levels are stored canonical, so every level_of result is canonical; a
+        # declaration is rebuilt only when its level is not (the parser's are)
         canon = self.lattice.canon
-        self.decls = {name: d._replace(level=canon(d.level)) for name, d in decls.items()}
+        self.decls = {
+            name: d if (level := canon(d.level)) is d.level else d._replace(level=level)
+            for name, d in decls.items()
+        }
         self.challenge = challenge
         self.intruder_knows = intruder_knows
         self.digest = digest
@@ -216,6 +223,8 @@ def parse_context(text: str) -> VerificationContext:
                 if challenge is not None:
                     raise ParseError("duplicate challenge declaration", lineno)
                 v, c = check_principal(v, lineno), check_principal(c, lineno)
+                if len(n) > MAX_STEP_DIGITS:
+                    raise ParseError(f"step number has more than {MAX_STEP_DIGITS} digits", lineno)
                 challenge, challenge_line = AuthChallenge(v, c, int(n), atom), lineno
             case _:
                 for kind in ("key", "nonce", "challenge"):

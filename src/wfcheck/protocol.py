@@ -14,6 +14,12 @@ names follow the context file's rule, a letter and then letters or digits;
 the protocol name may also hold ``_`` and ``^``. Any other character is an
 ``unexpected character`` error at its line and column.
 
+``parse_narration`` reads each line, up to its ``#`` comment, with one
+``findall`` into a flat list of words, the token texts, and parses that
+list by index; it builds no token records. Positions come from
+``tokenize`` alone: the parser calls it only to raise an error, at the
+token with the index of the word at fault.
+
 Role extraction projects the narration onto each participant, routes every
 exchange through the intruder-controlled network, session-tags the values
 the participant generates freshly, and replaces the components it cannot
@@ -45,7 +51,7 @@ from enum import Enum
 from itertools import count
 from typing import Container, Iterable, Iterator, NamedTuple, Optional
 
-from .context import VerificationContext
+from .context import MAX_STEP_DIGITS, VerificationContext
 from .errors import ParseError, UndeclaredAtom, UnknownAtom
 from .terms import (
     Atom,
@@ -144,18 +150,15 @@ class GeneralizedRole(NamedTuple):
 #: keeps every accepted payload far from the interpreter's recursion limit.
 MAX_NESTING = 64
 
-# a name token may hold '_' and '^' for the protocol name; a principal or
-# atom name follows the context file's rule (`_context_name`)
-_TOKEN_RE = re.compile(
-    r"(?P<newline>\n)"
-    r"|(?P<ws>[^\S\n]+)"
-    r"|(?P<comment>#[^\n]*)"
-    r"|(?P<arrow>->)"
-    r"|(?P<num>\d+)"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9_^]*)"
-    r"|(?P<punct>[{}.:])"
-    r"|(?P<bad>.)"
+# The token alternatives, by kind. A name may hold '_' and '^' for the protocol
+# name; a principal or atom name follows the context file's rule and holds neither.
+_KINDS = {"arrow": "->", "num": r"\d+", "name": "[A-Za-z][A-Za-z0-9_^]*", "punct": "[{}.:]"}
+_TOKEN_RE = "|".join(
+    [r"(?P<newline>\n)", r"(?P<ws>[^\S\n]+)", r"(?P<comment>#[^\n]*)"]
+    + [f"(?P<{kind}>{alt})" for kind, alt in _KINDS.items()] + ["(?P<bad>.)"]
 )
+# a line's tokens without their positions, skipping any character no token takes
+_words = re.compile("|".join(_KINDS.values())).findall
 
 
 class Token(NamedTuple):
@@ -166,9 +169,11 @@ class Token(NamedTuple):
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of a narration with their positions; ``parse_narration``
+    calls it only to position the error it raises."""
     tokens: list[Token] = []
     line, line_start = 1, 0
-    for match in _TOKEN_RE.finditer(text):
+    for match in re.finditer(_TOKEN_RE, text):
         kind, chunk = match.lastgroup, match.group()
         column = match.start() - line_start + 1
         if kind == "newline":
@@ -180,121 +185,108 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-class TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.end_line = tokens[-1].line if tokens else 1
-
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.end_line)
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.column)
-        return tok
-
-
-def _context_name(tok: Token) -> str:
-    """A principal or atom name; only the protocol name may hold ``_`` or ``^``."""
-    for offset, char in enumerate(tok.text):
-        if char in "_^":
-            raise ParseError(f"unexpected character {char!r}", tok.line, tok.column + offset)
-    return tok.text
-
-
-def _declared(tok: Token, ctx: VerificationContext) -> Atom:
-    try:
-        return ctx.resolve_atom(_context_name(tok))
-    except UnknownAtom:
-        raise UndeclaredAtom(
-            f"atom {tok.text!r} is not declared in the context", tok.line, tok.column
-        ) from None
-
-
-def _payload(stream: TokenStream, ctx: VerificationContext, depth: int = 0) -> Message:
-    """Parse ``term ('.' term)*``, where a term is a declared atom or ``{payload}key``.
-
-    ``depth`` counts the encryptions around the payload; one nested deeper
-    than ``MAX_NESTING`` is a ``ParseError`` at its opening brace. Only a
-    symmetric key may encrypt; any other key is a ``ParseError`` at the key.
-    """
-    parts: list[Message] = []
-    while True:
-        tok = stream.next()
-        if tok.kind == "{":
-            if depth == MAX_NESTING:
-                raise ParseError(
-                    f"encryption nested deeper than {MAX_NESTING} levels", tok.line, tok.column
-                )
-            body = _payload(stream, ctx, depth + 1)
-            stream.expect("}")
-            key_tok = stream.expect("name")
-            key = _declared(key_tok, ctx)
-            if not isinstance(key, SymKey):
-                raise ParseError(
-                    f"encryption key {format_message(key)!r} is not a declared symmetric key",
-                    key_tok.line, key_tok.column,
-                )
-            parts.append(Enc(body, key))
-        elif tok.kind == "name":
-            parts.append(_declared(tok, ctx))
-        else:
-            raise ParseError(f"expected a message term, found {tok.text!r}", tok.line, tok.column)
-        tok = stream.peek()
-        if tok is None or tok.kind != ".":
-            return concat(parts)
-        stream.next()
-
-
 def parse_narration(text: str, ctx: VerificationContext) -> Narration:
-    tokens = tokenize(text)
-    if not tokens:
+    """The narration in ``text``, read as a flat list of words with each word's
+    line beside it. A word's kind is its first character's: a letter starts
+    a name, a digit a number; ``->`` and punctuation are themselves."""
+    words: list[str] = []
+    lines: list[int] = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.split("#", 1)[0]
+        found = _words(line)
+        # a character no token takes is the part of the line its words miss
+        if len("".join(found)) != len("".join(line.split())):
+            tokenize(text)  # raises the first such character
+        words += found
+        lines += [lineno] * len(found)
+    if not words:
         raise ParseError("empty protocol text")
-    stream = TokenStream(tokens)
+    end = len(words)
+    words.append("")  # past the last word: of no kind
 
-    head = stream.next()
-    if head.kind != "name" or head.text != "protocol":
-        raise ParseError("narration must start with 'protocol <name>'", head.line, head.column)
-    name_tok = stream.expect("name")
+    def error(i: int, message: str, cls: type = ParseError, offset: int = 0) -> ParseError:
+        if i == end:
+            return ParseError("unexpected end of input", lines[-1])
+        tok = tokenize(text)[i]
+        return cls(message, tok.line, tok.column + offset)
 
+    def expect(i: int, kind: str) -> str:
+        """Word ``i``, which must be of ``kind``."""
+        word = words[i]
+        if word[:1].isalpha() if kind == "name" else word == ("->" if kind == "arrow" else kind):
+            return word
+        raise error(i, f"expected {kind!r}, found {word!r}")
+
+    def name(i: int) -> str:
+        """Name ``i``; only the protocol name may hold ``_`` or ``^``."""
+        word = words[i]
+        if not word.isalnum():
+            offset = min(j for j, char in enumerate(word) if char in "_^")
+            raise error(i, f"unexpected character {word[offset]!r}", offset=offset)
+        return word
+
+    def atom(i: int) -> Atom:
+        try:
+            return ctx.resolve_atom(name(i))
+        except UnknownAtom:
+            message = f"atom {words[i]!r} is not declared in the context"
+            raise error(i, message, UndeclaredAtom) from None
+
+    def payload(i: int, depth: int) -> tuple[Message, int]:
+        """``term ('.' term)*`` from word ``i``, where a term is a declared atom or
+        ``{payload}key``, and the index after it. An encryption nested deeper than
+        ``MAX_NESTING`` is an error at its opening brace, and one under any key
+        but a symmetric key an error at the key."""
+        parts: list[Message] = []
+        while True:
+            word = words[i]
+            if word == "{":
+                if depth == MAX_NESTING:
+                    raise error(i, f"encryption nested deeper than {MAX_NESTING} levels")
+                body, i = payload(i + 1, depth + 1)
+                expect(i, "}")
+                expect(i + 1, "name")
+                key = atom(i + 1)
+                if not isinstance(key, SymKey):
+                    raise error(i + 1, f"encryption key {format_message(key)!r}"
+                                " is not a declared symmetric key")
+                parts.append(Enc(body, key))
+                i += 2
+            elif word[:1].isalpha():
+                parts.append(atom(i))
+                i += 1
+            else:
+                raise error(i, f"expected a message term, found {word!r}")
+            if words[i] != ".":  # a part is an atom or an encryption: nothing to flatten
+                return parts[0] if len(parts) == 1 else Concat(tuple(parts)), i
+            i += 1
+
+    if words[0] != "protocol":
+        raise error(0, "narration must start with 'protocol <name>'")
+    protocol = expect(1, "name")
     steps: list[NarrationStep] = []
-    while stream.peek() is not None:
-        num_tok = stream.expect("num")
-        index = int(num_tok.text)
+    i = 2
+    while i < end:
+        number = words[i]
+        if not number.isdecimal():
+            raise error(i, f"expected 'num', found {number!r}")
+        if len(number) > MAX_STEP_DIGITS:
+            raise error(i, f"step number has more than {MAX_STEP_DIGITS} digits")
+        index = int(number)
         if index != len(steps) + 1:
-            raise ParseError(
-                f"step numbers must be consecutive from 1; found {index}",
-                num_tok.line, num_tok.column,
-            )
-        stream.expect(".")
-        sender_tok = stream.expect("name")
-        stream.expect("arrow")
-        receiver_tok = stream.expect("name")
-        stream.expect(":")
-        for tok in (sender_tok, receiver_tok):
-            if _context_name(tok) not in ctx.principals:
-                raise UndeclaredAtom(f"undeclared principal {tok.text!r}", tok.line, tok.column)
-        payload = _payload(stream, ctx)
-        steps.append(
-            NarrationStep(
-                index=index,
-                sender=sender_tok.text,
-                receiver=receiver_tok.text,
-                payload=payload,
-                line=num_tok.line,
-            )
-        )
-
-    return Narration(name=name_tok.text, steps=tuple(steps))
+            raise error(i, f"step numbers must be consecutive from 1; found {index}")
+        expect(i + 1, ".")
+        sender = expect(i + 2, "name")
+        expect(i + 3, "arrow")
+        receiver = expect(i + 4, "name")
+        expect(i + 5, ":")
+        for j in (i + 2, i + 4):
+            if name(j) not in ctx.principals:
+                raise error(j, f"undeclared principal {words[j]!r}", UndeclaredAtom)
+        message, after = payload(i + 6, 0)
+        steps.append(NarrationStep(index, sender, receiver, message, lines[i]))
+        i = after
+    return Narration(protocol, tuple(steps))
 
 
 def load_narration(path, ctx: VerificationContext) -> Narration:

@@ -102,6 +102,16 @@ def test_challenge_fields(ctx):
     assert (ch.verifier, ch.claimant, ch.step, ch.challenge) == ("B", "A", 5, "Nb")
 
 
+def test_a_challenge_step_too_long_for_int_is_a_parse_error():
+    # int() refuses more than 4300 digits on Python 3.11 and later; the parser
+    # refuses them itself, with the same message on every version
+    padded = parse_context(WOOLAM_CTX.replace("step=5", "step=" + "0" * 4299 + "5"))
+    assert padded.challenge.step == 5
+    with pytest.raises(ParseError) as err:
+        parse_context(WOOLAM_CTX.replace("step=5", "step=" + "9" * 5000))
+    assert str(err.value) == "line 6: step number has more than 4300 digits"
+
+
 def test_intruder_knowledge_defaults_to_identities(ctx):
     assert set(intruder_knowledge(ctx)) == {Identity(p) for p in "ABSI"}
 

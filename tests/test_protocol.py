@@ -1,6 +1,12 @@
 """Narration parsing, role extraction and the encryption pattern set."""
 
+import collections
+import itertools
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfcheck import (
     Direction,
@@ -32,6 +38,9 @@ from messages import (
     reference_patterns,
     strip_sessions,
 )
+from narration_reference import reference_parse_narration
+from test_fuzz import STEMS, TEXTS, TOKEN_RE, _mutate_lines, _mutate_tokens
+from test_properties import protocol_cases
 
 
 def role_map(roles):
@@ -95,6 +104,111 @@ def test_parse_rejects_non_consecutive_steps(woolam_mod):
     _, ctx = woolam_mod
     with pytest.raises(ParseError):
         parse_narration("protocol P\n2. A -> B : A\n", ctx)
+
+
+# The diagnostics of the narration grammar, each at the word at fault (or at
+# the last word's line, when the text ends too early)
+@pytest.mark.parametrize("text, message, line, column", [
+    ("protocol P\n1. A B : A\n", "expected 'arrow', found 'B'", 2, 6),
+    ("protocol P\n1. A -> B A\n", "expected ':', found 'A'", 2, 11),
+    ("protocol P\nA -> B : A\n", "expected 'num', found 'A'", 2, 1),
+    ("protocol P\n1 A -> B : A\n", "expected '.', found 'A'", 2, 3),
+    ("protocol P\n1. A -> B : }\n", "expected a message term, found '}'", 2, 13),
+    ("protocol P\n1. A -> B : A..B\n", "expected a message term, found '.'", 2, 15),
+    ("1. A -> B : A\n", "narration must start with 'protocol <name>'", 1, 1),
+    ("# a comment\n  Protocol P\n", "narration must start with 'protocol <name>'", 2, 3),
+    ("protocol P\n1. A -> C : A\n", "undeclared principal 'C'", 2, 9),
+    ("protocol P\n1. A -> B : A\n3. B -> A : Nb\n",
+     "step numbers must be consecutive from 1; found 3", 3, 1),
+    ("protocol P\n1. A -> B : A\n 01. B -> A : Nb\n",
+     "step numbers must be consecutive from 1; found 1", 3, 2),
+    ("", "empty protocol text", None, None),
+    ("# nothing but a comment\n \t\n", "empty protocol text", None, None),
+    ("protocol P\n1. A -> B : {A.\n  Nb\n", "unexpected end of input", 3, None),
+    ("protocol P\n1. A -> B : {A.\n  Nb}  # no key\n", "unexpected end of input", 3, None),
+], ids=[
+    "arrow", "colon", "num", "dot", "term", "empty-term", "head", "head-after-comment",
+    "principal", "step-gap", "step-repeat", "empty", "comment-only", "end-in-body", "end-at-key",
+])
+def test_narration_diagnostics(text, message, line, column, woolam_mod):
+    _, ctx = woolam_mod
+    with pytest.raises(ParseError) as err:
+        parse_narration(text, ctx)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == str(ParseError(message, line, column))
+
+
+def test_a_step_number_too_long_for_int_is_a_parse_error(woolam_mod):
+    # int() refuses more than 4300 digits on Python 3.11 and later; the parser
+    # refuses them itself, with the same message on every version
+    _, ctx = woolam_mod
+    assert parse_narration("protocol P\n" + "0" * 4299 + "1. A -> B : A\n", ctx).steps
+    text = "protocol P\n  " + "9" * 5000 + ". A -> B : A\n"
+    with pytest.raises(ParseError) as err:
+        parse_narration(text, ctx)
+    assert str(err.value) == "line 2, column 3: step number has more than 4300 digits"
+    # the one input the token-stream reference reads otherwise: its int() fails
+    if hasattr(sys, "get_int_max_str_digits"):
+        with pytest.raises(ValueError, match="4300"):
+            reference_parse_narration(text, ctx)
+
+
+# characters that some places of a narration accept and others refuse
+EDIT_CHARS = ("\n", " ", "x", "_", "^", "@", "é", "-", "{", ".")
+
+
+def _edits(text):
+    """The text cut short, and with each of ``EDIT_CHARS`` inserted, at every
+    boundary of its fuzz tokens."""
+    for i in itertools.accumulate(map(len, TOKEN_RE.findall(text)), initial=0):
+        yield text[:i]
+        for char in EDIT_CHARS:
+            yield text[:i] + char + text[i:]
+
+
+def _outcome(parse, text, ctx):
+    try:
+        return parse(text, ctx)
+    except (ParseError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+def test_parser_agrees_with_the_reference():
+    """The word-list parser gives the token-stream parser's narration, or its
+    error class, message, line and column: on every single edit of the
+    Woo-Lam narrations, and on mutated corpus, generated and benchmark ones."""
+    outcomes = collections.Counter()
+
+    def agree(text, ctx):
+        ref = _outcome(reference_parse_narration, text, ctx)
+        assert _outcome(parse_narration, text, ctx) == ref, text
+        outcomes["accept" if isinstance(ref, Narration) else ref[0].__name__] += 1
+
+    for stem in STEMS:
+        ctx = parse_context(TEXTS[(stem, "ctx")])
+        for text in _edits(TEXTS[(stem, "proto")]):
+            agree(text, ctx)
+
+    gen = perfbench_gen()
+    seeds = [(c.context, c.protocol) for c in gen.random_batch(3, 40)]
+    seeds += [(c.context, c.protocol) for c in gen.synth_chain_cases(3, 8, 2)]
+    seeds += list(_corpus_texts())
+
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def law(data):
+        if data.draw(st.booleans()):
+            context_text, text = data.draw(st.sampled_from(seeds))
+            ctx = parse_context(context_text)
+        else:
+            ctx, narration = data.draw(protocol_cases())
+            text = "\n".join([f"protocol {narration.name}", *map(str, narration.steps)])
+        for _ in range(data.draw(st.integers(0, 3))):
+            text = data.draw(st.sampled_from([_mutate_tokens, _mutate_lines]))(text, data)
+        agree(text, ctx)
+
+    law()
+    assert outcomes.keys() == {"accept", "ParseError", "UndeclaredAtom"}, outcomes
 
 
 def test_parse_rejects_non_key_encryption(woolam_mod):
