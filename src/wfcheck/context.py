@@ -21,13 +21,23 @@ whitespace; next to punctuation (``( ) , { } =``) whitespace is optional.
 
 from __future__ import annotations
 
-import hashlib
 import re
+import sys
 from typing import NamedTuple, Optional, Union
 
 from .errors import NotAKey, ParseError, UnknownAtom
 from .lattice import BOTTOM, Lattice, SecurityLevel
 from .terms import Atom, Identity, Nonce, SymKey, Variable
+
+# the interpreter's own SHA-256 for the digest: hashlib would load OpenSSL's
+# binding for it. Named by version, since a failed import searches all of sys.path
+try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:  # an interpreter built without it
+    from hashlib import sha256
 
 
 class Decl(NamedTuple):
@@ -67,6 +77,8 @@ class VerificationContext:
         if INTRUDER_NAME not in principals:
             raise ParseError(_NO_INTRUDER)
         self.principals = principals
+        # each principal's one identity, made when a narration first names it
+        self._identities: dict[str, Optional[Identity]] = dict.fromkeys(principals)
         self.lattice = Lattice.over(*principals)
         # levels are stored canonical, so every level_of result is canonical; a
         # declaration is rebuilt only when its level is not (the parser's are)
@@ -82,9 +94,13 @@ class VerificationContext:
     # -- atom construction -------------------------------------------------
 
     def resolve_atom(self, name: str) -> Atom:
-        """Map a declared base name to its atom; raises UnknownAtom otherwise."""
-        if name in self.principals:
-            return Identity(name)
+        """Map a declared base name to its atom; raises UnknownAtom otherwise.
+        Every occurrence of a principal resolves to the one identity it has here."""
+        if name in self._identities:
+            atom = self._identities[name]
+            if atom is None:
+                atom = self._identities[name] = Identity(name)
+            return atom
         if name in self.decls:
             return self.decls[name].atom
         raise UnknownAtom(f"atom {name!r} is not declared in the context")
@@ -248,7 +264,7 @@ def parse_context(text: str) -> VerificationContext:
         if INTRUDER_NAME not in level:
             raise ParseError(f"intruder knows {name!r}, but its level {level} excludes I", lineno)
 
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    digest = sha256(text.encode("utf-8")).hexdigest()
     return VerificationContext(
         principals=principals,
         decls=decls,

@@ -1,6 +1,7 @@
 """Context file loading, level lookup, key ownership."""
 
 import collections
+import hashlib
 import re
 
 import pytest
@@ -21,10 +22,11 @@ from wfcheck import (
     parse_context,
 )
 
-from conftest import perfbench_gen
+from conftest import CORPUS, CORPUS_STEMS, perfbench_gen
 from context_reference import reference_parse_context
 from deduction import intruder_knowledge
 from test_fuzz import TEXTS, _mutate_lines, _mutate_tokens
+from test_records import _printed_by_a_fresh_interpreter
 
 WOOLAM_CTX = """\
 principals A, B, S, I
@@ -234,6 +236,43 @@ def test_lines_are_counted_by_newlines(space):
 def test_digest_is_stable():
     assert parse_context(WOOLAM_CTX).digest == parse_context(WOOLAM_CTX).digest
     assert parse_context(WOOLAM_CTX).digest != parse_context(WOOLAM_CTX + "\n# x\n").digest
+
+
+CORPUS_CONTEXTS = [(CORPUS / f"{stem}.ctx").read_text(encoding="utf-8") for stem in CORPUS_STEMS]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("text", CORPUS_CONTEXTS, ids=CORPUS_STEMS)
+def test_the_digest_is_the_sha256_of_the_utf8_text(text):
+    assert parse_context(text).digest == _sha256(text)
+
+
+@given(st.sampled_from(CORPUS_CONTEXTS), st.text().filter(lambda s: "\n" not in s), st.data())
+def test_a_comment_line_of_any_text_is_digested_as_sha256_digests_it(text, comment, data):
+    lines = text.split("\n")
+    lines.insert(data.draw(st.integers(0, len(lines))), "#" + comment)
+    text = "\n".join(lines)
+    assert parse_context(text).digest == _sha256(text)
+
+
+def test_the_digest_is_the_same_without_the_interpreters_own_sha256():
+    # an interpreter built without _sha2 (3.12 on) or _sha256 takes hashlib's
+    text = CORPUS_CONTEXTS[0]
+    probe = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from wfcheck import parse_context\n"
+        f"print(parse_context({text!r}).digest, 'hashlib' in sys.modules)"
+    )
+    assert _printed_by_a_fresh_interpreter(probe) == [_sha256(text), "True"]
+
+
+def test_every_occurrence_of_a_principal_is_one_identity(ctx):
+    assert ctx.resolve_atom("A") is ctx.resolve_atom("A")
+    assert ctx.resolve_atom("A") == Identity("A")
 
 
 # Each line that only the ``match`` parser reads, beside the spacing the

@@ -200,20 +200,34 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert _loaded_after_importing_the_cli(["dataclasses", "inspect"]) == []
 
 
+#: Modules a text run never needs: only JSON output and input need the codec,
+#: only JSON input needs json, and the context digest takes the interpreter's
+#: own SHA-256, not hashlib's, which loads OpenSSL.
+NOT_FOR_TEXT = ["json", "hashlib", "_hashlib", "wfcheck.codec"]
+
+
+def _loaded_after_a_cli_run(fmt: str) -> list[str]:
+    """The exit code of a corpus run in ``fmt``, then which of ``NOT_FOR_TEXT`` it loaded."""
+    args = ["--protocol", str(CORPUS / "woolam_modified.proto"),
+            "--context", str(CORPUS / "woolam_modified.ctx"), "--format", fmt, "--out"]
+    return _printed_by_a_fresh_interpreter(
+        "import os, sys, wfcheck.cli\n"
+        f"print(wfcheck.cli.main({args!r} + [os.devnull]), "
+        f"*sorted({NOT_FOR_TEXT!r} & sys.modules.keys()))"
+    )
+
+
 def test_importing_the_cli_does_not_load_json():
-    # only JSON output and input need json; a text run never imports it
-    assert _loaded_after_importing_the_cli(["json"]) == []
+    assert _loaded_after_importing_the_cli(NOT_FOR_TEXT) == []
+
+
+def test_a_text_cli_run_loads_neither_the_codec_nor_openssl():
+    assert _loaded_after_a_cli_run("text") == ["0"]
 
 
 def test_a_json_cli_run_writes_without_loading_json():
     # the writer takes json.dumps's C string encoder alone; only reading needs json
-    args = ["--protocol", str(CORPUS / "woolam_modified.proto"),
-            "--context", str(CORPUS / "woolam_modified.ctx"), "--format", "json", "--out"]
-    probe = (
-        "import os, sys, wfcheck.cli\n"
-        f"print(wfcheck.cli.main({args!r} + [os.devnull]), 'json' in sys.modules)"
-    )
-    assert _printed_by_a_fresh_interpreter(probe) == ["0", "False"]
+    assert _loaded_after_a_cli_run("json") == ["0", "wfcheck.codec"]
 
 
 def test_one_codec_reads_each_record_type_hints_once():
