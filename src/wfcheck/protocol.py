@@ -40,8 +40,9 @@ to that send), plus the full projection when it ends with a receive.
 The encryption patterns are the encrypted payloads of the full roles, one
 per canonical form, each renamed apart with the tag of its first step.
 ``renamed_by_form`` builds them, and builds the level scan's nested
-encryptions of the other forms, so each distinct encryption is put in
-canonical form once per analysis and only the kept ones are renamed.
+encryptions of the other forms, so each distinct encryption is printed in
+canonical form once per analysis, with no term built, and only the kept
+ones are renamed.
 """
 
 from __future__ import annotations

@@ -211,36 +211,40 @@ def vars_of(m: Message) -> frozenset[Variable]:
     return frozenset([t for t in leaves(m) if isinstance(t, Variable)])
 
 
-def _erase_copy(t: Message) -> Message:
-    return t._replace(copy=None) if t.copy is not None else t
-
-
 def rename_apart(m: Message, tag: int) -> Message:
-    """Stamp every atom and variable with the rename index ``tag``.
-
-    Callers are responsible for issuing distinct tags; terms renamed with
-    different tags share no variables or parameters.
-    """
-    return map_leaves(m, lambda t: t._replace(copy=tag))
+    """Stamp every atom and variable with the rename index ``tag``, rebuilding
+    each node by its class; a leaf stays a leaf, so concatenations stay flat.
+    Terms renamed with distinct tags share no variables or parameters."""
+    cls = type(m)
+    if cls is Concat:
+        return Concat(tuple([rename_apart(p, tag) for p in m.parts]))
+    if cls is Enc:
+        return Enc(rename_apart(m.body, tag), rename_apart(m.key, tag))
+    if cls is Nonce or cls is SymKey:
+        return cls(m.name, m.session, tag)
+    return cls(m.name, tag)
 
 
 def canonical_form(m: Message) -> str:
-    """A display form invariant under renaming of variables and parameters.
+    """A display form invariant under renaming of variables and parameters,
+    printed in one walk with no renamed term built: rename indices are
+    erased and variables print as ``?V_<n>`` by first occurrence, so two
+    patterns are duplicates exactly when their canonical forms coincide."""
+    numbers: dict[Variable, int] = {}
 
-    Rename indices are erased and variables are numbered by first
-    occurrence, so two patterns are duplicates exactly when their
-    canonical forms coincide.
-    """
-    mapping: dict[Variable, Variable] = {}
+    def form(t: Message) -> str:
+        cls = type(t)
+        if cls is Concat:
+            return ".".join([form(p) for p in t.parts])
+        if cls is Enc:
+            return "{" + form(t.body) + "}" + form(t.key)
+        if cls is Variable:
+            return f"?V_{numbers.setdefault(t, len(numbers))}"
+        if t.copy is None:
+            return format_message(t)
+        return _format_atomish(t.name, None, getattr(t, "session", None))
 
-    def canonical_leaf(t: Message) -> Message:
-        if not isinstance(t, Variable):
-            return _erase_copy(t)
-        if t not in mapping:
-            mapping[t] = Variable("V", len(mapping))
-        return mapping[t]
-
-    return format_message(map_leaves(m, canonical_leaf))
+    return form(m)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 rename indices or session tags to compare terms by their source shape, a
 message's atoms, a send's targets in report order, the renamed listing of
 every payload that the encryption patterns must equal after deduplication,
-and the rule that a rename index marks a renamed pattern leaf and nothing
-else."""
+the rule that a rename index marks a renamed pattern leaf and nothing
+else, and the ``map_leaves`` definitions of ``canonical_form`` and
+``rename_apart`` that the package's one-walk versions must equal."""
 
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from wfcheck.terms import (
     Nonce,
     SymKey,
     Variable,
-    _erase_copy,
     canonical_form,
+    format_message,
     leaves,
     map_leaves,
     rename_apart,
@@ -28,6 +29,30 @@ from wfcheck.terms import (
 )
 
 from derivation import EMPTY, concat
+
+
+def _erase_copy(t: Message) -> Message:
+    return t._replace(copy=None) if t.copy is not None else t
+
+
+def reference_rename_apart(m: Message, tag: int) -> Message:
+    """``rename_apart`` as a leaf map: every leaf gets the rename index ``tag``."""
+    return map_leaves(m, lambda t: t._replace(copy=tag))
+
+
+def reference_canonical_form(m: Message) -> str:
+    """``canonical_form`` as the print of a renamed copy: rename indices
+    erased, variables renamed ``?V_<n>`` by first occurrence."""
+    mapping: dict[Variable, Variable] = {}
+
+    def canonical_leaf(t: Message) -> Message:
+        if not isinstance(t, Variable):
+            return _erase_copy(t)
+        if t not in mapping:
+            mapping[t] = Variable("V", len(mapping))
+        return mapping[t]
+
+    return format_message(map_leaves(m, canonical_leaf))
 
 
 def erase_copies(m: Message) -> Message:

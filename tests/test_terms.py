@@ -1,7 +1,7 @@
 """Message construction, traversal, substitution, unification, display."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfcheck import (
@@ -24,7 +24,14 @@ from wfcheck.protocol import tokenize
 from wfcheck.terms import format_substitution
 
 from derivation import EMPTY
-from messages import atoms_of, erase_copies, parse_message, strip_sessions
+from messages import (
+    atoms_of,
+    erase_copies,
+    parse_message,
+    reference_canonical_form,
+    reference_rename_apart,
+    strip_sessions,
+)
 
 A, B, S = Identity("A"), Identity("B"), Identity("S")
 KAS, KBS = SymKey("kas"), SymKey("kbs")
@@ -169,6 +176,45 @@ def test_canonical_form_identifies_alpha_equivalent_patterns():
     assert canonical_form(p1) == canonical_form(p2)
     p3 = Enc(concat([Identity("A", copy=1), Variable("Y", copy=1)]), SymKey("kas", copy=1))
     assert canonical_form(p1) != canonical_form(p3)
+
+
+def test_canonical_form_keeps_a_session_tag_and_erases_rename_indices():
+    m = Enc(concat([Identity("A", copy=3), Nonce("Nb", session="i", copy=3), Variable("Y", copy=3)]),
+            SymKey("kab", session="i", copy=3))
+    assert canonical_form(m) == "{A.Nb^i.?V_0}kab^i"
+
+
+#: Leaves of every kind, with and without a rename index or session tag;
+#: the pools are small, so a variable or atom often occurs twice.
+_copies = st.none() | st.integers(1, 3)
+_sessions = st.none() | st.just("i")
+_variables = st.builds(Variable, st.sampled_from(["X", "Y"]), _copies)
+_keys = st.builds(SymKey, st.sampled_from(["kas", "kab"]), _sessions, _copies) | _variables
+_leaves = st.one_of(
+    st.builds(Identity, st.sampled_from(["A", "B"]), _copies),
+    st.builds(Nonce, st.sampled_from(["Na", "Nb"]), _sessions, _copies),
+    _keys,
+)
+_terms = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(concat),
+        st.builds(Enc, kids, _keys),
+    ),
+    max_leaves=10,
+)
+
+
+@given(m=_terms, tag=st.integers(1, 9))
+@example(
+    m=Enc(concat([A, Identity("B", copy=2), Nonce("Nb", "i", 2), X, Enc(concat([X, Variable("Y", 1)]), KAB_I)]),
+          SymKey("kas", copy=2)),
+    tag=4,
+)
+@settings(max_examples=300)
+def test_canonical_form_and_rename_apart_equal_their_leaf_map_definitions(m, tag):
+    assert canonical_form(m) == reference_canonical_form(m)
+    assert rename_apart(m, tag) == reference_rename_apart(m, tag)
 
 
 def test_strip_sessions():
