@@ -12,7 +12,9 @@ repository. Two parts, standard library only:
 - ``phases_ms``: the public-API phases of one verdict, timed in this
   process on the benchmark's own generated inputs (``perfbench/gen.py``,
   imported read-only), in ms per verdict, the median over ``--passes``
-  passes. ``verdict`` is ``run.py``'s path: context, narration,
+  passes. Like ``run.py``'s end-to-end times they are scaled to reference
+  machine speed (``perfbench/refspeed.py``), so records of different
+  commits compare. ``verdict`` is ``run.py``'s path: context, narration,
   ``analyze``, text, JSON write and JSON read; the phases from ``roles``
   to ``auth`` are what ``analyze`` runs.
 
@@ -61,16 +63,30 @@ def bench_run(workload: str, seconds: float) -> dict:
             "result": json.loads(lines[-1])}
 
 
-def phase_times(cases, passes: int) -> dict:
+def perfbench_module(stem: str):
+    """``perfbench/<stem>.py``, loaded read-only."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", ROOT / "perfbench" / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def phase_times(cases, passes: int, refspeed) -> dict:
     """Median over passes of each phase's mean ms per verdict, after one
-    untimed pass that loads what the first verdicts load lazily."""
+    untimed pass that loads what the first verdicts load lazily. As in
+    ``run.py``'s loop, the reference routine runs once per
+    ``refspeed.EVERY_S`` of verdict time and scales the verdicts after it."""
     import wfcheck as w
 
     clock = time.perf_counter
     per_pass = []
+    since_ref = refspeed.EVERY_S
     for _ in range(passes + 1):
         spent = dict.fromkeys(PHASES, 0.0)
         for case in cases:
+            if since_ref >= refspeed.EVERY_S:
+                scale, since_ref = refspeed.NOMINAL_S / refspeed.ref_s(), 0.0
             variant = w.Variant(case.variant)
             stamps = [clock()]
             ctx = w.parse_context(case.context)
@@ -95,8 +111,9 @@ def phase_times(cases, passes: int) -> dict:
             w.report_from_json(js)
             stamps.append(clock())
             for name, start, end in zip(PHASES, stamps, stamps[1:]):
-                spent[name] += end - start
-            spent["verdict"] += stamps[-1] - stamps[6] + stamps[2] - stamps[0]
+                spent[name] += (end - start) * scale
+            spent["verdict"] += (stamps[-1] - stamps[6] + stamps[2] - stamps[0]) * scale
+            since_ref += stamps[-1] - stamps[0]
         per_pass.append({k: v * 1000.0 / len(cases) for k, v in spent.items()})
     return {k: round(statistics.median(p[k] for p in per_pass[1:]), 4) for k in PHASES}
 
@@ -118,15 +135,12 @@ def main() -> int:
         "runs": {workload: bench_run(workload, args.seconds) for workload in WORKLOADS},
     }
     sys.path.insert(0, str(SRC))
-    spec_gen = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec_gen)
-    sys.modules[spec_gen.name] = gen  # dataclasses look their module up by name
-    spec_gen.loader.exec_module(gen)
+    gen, refspeed = perfbench_module("gen"), perfbench_module("refspeed")
     if hasattr(os, "sched_setaffinity"):  # one CPU, as run.py times its verdicts
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     record["phases_ms"] = {
         workload: {"cases": f"{fn}{args_}", "passes": args.passes,
-                   "ms_per_verdict": phase_times(getattr(gen, fn)(*args_), args.passes)}
+                   "ms_per_verdict": phase_times(getattr(gen, fn)(*args_), args.passes, refspeed)}
         for workload, (fn, args_) in PHASE_CASES.items()
     }
     record["src_pycache_after"] = src_pycache()
