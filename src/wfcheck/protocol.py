@@ -16,9 +16,10 @@ the protocol name may also hold ``_`` and ``^``. Any other character is an
 
 ``parse_narration`` reads each line, up to its ``#`` comment, with one
 ``findall`` into a flat list of words, the token texts, and parses that
-list by index; it builds no token records. Positions come from
-``tokenize`` alone: the parser calls it only to raise an error, at the
-token with the index of the word at fault.
+list by index, keeping only each word's line. The same word pattern places
+every diagnostic. An unexpected character is the first character of its
+line that no word takes and that is not whitespace; an error at a word is
+at the start of that word's match on its line.
 
 Role extraction projects the narration onto each participant, routes every
 exchange through the intruder-controlled network, session-tags the values
@@ -154,36 +155,15 @@ MAX_NESTING = 64
 # The token alternatives, by kind. A name may hold '_' and '^' for the protocol
 # name; a principal or atom name follows the context file's rule and holds neither.
 _KINDS = {"arrow": "->", "num": r"\d+", "name": "[A-Za-z][A-Za-z0-9_^]*", "punct": "[{}.:]"}
-_TOKEN_RE = "|".join(
-    [r"(?P<newline>\n)", r"(?P<ws>[^\S\n]+)", r"(?P<comment>#[^\n]*)"]
-    + [f"(?P<{kind}>{alt})" for kind, alt in _KINDS.items()] + ["(?P<bad>.)"]
-)
-# a line's tokens without their positions, skipping any character no token takes
-_words = re.compile("|".join(_KINDS.values())).findall
+#: The one word pattern: it reads each line's words and places every diagnostic.
+_WORD = re.compile("|".join(_KINDS.values()))
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def tokenize(text: str) -> list[Token]:
-    """The tokens of a narration with their positions; ``parse_narration``
-    calls it only to position the error it raises."""
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    for match in re.finditer(_TOKEN_RE, text):
-        kind, chunk = match.lastgroup, match.group()
-        column = match.start() - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, match.end()
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {chunk!r}", line, column)
-        elif kind not in ("ws", "comment"):
-            tokens.append(Token(chunk if kind == "punct" else kind, chunk, line, column))
-    return tokens
+def _stray(line: str) -> int:
+    """The index of the first character of ``line`` that no word takes and
+    that is not whitespace."""
+    gaps = _WORD.sub(lambda word: " " * len(word.group()), line)
+    return len(gaps) - len(gaps.lstrip())
 
 
 def parse_narration(text: str, ctx: VerificationContext) -> Narration:
@@ -194,10 +174,11 @@ def parse_narration(text: str, ctx: VerificationContext) -> Narration:
     lines: list[int] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.split("#", 1)[0]
-        found = _words(line)
-        # a character no token takes is the part of the line its words miss
+        found = _WORD.findall(line)
+        # a character no word takes is the part of the line its words miss
         if len("".join(found)) != len("".join(line.split())):
-            tokenize(text)  # raises the first such character
+            column = _stray(line)
+            raise ParseError(f"unexpected character {line[column]!r}", lineno, column + 1)
         words += found
         lines += [lineno] * len(found)
     if not words:
@@ -208,8 +189,11 @@ def parse_narration(text: str, ctx: VerificationContext) -> Narration:
     def error(i: int, message: str, cls: type = ParseError, offset: int = 0) -> ParseError:
         if i == end:
             return ParseError("unexpected end of input", lines[-1])
-        tok = tokenize(text)[i]
-        return cls(message, tok.line, tok.column + offset)
+        lineno = lines[i]
+        line = text.split("\n")[lineno - 1].split("#", 1)[0]
+        # a line's words are consecutive, so word i is the n-th match on its line
+        word = list(_WORD.finditer(line))[i - lines.index(lineno)]
+        return cls(message, lineno, word.start() + 1 + offset)
 
     def expect(i: int, kind: str) -> str:
         """Word ``i``, which must be of ``kind``."""

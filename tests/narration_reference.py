@@ -1,23 +1,53 @@
 """The narration parser over a token stream, for tests only.
 
-This is the analyzer's former ``parse_narration``: ``tokenize`` turns the
-whole text into ``Token`` records and a ``TokenStream`` hands them to a
-recursive-descent parser one ``peek``/``next``/``expect`` call at a time.
-The package's ``parse_narration`` reads each line's words with one
-``findall`` and parses them by index, positioning a diagnostic through
-``tokenize`` only when it raises one;
+This is the analyzer's former ``parse_narration``: ``tokenize`` scans the
+whole text once into positioned ``Token`` records, and a ``TokenStream``
+hands them to a recursive-descent parser one ``peek``/``next``/``expect``
+call at a time. The package's ``parse_narration`` reads each line's words
+with one ``findall``, parses them by index, and places a diagnostic with
+the same word pattern, rescanning only the line at fault. The two share
+only the token kinds (``_KINDS``);
 ``test_protocol.test_parser_agrees_with_the_reference`` checks that both
 give an equal narration, or the same error at the same line and column.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import re
+from typing import NamedTuple, Optional
 
 from wfcheck.context import VerificationContext
 from wfcheck.errors import ParseError, UndeclaredAtom, UnknownAtom
-from wfcheck.protocol import MAX_NESTING, Narration, NarrationStep, Token, tokenize
+from wfcheck.protocol import _KINDS, MAX_NESTING, Narration, NarrationStep
 from wfcheck.terms import Atom, Enc, Message, SymKey, concat, format_message
+
+_TOKEN_RE = "|".join(
+    [r"(?P<newline>\n)", r"(?P<ws>[^\S\n]+)", r"(?P<comment>#[^\n]*)"]
+    + [f"(?P<{kind}>{alt})" for kind, alt in _KINDS.items()] + ["(?P<bad>.)"]
+)
+
+
+class Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+def tokenize(text: str) -> list[Token]:
+    """The tokens of a narration with their positions."""
+    tokens: list[Token] = []
+    line, line_start = 1, 0
+    for match in re.finditer(_TOKEN_RE, text):
+        kind, chunk = match.lastgroup, match.group()
+        column = match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {chunk!r}", line, column)
+        elif kind not in ("ws", "comment"):
+            tokens.append(Token(chunk if kind == "punct" else kind, chunk, line, column))
+    return tokens
 
 
 class TokenStream:

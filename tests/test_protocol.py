@@ -154,7 +154,7 @@ def test_a_step_number_too_long_for_int_is_a_parse_error(woolam_mod):
 
 
 # characters that some places of a narration accept and others refuse
-EDIT_CHARS = ("\n", " ", "x", "_", "^", "@", "é", "-", "{", ".")
+EDIT_CHARS = ("\n", " ", "x", "_", "^", "@", "é", "-", "{", ".", "\t", "\r", "\f", "\u00a0", "\u2028", "#")
 
 
 def _edits(text):

@@ -27,7 +27,6 @@ from wfcheck import (
     load_context,
     load_narration,
 )
-from wfcheck.protocol import tokenize
 from wfcheck.terms import format_message
 
 from conftest import CORPUS
@@ -48,7 +47,6 @@ def _values():
         Variable("X", 3),
         Concat((A, NB)),
         Enc(NB, SymKey("kab")),
-        tokenize("1. A -> B : A")[0],
         SecurityLevel.of("A", "B"),
         ctx.lattice,
         ctx.decls["kab"],

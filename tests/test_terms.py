@@ -20,7 +20,7 @@ from wfcheck import (
     unify,
     vars_of,
 )
-from wfcheck.protocol import tokenize
+from wfcheck.protocol import parse_narration
 from wfcheck.terms import format_substitution
 
 from derivation import EMPTY
@@ -321,47 +321,51 @@ def test_derivation_empty_display():
     assert format_message(EMPTY) == "ε"
 
 
-# Token positions after each kind of whitespace. Only "\n" ends a line:
-# "\r", "\f", "\t", NBSP and U+2028 are whitespace inside it, one column each.
-@pytest.mark.parametrize("text, tokens", [
-    (
-        "1. A -> B : Na\r\n2. B -> A : {Na}kab\r\n",
-        [("num", "1", 1, 1), (".", ".", 1, 2), ("name", "A", 1, 4), ("arrow", "->", 1, 6),
-         ("name", "B", 1, 9), (":", ":", 1, 11), ("name", "Na", 1, 13),
-         ("num", "2", 2, 1), (".", ".", 2, 2), ("name", "B", 2, 4), ("arrow", "->", 2, 6),
-         ("name", "A", 2, 9), (":", ":", 2, 11), ("{", "{", 2, 13), ("name", "Na", 2, 14),
-         ("}", "}", 2, 16), ("name", "kab", 2, 17)],
-    ),
-    (
-        "A\f.B\n\fC",
-        [("name", "A", 1, 1), (".", ".", 1, 3), ("name", "B", 1, 4), ("name", "C", 2, 2)],
-    ),
-    (
-        "\tA ->\tB\n\t\t{Na}k",
-        [("name", "A", 1, 2), ("arrow", "->", 1, 4), ("name", "B", 1, 7), ("{", "{", 2, 3),
-         ("name", "Na", 2, 4), ("}", "}", 2, 6), ("name", "k", 2, 7)],
-    ),
-    (
-        "A\u00a0.\u00a0B\n\u00a0C",
-        [("name", "A", 1, 1), (".", ".", 1, 3), ("name", "B", 1, 5), ("name", "C", 2, 2)],
-    ),
-    (
-        "A\u2028.B\nC\u2028\u2028D",
-        [("name", "A", 1, 1), (".", ".", 1, 3), ("name", "B", 1, 4), ("name", "C", 2, 1),
-         ("name", "D", 2, 4)],
-    ),
-    (
-        "A . B # a comment -> {x}\n  C # another\n#only\nD",
-        [("name", "A", 1, 1), (".", ".", 1, 3), ("name", "B", 1, 5), ("name", "C", 2, 3),
-         ("name", "D", 4, 1)],
-    ),
+# Diagnostic positions after each kind of whitespace: a character no word
+# takes, then a word out of place. Only "\n" ends a line: "\r", "\f", "\t",
+# NBSP and U+2028 are whitespace inside it, one column each, and a comment
+# holds no words.
+@pytest.mark.parametrize("errors", [
+    [
+        ("protocol P\r\n1. A -> B : A\r\n2. B -> A @ Nb\r\n", "unexpected character '@'", 3, 11),
+        ("protocol P\r\n1. A -> B : A\r\n2. B -> A  {A}kas\r\n", "expected ':', found '{'", 3, 12),
+    ],
+    [
+        ("protocol P\f\n1.\fA -> B : A\f@\n", "unexpected character '@'", 2, 15),
+        ("protocol P\n\f1. A -> B\f: A\f.\fkas}\n", "expected 'num', found '}'", 2, 21),
+    ],
+    [
+        ("protocol P\n1. A -> B :\tA @\n", "unexpected character '@'", 2, 15),
+        ("protocol P\r\n1. A -> B : A\r\n2. B\t-> A  {A}kas\n", "expected ':', found '{'", 3, 12),
+    ],
+    [
+        ("protocol P\n1.\u00a0A -> B : A\u00a0?\n", "unexpected character '?'", 2, 15),
+        ("protocol P\n1. A\u00a0->\u00a0B : {A}Nb\n",
+         "encryption key 'Nb' is not a declared symmetric key", 2, 16),
+    ],
+    [
+        ("protocol P\n1. A -> B :\u2028A\u2028\u2028é\n", "unexpected character 'é'", 2, 16),
+        ("protocol P\n1. A -> B : A\u2028.\u2028Na_x\n", "unexpected character '_'", 2, 19),
+    ],
+    [
+        ("protocol P # a comment -> {x}\n1. A -> B : A # @\n#only\n  @", "unexpected character '@'",
+         4, 3),
+        ("protocol P # a comment -> {x}\n  1. A -> B : A # another\n#only\n2. B -> A  A",
+         "expected ':', found 'A'", 4, 12),
+    ],
 ], ids=["crlf", "form-feed", "tab", "nbsp", "line-separator", "comment"])
-def test_token_positions(text, tokens):
-    assert [tuple(t) for t in tokenize(text)] == tokens
+def test_token_positions(errors, woolam_mod):
+    _, ctx = woolam_mod
+    for text, message, line, column in errors:
+        with pytest.raises(ParseError) as err:
+            parse_narration(text, ctx)
+        assert (err.value.line, err.value.column) == (line, column), text
+        assert str(err.value) == str(ParseError(message, line, column))
 
 
-def test_unexpected_character_position_after_crlf():
+def test_unexpected_character_position_after_crlf(woolam_mod):
+    _, ctx = woolam_mod
     with pytest.raises(ParseError) as err:
-        tokenize("A\r\nB\r\n  C @ D")
-    assert (err.value.line, err.value.column) == (3, 5)
-    assert str(err.value) == "line 3, column 5: unexpected character '@'"
+        parse_narration("protocol P\r\n1. A -> B : A\r\n  2. B -> A : @ Nb", ctx)
+    assert (err.value.line, err.value.column) == (3, 15)
+    assert str(err.value) == "line 3, column 15: unexpected character '@'"
