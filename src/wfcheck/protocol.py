@@ -169,7 +169,9 @@ def _stray(line: str) -> int:
 def parse_narration(text: str, ctx: VerificationContext) -> Narration:
     """The narration in ``text``, read as a flat list of words with each word's
     line beside it. A word's kind is its first character's: a letter starts
-    a name, a digit a number; ``->`` and punctuation are themselves."""
+    a name, a digit a number; ``->`` and punctuation are themselves. A payload
+    is read by one loop over a stack of its open encryptions, and no helper
+    calls itself, so a parse leaves no reference cycle behind."""
     words: list[str] = []
     lines: list[int] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -217,33 +219,39 @@ def parse_narration(text: str, ctx: VerificationContext) -> Narration:
             message = f"atom {words[i]!r} is not declared in the context"
             raise error(i, message, UndeclaredAtom) from None
 
-    def payload(i: int, depth: int) -> tuple[Message, int]:
+    def payload(i: int) -> tuple[Message, int]:
         """``term ('.' term)*`` from word ``i``, where a term is a declared atom or
         ``{payload}key``, and the index after it. An encryption nested deeper than
         ``MAX_NESTING`` is an error at its opening brace, and one under any key
-        but a symmetric key an error at the key."""
+        but a symmetric key an error at the key. ``outer`` holds the parts read
+        so far of each enclosing payload, so its length is the nesting depth."""
+        outer: list[list[Message]] = []
         parts: list[Message] = []
         while True:
             word = words[i]
             if word == "{":
-                if depth == MAX_NESTING:
+                if len(outer) == MAX_NESTING:
                     raise error(i, f"encryption nested deeper than {MAX_NESTING} levels")
-                body, i = payload(i + 1, depth + 1)
+                outer.append(parts)
+                parts, i = [], i + 1
+                continue
+            if not word[:1].isalpha():
+                raise error(i, f"expected a message term, found {word!r}")
+            parts.append(atom(i))
+            i += 1
+            while words[i] != ".":  # a part is an atom or an encryption: nothing to flatten
+                body = parts[0] if len(parts) == 1 else Concat(tuple(parts))
+                if not outer:
+                    return body, i
                 expect(i, "}")
                 expect(i + 1, "name")
                 key = atom(i + 1)
                 if not isinstance(key, SymKey):
                     raise error(i + 1, f"encryption key {format_message(key)!r}"
                                 " is not a declared symmetric key")
+                parts = outer.pop()
                 parts.append(Enc(body, key))
                 i += 2
-            elif word[:1].isalpha():
-                parts.append(atom(i))
-                i += 1
-            else:
-                raise error(i, f"expected a message term, found {word!r}")
-            if words[i] != ".":  # a part is an atom or an encryption: nothing to flatten
-                return parts[0] if len(parts) == 1 else Concat(tuple(parts)), i
             i += 1
 
     if words[0] != "protocol":
@@ -268,7 +276,7 @@ def parse_narration(text: str, ctx: VerificationContext) -> Narration:
         for j in (i + 2, i + 4):
             if name(j) not in ctx.principals:
                 raise error(j, f"undeclared principal {words[j]!r}", UndeclaredAtom)
-        message, after = payload(i + 6, 0)
+        message, after = payload(i + 6)
         steps.append(NarrationStep(index, sender, receiver, message, lines[i]))
         i = after
     return Narration(protocol, tuple(steps))

@@ -24,9 +24,11 @@ variable, so removing variables would change no level: ``f_prime``
 evaluates the message as it is.
 
 One walk of a message (``occurrences``) maps its leaves, in first-occurrence
-order, to their occurrence chains. An :class:`Evaluation` keeps that walk
-(``walk``) and the levels computed from it per distinct message; it is the
-analysis's one walker of messages, so an analysis walks each one once.
+order, to their occurrence chains. Its recursion is the module-level ``_walk``,
+which takes the map it fills: a closure that called itself would leave a
+reference cycle per walk. An :class:`Evaluation` keeps that walk (``walk``)
+and the levels computed from it per distinct message; it is the analysis's
+one walker of messages, so an analysis walks each one once.
 """
 
 from __future__ import annotations
@@ -61,20 +63,21 @@ def occurrences(m: Message) -> Occurrences:
     in the map exactly when it occurs anywhere in ``m``.
     """
     out: Occurrences = {}
-
-    def walk(t: Message, chain: tuple[Enc, ...]):
-        if isinstance(t, Concat):
-            for p in t.parts:
-                walk(p, chain)
-        elif isinstance(t, Enc):
-            walk(t.body, chain + (t,))
-            for leaf in leaves(t.key):
-                out.setdefault(leaf, [])
-        else:
-            out.setdefault(t, []).append(chain)
-
-    walk(m, ())
+    _walk(m, (), out)
     return out
+
+
+def _walk(t: Message, chain: tuple[Enc, ...], out: Occurrences) -> None:
+    """Add the leaves of ``t``, under the enclosing encryptions ``chain``, to ``out``."""
+    if isinstance(t, Concat):
+        for p in t.parts:
+            _walk(p, chain, out)
+    elif isinstance(t, Enc):
+        _walk(t.body, chain + (t,), out)
+        for leaf in leaves(t.key):
+            out.setdefault(leaf, [])
+    else:
+        out.setdefault(t, []).append(chain)
 
 
 def _protective_enc(

@@ -229,22 +229,24 @@ def canonical_form(m: Message) -> str:
     """A display form invariant under renaming of variables and parameters,
     printed in one walk with no renamed term built: rename indices are
     erased and variables print as ``?V_<n>`` by first occurrence, so two
-    patterns are duplicates exactly when their canonical forms coincide."""
-    numbers: dict[Variable, int] = {}
+    patterns are duplicates exactly when their canonical forms coincide.
+    The walk is the module-level ``_form``, which takes the numbering, so a
+    call leaves no reference cycle behind."""
+    return _form(m, {})
 
-    def form(t: Message) -> str:
-        cls = type(t)
-        if cls is Concat:
-            return ".".join([form(p) for p in t.parts])
-        if cls is Enc:
-            return "{" + form(t.body) + "}" + form(t.key)
-        if cls is Variable:
-            return f"?V_{numbers.setdefault(t, len(numbers))}"
-        if t.copy is None:
-            return format_message(t)
-        return _format_atomish(t.name, None, getattr(t, "session", None))
 
-    return form(m)
+def _form(t: Message, numbers: dict[Variable, int]) -> str:
+    """The canonical form of ``t``, numbering its variables on from ``numbers``."""
+    cls = type(t)
+    if cls is Concat:
+        return ".".join([_form(p, numbers) for p in t.parts])
+    if cls is Enc:
+        return "{" + _form(t.body, numbers) + "}" + _form(t.key, numbers)
+    if cls is Variable:
+        return f"?V_{numbers.setdefault(t, len(numbers))}"
+    if t.copy is None:
+        return format_message(t)
+    return _format_atomish(t.name, None, getattr(t, "session", None))
 
 
 # ---------------------------------------------------------------------------

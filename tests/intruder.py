@@ -1,5 +1,5 @@
 """A bounded active intruder, for tests only: an independent judge of a
-secrecy PASS.
+secrecy PASS and of an authentication PASS.
 
 The static criterion is sufficient, not necessary, so its worst error is a
 PASS on a protocol that is insecure in the model. This search looks for the
@@ -24,8 +24,18 @@ concatenation, so type-flaw attacks are out of reach. Terms are built one
 at a time, in a fixed order, and at most ``MAX_CANDIDATES`` are tried per
 receive. A state
 is the instances' program counters, the bindings and the knowledge; each is
-visited once. A leak is a known atom whose declared level excludes the
-intruder.
+visited once.
+
+``search`` takes the instances and a goal, a test on each state; two goals
+are given. Secrecy (``leak``): the intruder knows an atom whose declared
+level excludes it. Aliveness (``finished``; Lowe, "A hierarchy of
+authentication specifications", CSFW 1997): a verifier instance completes
+although the claimant never ran. For it the claimant's instances are
+dropped, and one more session, tagged ``x``, runs the other roles with the
+intruder as the claimant: a leaf substitution puts ``I`` for the claimant
+and the intruder's key for the claimant's long-term key, which the context
+must declare at a level naming ``I``. The verifier's instance in that
+session talks to ``I``, so its completion is no attack.
 
 This is a ground, bounded form of the lazy intruder of OFMC (Basin,
 Mödersheim and Viganò, ESORICS 2003), in the setting of Rusinowitch and
@@ -35,7 +45,7 @@ candidates are bounded, so finding no leak is bounded evidence, not a proof.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from wfcheck import VerificationContext
 from wfcheck.context import INTRUDER_NAME
@@ -49,13 +59,15 @@ from deduction import decompose, intruder_knowledge
 
 #: the most ground terms tried at one receive
 MAX_CANDIDATES = 40
+#: the tag of the session in which the intruder plays the claimant
+INTRUDER_SESSION = "x"
 
 
 class Search(NamedTuple):
     """What one search found."""
 
-    #: the first atom the intruder learnt against its level, or None
-    leaked: Optional[Atom]
+    #: what the goal returned at the first state that reached it, or None
+    reached: object
     #: the receives that led there, each as ``instance step <- term``
     trace: tuple[str, ...]
     #: the states visited
@@ -72,39 +84,67 @@ class _Step(NamedTuple):
     later: frozenset[Variable]
 
 
-def _instances(narration: Narration, ctx: VerificationContext, sessions: int):
-    """Each full role's steps, once per session, tagged with the session."""
+class Instance(NamedTuple):
+    """One full role run in one session."""
+
+    owner: str
+    #: the session's tag, which its fresh atoms carry
+    tag: str
+    steps: tuple[_Step, ...]
+
+
+#: what a search looks for: given the program counters and the knowledge of
+#: a state, something (the search's ``reached``) or None
+Goal = Callable[[tuple[int, ...], frozenset], object]
+
+
+def instances(
+    narration: Narration,
+    ctx: VerificationContext,
+    sessions: int,
+    claimant: Optional[str] = None,
+    intruder_as: Optional[Mapping[Atom, Atom]] = None,
+) -> list[Instance]:
+    """Each full role's steps, once per session, tagged with the session. With
+    a ``claimant``, its roles are dropped and one more session runs the others
+    with each leaf that ``intruder_as`` names replaced."""
+    roles = full_roles(extract_roles(narration, ctx)).values()
+    runs = [(str(session), session, {}) for session in range(1, sessions + 1)]
+    if claimant is not None:
+        runs.append((INTRUDER_SESSION, sessions + 1, intruder_as or {}))
     out = []
-    for session in range(1, sessions + 1):
-        tag = str(session)
+    for tag, index, replaced in runs:
 
         def copy(t: Message) -> Message:
+            t = replaced.get(t, t)
             if isinstance(t, Variable):
-                return Variable(t.name, session)
+                return Variable(t.name, index)
             if isinstance(t, (Nonce, SymKey)) and t.session is not None:
                 return t._replace(session=tag)
             return t
 
-        for role in full_roles(extract_roles(narration, ctx)).values():
+        for role in roles:
+            if role.owner == claimant:
+                continue
             steps, later = [], frozenset()
             for s in reversed(role.steps):
                 payload = map_leaves(s.payload, copy)
                 later |= vars_of(payload)
                 label = f"{role.owner}#{tag} {s.step_id}"
                 steps.append(_Step(s.direction is Direction.SEND, label, payload, later))
-            out.append(tuple(reversed(steps)))
+            out.append(Instance(role.owner, tag, tuple(reversed(steps))))
     return out
 
 
-def initial_knowledge(ctx: VerificationContext, sessions: int) -> frozenset[Message]:
+def initial_knowledge(ctx: VerificationContext, tags) -> frozenset[Message]:
     """The identities, the ``intruder knows`` atoms, and each declared atom whose
-    level admits the intruder, with its session copies; analysed."""
+    level admits the intruder, with its copies for the session ``tags``; analysed."""
     known = set(intruder_knowledge(ctx))
     for decl in ctx.decls.values():
         if INTRUDER_NAME in decl.level:
             known.add(decl.atom)
             if decl.fresh_by is not None:
-                known.update(decl.atom._replace(session=str(s)) for s in range(1, sessions + 1))
+                known.update(decl.atom._replace(session=tag) for tag in tags)
     decompose(known, ctx)
     return frozenset(known)
 
@@ -126,8 +166,11 @@ def _built(p: Message, sigma: dict, known, atoms, encs, keys) -> Iterator[tuple[
         for parts, bound in _products(p.parts, sigma, known, atoms, encs, keys):
             yield concat(parts), bound
     else:
+        pattern = apply(sigma, p) if sigma else p
+        # an atom with no rename index is a constant: it unifies with itself alone
+        fixed = isinstance(pattern.key, Atom) and pattern.key.copy is None
         for e in encs:
-            unifier = unify(apply(sigma, p), e)
+            unifier = None if fixed and e.key != pattern.key else unify(pattern, e)
             if unifier is not None:
                 yield e, {**sigma, **unifier}
         for key, keyed in _built(p.key, sigma, known, atoms, encs, keys):
@@ -146,12 +189,19 @@ def _products(parts, sigma, known, atoms, encs, keys):
             yield (first,) + rest, done
 
 
-def _candidates(pattern: Message, known: frozenset[Message]):
-    """The first ``MAX_CANDIDATES`` distinct terms built for ``pattern``, each as
-    ``(text, bindings)``, and whether any were left untried."""
+def _vocabulary(known: frozenset[Message]) -> tuple[list, list, list]:
+    """The known atoms and encryptions, each in order of printed form, and
+    the known keys: what ``_built`` builds from."""
     atoms = sorted((t for t in known if isinstance(t, Atom)), key=format_message)
     encs = sorted((t for t in known if isinstance(t, Enc)), key=format_message)
-    keys = [t for t in atoms if isinstance(t, SymKey)]
+    return atoms, encs, [t for t in atoms if isinstance(t, SymKey)]
+
+
+def _candidates(pattern: Message, known: frozenset[Message], vocabulary):
+    """The first ``MAX_CANDIDATES`` distinct terms built for ``pattern`` from
+    ``known`` and its ``vocabulary``, each as ``(text, bindings)``, and
+    whether any were left untried."""
+    atoms, encs, keys = vocabulary
     found: dict[Message, tuple[str, dict]] = {}
     for term, sigma in _built(pattern, {}, known, atoms, encs, keys):
         if term not in found:  # a known encryption may also be built
@@ -161,28 +211,48 @@ def _candidates(pattern: Message, known: frozenset[Message]):
     return list(found.values()), False
 
 
-def _leak(known: frozenset[Message], ctx: VerificationContext) -> Optional[Atom]:
-    secret = [
-        t for t in known if isinstance(t, Atom) and INTRUDER_NAME not in ctx.level_of(t)
+def leak(ctx: VerificationContext) -> Goal:
+    """The secrecy goal: the first atom, by its printed form, that the intruder
+    knows against its declared level."""
+
+    def reached(pcs, known):
+        secret = [
+            t for t in known if isinstance(t, Atom) and INTRUDER_NAME not in ctx.level_of(t)
+        ]
+        return min(secret, key=format_message) if secret else None
+
+    return reached
+
+
+def finished(programs: list[Instance], verifier: str) -> Goal:
+    """The aliveness goal: the first instance of ``verifier`` outside the
+    intruder's session that has run all its steps, as ``owner#tag``."""
+    honest = [
+        (i, f"{p.owner}#{p.tag}") for i, p in enumerate(programs)
+        if p.owner == verifier and p.tag != INTRUDER_SESSION
     ]
-    return min(secret, key=format_message) if secret else None
+
+    def reached(pcs, known):
+        return next((name for i, name in honest if pcs[i] == len(programs[i].steps)), None)
+
+    return reached
 
 
 def search(
-    narration: Narration,
+    programs: list[Instance],
     ctx: VerificationContext,
-    sessions: int = 2,
+    goal: Goal,
     max_states: Optional[int] = None,
 ) -> Search:
-    """Search every interleaving of ``sessions`` sessions, depth first, for a
-    state in which the intruder knows an atom against its level. A binding is
-    kept only while a later step of its instance uses it, so states that
-    differ in a spent binding alone are one state. Past ``max_states``
-    states, a ``RuntimeError`` says the bound was too small."""
-    programs = _instances(narration, ctx, sessions)
+    """Search every interleaving of the instances ``programs``, depth first, for
+    a state that reaches ``goal``. A binding is kept only while a later step
+    of its instance uses it, so states that differ in a spent binding alone
+    are one state. Past ``max_states`` states, a ``RuntimeError`` says the
+    bound was too small."""
+    steps = [p.steps for p in programs]
 
     def run_sends(i: int, pcs: list, bindings: dict, known: set) -> None:
-        program = programs[i]
+        program = steps[i]
         while pcs[i] < len(program) and program[pcs[i]].sends:
             sent = apply(bindings, program[pcs[i]].payload)
             assert not vars_of(sent), f"{program[pcs[i]].label} sends an unbound variable"
@@ -190,8 +260,9 @@ def search(
             pcs[i] += 1
         decompose(known, ctx)
 
-    pcs, known = [0] * len(programs), set(initial_knowledge(ctx, sessions))
-    for i in range(len(programs)):
+    pcs = [0] * len(steps)
+    known = set(initial_knowledge(ctx, dict.fromkeys(p.tag for p in programs)))
+    for i in range(len(steps)):
         run_sends(i, pcs, {}, known)
     stack = [(tuple(pcs), {}, frozenset(known), ())]
     seen: set = set()
@@ -204,14 +275,15 @@ def search(
         seen.add(key)
         if max_states is not None and len(seen) > max_states:
             raise RuntimeError(f"more than {max_states} states")
-        leaked = _leak(known, ctx)
-        if leaked is not None:
-            return Search(leaked, trace, len(seen), cut)
-        for i, program in reversed(list(enumerate(programs))):  # the first instance first
+        reached = goal(pcs, known)
+        if reached is not None:
+            return Search(reached, trace, len(seen), cut)
+        vocabulary = _vocabulary(known)
+        for i, program in reversed(list(enumerate(steps))):  # the first instance first
             if pcs[i] == len(program):
                 continue
             step = program[pcs[i]]
-            found, more = _candidates(apply(bindings, step.payload), known)
+            found, more = _candidates(apply(bindings, step.payload), known, vocabulary)
             cut += more
             for text, sigma in reversed(found):
                 after, grown, bound = list(pcs), set(known), {**bindings, **sigma}
@@ -223,3 +295,23 @@ def search(
                 path = trace + (f"{step.label} <- {text}",)
                 stack.append((tuple(after), bound, frozenset(grown), path))
     return Search(None, (), len(seen), cut)
+
+
+def secrecy(
+    narration: Narration, ctx: VerificationContext, sessions: int = 2,
+    max_states: Optional[int] = None,
+) -> Search:
+    """A search of ``sessions`` sessions of every role for a leak."""
+    return search(instances(narration, ctx, sessions), ctx, leak(ctx), max_states)
+
+
+def aliveness(
+    narration: Narration, ctx: VerificationContext, intruder_as: Mapping[Atom, Atom],
+    sessions: int = 1, max_states: Optional[int] = None,
+) -> Search:
+    """A search, for an attack on the aliveness of the context's challenge
+    claimant to its verifier, of ``sessions`` sessions of the roles but the
+    claimant's, plus the intruder's session (see the module docstring)."""
+    challenge = ctx.challenge
+    programs = instances(narration, ctx, sessions, challenge.claimant, intruder_as)
+    return search(programs, ctx, finished(programs, challenge.verifier), max_states)

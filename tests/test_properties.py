@@ -691,9 +691,9 @@ def law_secrecy_pass_survives_the_active_intruder(case):
     roles, patterns = analyze_narration(narr, ctx)
     if not any(all(c.passed for c in check_secrecy(roles, patterns, ctx, v)) for v in Variant):
         return
-    found = intruder.search(narr, ctx, sessions=1, max_states=5_000)
-    assert found.leaked is None, (
-        f"{format_message(found.leaked)} leaks by {found.trace} from: "
+    found = intruder.secrecy(narr, ctx, sessions=1, max_states=5_000)
+    assert found.reached is None, (
+        f"{format_message(found.reached)} leaks by {found.trace} from: "
         + "; ".join(str(step) for step in narr.steps)
     )
     CASES["active"] += 1

@@ -4,7 +4,7 @@
     python3 tools/bench_record.py --seconds 1 --passes 1 --out /tmp/bench.json   # smoke run
 
 Run from anywhere; paths are taken from this file's place in the
-repository. Two parts, standard library only:
+repository. Three parts, standard library only:
 
 - ``runs``: ``perfbench/run.py --workload W --seed 1 --seconds T --trace 0``
   for each workload, keeping its final JSON line and its ``report_sha256``.
@@ -17,6 +17,13 @@ repository. Two parts, standard library only:
   commits compare. ``verdict`` is ``run.py``'s path: context, narration,
   ``analyze``, text, JSON write and JSON read; the phases from ``roles``
   to ``auth`` are what ``analyze`` runs.
+- ``gc``: what the cycle collector did on the same inputs.
+  ``collections_per_verdict`` is the rise in ``gc.get_stats()``
+  collections, all generations, over the timed passes;
+  ``unreachable_per_verdict`` is what a full collection finds after one
+  more pass run with the collector disabled: the objects that reference
+  counting alone did not free. This script switches the collector; the
+  package never does.
 
 The file also names the commit, the Python version, the
 ``PYTHONDONTWRITEBYTECODE`` setting and whether compiled ``__pycache__``
@@ -27,6 +34,7 @@ package's source is a large share of a command-line verdict.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import os
@@ -72,50 +80,78 @@ def perfbench_module(stem: str):
     return module
 
 
-def phase_times(cases, passes: int, refspeed) -> dict:
+def _collections() -> int:
+    return sum(generation["collections"] for generation in gc.get_stats())
+
+
+def _verdict(w, case, clock) -> list[float]:
+    """One verdict's phases, each through the public API; the clock before
+    the first phase and after each."""
+    variant = w.Variant(case.variant)
+    stamps = [clock()]
+    ctx = w.parse_context(case.context)
+    stamps.append(clock())
+    narration = w.parse_narration(case.protocol, ctx)
+    stamps.append(clock())
+    roles = w.extract_roles(narration, ctx)
+    stamps.append(clock())
+    patterns = w.encryption_patterns(roles)
+    stamps.append(clock())
+    w.check_secrecy(roles, patterns, ctx, variant)
+    stamps.append(clock())
+    if ctx.challenge is not None:
+        w.challenge_check(roles, ctx, variant, ctx.challenge)
+    stamps.append(clock())
+    report = w.analyze(narration, ctx, variant, "all")
+    stamps.append(clock())
+    w.render_text(report)
+    stamps.append(clock())
+    js = w.render_json(report)
+    stamps.append(clock())
+    w.report_from_json(js)
+    stamps.append(clock())
+    return stamps
+
+
+def phase_times(cases, passes: int, refspeed) -> tuple[dict, dict]:
     """Median over passes of each phase's mean ms per verdict, after one
     untimed pass that loads what the first verdicts load lazily. As in
     ``run.py``'s loop, the reference routine runs once per
-    ``refspeed.EVERY_S`` of verdict time and scales the verdicts after it."""
+    ``refspeed.EVERY_S`` of verdict time and scales the verdicts after it.
+    Beside it, the ``gc`` block: the collections per verdict over the timed
+    passes, and the objects per verdict left unreachable by one more pass
+    with the collector off."""
     import wfcheck as w
 
     clock = time.perf_counter
     per_pass = []
     since_ref = refspeed.EVERY_S
-    for _ in range(passes + 1):
+    for n in range(passes + 1):
+        if n == 1:
+            collections = _collections()
         spent = dict.fromkeys(PHASES, 0.0)
         for case in cases:
             if since_ref >= refspeed.EVERY_S:
                 scale, since_ref = refspeed.NOMINAL_S / refspeed.ref_s(), 0.0
-            variant = w.Variant(case.variant)
-            stamps = [clock()]
-            ctx = w.parse_context(case.context)
-            stamps.append(clock())
-            narration = w.parse_narration(case.protocol, ctx)
-            stamps.append(clock())
-            roles = w.extract_roles(narration, ctx)
-            stamps.append(clock())
-            patterns = w.encryption_patterns(roles)
-            stamps.append(clock())
-            w.check_secrecy(roles, patterns, ctx, variant)
-            stamps.append(clock())
-            if ctx.challenge is not None:
-                w.challenge_check(roles, ctx, variant, ctx.challenge)
-            stamps.append(clock())
-            report = w.analyze(narration, ctx, variant, "all")
-            stamps.append(clock())
-            w.render_text(report)
-            stamps.append(clock())
-            js = w.render_json(report)
-            stamps.append(clock())
-            w.report_from_json(js)
-            stamps.append(clock())
+            stamps = _verdict(w, case, clock)
             for name, start, end in zip(PHASES, stamps, stamps[1:]):
                 spent[name] += (end - start) * scale
             spent["verdict"] += (stamps[-1] - stamps[6] + stamps[2] - stamps[0]) * scale
             since_ref += stamps[-1] - stamps[0]
         per_pass.append({k: v * 1000.0 / len(cases) for k, v in spent.items()})
-    return {k: round(statistics.median(p[k] for p in per_pass[1:]), 4) for k in PHASES}
+    collections = _collections() - collections
+    gc.collect()
+    gc.disable()
+    try:
+        for case in cases:
+            _verdict(w, case, clock)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    verdicts = len(cases)
+    counts = {"collections_per_verdict": round(collections / (passes * verdicts), 4),
+              "unreachable_per_verdict": round(unreachable / verdicts, 4)}
+    return {k: round(statistics.median(p[k] for p in per_pass[1:]), 4) for k in PHASES}, counts
 
 
 def main() -> int:
@@ -138,11 +174,12 @@ def main() -> int:
     gen, refspeed = perfbench_module("gen"), perfbench_module("refspeed")
     if hasattr(os, "sched_setaffinity"):  # one CPU, as run.py times its verdicts
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    record["phases_ms"] = {
-        workload: {"cases": f"{fn}{args_}", "passes": args.passes,
-                   "ms_per_verdict": phase_times(getattr(gen, fn)(*args_), args.passes, refspeed)}
-        for workload, (fn, args_) in PHASE_CASES.items()
-    }
+    record["phases_ms"], record["gc"] = {}, {}
+    for workload, (fn, args_) in PHASE_CASES.items():
+        times, counts = phase_times(getattr(gen, fn)(*args_), args.passes, refspeed)
+        record["phases_ms"][workload] = {"cases": f"{fn}{args_}", "passes": args.passes,
+                                         "ms_per_verdict": times}
+        record["gc"][workload] = {"cases": f"{fn}{args_}", **counts}
     record["src_pycache_after"] = src_pycache()
     pathlib.Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
